@@ -16,7 +16,6 @@ the truncated curvature, which brackets the raw one.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from wflow.jump_process import JumpGeneratorSpec, uniformized_marginal
+from wflow.measures import write_table
 from wflow.transport import wasserstein_power
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "moment_rate_constant",
     "cost_difference_constant",
     "mm_infty",
-    "const_birth_linear_death",
 ]
 
 
@@ -95,11 +94,6 @@ def mm_infty(a, b, n_top):
     """Constant birth rate ``a``, death rate ``b x``: the M/M/infinity shape."""
     states = np.arange(n_top + 1, dtype=float)
     return BirthDeathSpec(np.full(n_top + 1, float(a)), float(b) * states)
-
-
-def const_birth_linear_death(a, b, n_top):
-    """Alias of :func:`mm_infty` under its queueing-free name."""
-    return mm_infty(a, b, n_top)
 
 
 def curvature(bd):
@@ -223,27 +217,11 @@ class ContractionReport:
 
     def to_csv(self, target):
         """Write `t,w1,bound1,w_rho,bound_rho,violation` rows."""
-        rows = ["t,w1,bound1,w_rho,bound_rho,violation"]
-        for k in range(self.time_grid.size):
-            rows.append(
-                ",".join(
-                    repr(float(v))
-                    for v in (
-                        self.time_grid[k],
-                        self.w1[k],
-                        self.bound1[k],
-                        self.w_rho[k],
-                        self.bound_rho[k],
-                        self.violation[k],
-                    )
-                )
-            )
-        text = "\n".join(rows) + "\n"
-        if isinstance(target, io.TextIOBase):
-            target.write(text)
-        else:
-            with open(target, "w") as fh:
-                fh.write(text)
+        write_table(
+            target,
+            "t,w1,bound1,w_rho,bound_rho,violation",
+            (self.time_grid, self.w1, self.bound1, self.w_rho, self.bound_rho, self.violation),
+        )
 
 
 def _relative_excess(value, bound):

@@ -5,8 +5,7 @@ next to a ``summary.json`` carrying ``schema: 1`` and the headline numbers;
 the exit code is 0 exactly when no configured tolerance was violated, 2 on
 an invalid config (message anchored to the offending line), and 3 when the
 numerics themselves fail.  All randomness comes from explicit seeds, so
-identical config and seed reproduce the CSV byte for byte regardless of
-thread count.
+identical config and seed reproduce the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from wflow.measures import (
     DiscreteMeasure,
     UnboundableError,
     measure_to_csv,
+    write_table,
 )
 from wflow.pdmp import (
     PdmpSpec,
@@ -68,7 +68,6 @@ class ExperimentConfig:
     options: dict
     out_dir: str
     seed: int | None
-    threads: int
     source_path: str = "<config>"
     source_text: str = ""
 
@@ -78,8 +77,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment kind {self.kind!r}", key="kind", text=text
             )
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1", key="threads", text=text)
         for name, value in self.tolerances.items():
             try:
                 ok = float(value) > 0
@@ -367,16 +364,11 @@ def _bounds_rows(config):
 def _run_bounds(config, out_dir, started):
     rows = _bounds_rows(config)
     tol = _tolerance(config, "violation") or 0.0
-    lines = ["name,lhs,rhs,violation"]
-    violations = 0
-    worst = 0.0
-    for name, lhs, rhs in rows:
-        excess = max(0.0, (lhs - rhs) / max(1.0, abs(rhs)))
-        worst = max(worst, excess)
-        violations += int(excess > tol)
-        lines.append(f"{name},{float(lhs)!r},{float(rhs)!r},{float(excess)!r}")
-    with open(os.path.join(out_dir, "bounds.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    excess = [max(0.0, (lhs - rhs) / max(1.0, abs(rhs))) for _, lhs, rhs in rows]
+    columns = [[row[k] for row in rows] for k in range(3)] + [excess]
+    write_table(os.path.join(out_dir, "bounds.csv"), "name,lhs,rhs,violation", columns)
+    worst = max(excess, default=0.0)
+    violations = sum(int(e > tol) for e in excess)
     return _summary(out_dir, config.kind, worst, len(rows), violations, started)
 
 
@@ -402,6 +394,7 @@ def run(config):
         CoverageError,
         UnboundableError,
         FloatingPointError,
+        OverflowError,
         np.linalg.LinAlgError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -418,7 +411,7 @@ def run(config):
         return 3
 
 
-def load_config(path, kind, seed=None, out_dir=None, threads=1):
+def load_config(path, kind, seed=None, out_dir=None):
     """Read a YAML experiment file into an ExperimentConfig."""
     with open(path) as fh:
         text = fh.read()
@@ -442,7 +435,6 @@ def load_config(path, kind, seed=None, out_dir=None, threads=1):
         options=raw,
         out_dir=out_dir or raw.get("out", "wflow-out"),
         seed=None if resolved_seed is None else int(resolved_seed),
-        threads=threads,
         source_path=str(path),
         source_text=text,
     )
@@ -457,20 +449,9 @@ def main(argv=None):
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("WFLOW_THREADS", "1")),
-    )
     args = parser.parse_args(argv)
     try:
-        config = load_config(
-            args.config,
-            args.kind,
-            seed=args.seed,
-            out_dir=args.out,
-            threads=args.threads,
-        )
+        config = load_config(args.config, args.kind, seed=args.seed, out_dir=args.out)
     except ConfigError as exc:
         print(f"{args.config}:{_key_line(exc.text, exc.key)}: {exc}", file=sys.stderr)
         return 2

@@ -16,12 +16,12 @@ which the dual pair stays feasible on the whole state space.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from wflow.jump_process import JumpGeneratorSpec, _state_vector, uniformized_marginal
+from wflow.measures import write_table
 from wflow.transport import potentials, wasserstein_power
 
 __all__ = [
@@ -111,27 +111,18 @@ class EvolutionReport:
 
     def to_csv(self, target):
         """Write `t,w_rho_rho,integrand,cumulative,residual,diag` rows."""
-        rows = ["t,w_rho_rho,integrand,cumulative,residual,diag"]
-        for k in range(self.time_grid.size):
-            rows.append(
-                ",".join(
-                    repr(float(v))
-                    for v in (
-                        self.time_grid[k],
-                        self.w_values[k],
-                        self.integrand[k],
-                        self.cumulative_integral[k],
-                        self.residual[k],
-                        self.diagnostics[k],
-                    )
-                )
-            )
-        text = "\n".join(rows) + "\n"
-        if isinstance(target, io.TextIOBase):
-            target.write(text)
-        else:
-            with open(target, "w") as fh:
-                fh.write(text)
+        write_table(
+            target,
+            "t,w_rho_rho,integrand,cumulative,residual,diag",
+            (
+                self.time_grid,
+                self.w_values,
+                self.integrand,
+                self.cumulative_integral,
+                self.residual,
+                self.diagnostics,
+            ),
+        )
 
 
 def verify_identity(

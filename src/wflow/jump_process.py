@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc, xlogy
 
 from wflow.measures import DiscreteMeasure
 
@@ -149,6 +149,11 @@ def _state_vector(gen, p0):
     return v
 
 
+def _poisson_pmf(k, mu):
+    """Poisson(mu) probabilities at the integers ``k``."""
+    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+
+
 def _poisson_cutoff(mu, tol):
     """Smallest n with Poisson(mu) mass beyond n below tol, plus that tail."""
     if mu <= 0.0:
@@ -156,7 +161,7 @@ def _poisson_cutoff(mu, tol):
     hi = int(mu + 10.0 * math.sqrt(mu) + 20.0)
     while True:
         grid = np.arange(hi + 1)
-        tail = poisson.sf(grid, mu)
+        tail = pdtrc(grid, mu)
         below = np.nonzero(tail < tol)[0]
         if below.size:
             n = int(below[0])
@@ -197,7 +202,7 @@ def uniformized_marginal(gen, p0, t, tol=1e-10):
         out = _measure_from_vector(gen, v, max(2 * tol, 1e-12))
         out.truncation_error = tail
         return out
-    pmf = poisson.pmf(np.arange(m_max + 1), mu)
+    pmf = _poisson_pmf(np.arange(m_max + 1), mu)
     keep_frac = (lb - gen.lam) / lb
     acc = pmf[0] * v
     for m in range(1, m_max + 1):
@@ -230,11 +235,11 @@ def layer_stack(gen, p0, t, n_max, tol=1e-13):
     m_max, m_tail = _poisson_cutoff(mu, tol)
     m_max = max(m_max, n_max)
     # mass in layers beyond n_max is at most the clock tail beyond n_max
-    layer_tail = float(poisson.sf(n_max, mu)) if mu > 0 else 0.0
+    layer_tail = float(pdtrc(n_max, mu)) if mu > 0 else 0.0
     if lb == 0.0 or t == 0.0:
         layers = [v0.copy()] + [np.zeros(n_states) for _ in range(n_max)]
         return LayerStack(gen.states, layers, q_chain, m_tail + layer_tail)
-    pmf = poisson.pmf(np.arange(m_max + 1), mu)
+    pmf = _poisson_pmf(np.arange(m_max + 1), mu)
     keep_frac = (lb - gen.lam) / lb
     current = [v0]
     acc = [pmf[0] * v0] + [np.zeros(n_states) for _ in range(n_max)]
@@ -378,6 +383,57 @@ def moment_growth_bound(gen, p0, alpha, t, tol=1e-12):
     return exact, k_bar * series
 
 
+def _thinning(start, cum0, t, rate, n_paths, seed, event, jump, advance=None):
+    """Lockstep thinning of ``n_paths`` paths at the dominating ``rate``.
+
+    Path p reads its own counter-based stream keyed ``(seed, p)``, so its
+    values do not depend on how paths are scheduled.  The stream is read in
+    a fixed order: one uniform picks the start from ``start`` by the
+    cumulative weights ``cum0``; then each candidate event reads an
+    exponential gap and one uniform, and a candidate that jumps reads one
+    more uniform.  A path stops at the first candidate not before ``t``.
+    All live paths advance one candidate per round:
+
+    * ``advance(x, s)`` moves states ``x`` along for times ``s``, between
+      candidates and from the last candidate up to ``t`` (``None``: the
+      paths hold still);
+    * ``event(x, u)`` returns the states after the candidate and the mask
+      of those that jump, given each path's uniform ``u``;
+    * ``jump(x, u)`` returns the jump targets of states ``x``.
+
+    Returns the start states, the end states and the jump count per path.
+    """
+    rngs = [np.random.Generator(np.random.Philox(key=[seed, p])) for p in range(n_paths)]
+    u0 = np.array([rng.random() for rng in rngs])
+    x = start[np.minimum(np.searchsorted(cum0, u0, side="right"), start.size - 1)]
+    x0 = x.copy()
+    n_jumps = np.zeros(n_paths, dtype=np.int64)
+    elapsed = np.zeros(n_paths)
+    if rate > 0.0 and t > 0.0:
+        scale = 1.0 / rate
+        live = np.arange(n_paths)
+        while live.size:
+            tau = np.array([rngs[p].exponential(scale) for p in live.tolist()])
+            keep = elapsed[live] + tau < t
+            live = live[keep]
+            if not live.size:
+                break
+            tau = tau[keep]
+            elapsed[live] += tau
+            x_live = x[live] if advance is None else advance(x[live], tau)
+            u = np.array([rngs[p].random() for p in live.tolist()])
+            x_live, jumps = event(x_live, u)
+            x[live] = x_live
+            hit = live[jumps]
+            if hit.size:
+                u_jump = np.array([rngs[p].random() for p in hit.tolist()])
+                x[hit] = jump(x[hit], u_jump)
+                n_jumps[hit] += 1
+    if advance is not None:
+        x = advance(x, t - elapsed)
+    return x0, x, n_jumps
+
+
 def simulate_paths(gen, p0, t, n_paths, seed):
     """Empirical endpoint law of thinning Monte Carlo paths.
 
@@ -391,25 +447,31 @@ def simulate_paths(gen, p0, t, n_paths, seed):
         raise ValueError("need at least one path")
     if t < 0:
         raise ValueError("time must be nonnegative")
-    p0_vec = _state_vector(gen, p0)
-    cum0 = np.cumsum(p0_vec)
+    cum0 = np.cumsum(_state_vector(gen, p0))
     cum0[-1] = 1.0
     lb = gen.lambda_bar
     lam = gen.lam
-    states = gen.states
     dense_kernel = gen.kernel.toarray() if sparse.issparse(gen.kernel) else gen.kernel
     kernel_cum = np.cumsum(dense_kernel, axis=1)
     kernel_cum[:, -1] = 1.0
-    counts = np.zeros(gen.n_states, dtype=np.int64)
-    for path in range(n_paths):
-        rng = np.random.Generator(np.random.Philox(key=[seed, path]))
-        i = int(np.searchsorted(cum0, rng.random(), side="right"))
-        if lb > 0.0:
-            clock = rng.exponential(1.0 / lb)
-            while clock <= t:
-                if lam[i] >= lb * (1.0 - rng.random()):
-                    i = int(np.searchsorted(kernel_cum[i], rng.random(), side="right"))
-                clock += rng.exponential(1.0 / lb)
-        counts[i] += 1
+
+    def event(i, u):
+        return i, lam[i] >= lb * (1.0 - u)
+
+    def jump(i, u):
+        # inverse CDF of each kernel row, one searchsorted per distinct row
+        order = np.argsort(i, kind="stable")
+        rows, first = np.unique(i[order], return_index=True)
+        out = np.empty_like(i)
+        for r, sel in zip(rows, np.split(order, first[1:])):
+            out[sel] = np.searchsorted(kernel_cum[r], u[sel], side="right")
+        return out
+
+    # an event exactly at t still counts: candidates run while their time is <= t
+    horizon = float(np.nextafter(t, np.inf))
+    _, end, _ = _thinning(
+        np.arange(gen.n_states), cum0, horizon, lb, n_paths, seed, event, jump
+    )
+    counts = np.bincount(end, minlength=gen.n_states)
     keep = counts > 0
-    return DiscreteMeasure(states[keep], counts[keep] / float(n_paths), mass_tol=1e-9)
+    return DiscreteMeasure(gen.states[keep], counts[keep] / float(n_paths), mass_tol=1e-9)

@@ -12,7 +12,6 @@ used throughout the package, exact absolute moments, and CSV round-trips.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ __all__ = [
     "tail_ratio_constants",
     "measure_to_csv",
     "measure_from_csv",
+    "write_table",
 ]
 
 
@@ -418,27 +418,35 @@ def tail_ratio_constants(m, y_grid, floor=1e-6):
     return TailRatioCertificate(constants, y_grid, max_f, max_sf)
 
 
+def write_table(target, header, columns):
+    """Write equal-length columns as CSV under a ``header`` line.
+
+    ``target`` is a path, or a stream when it has a ``write`` method.
+    Numbers are written as ``repr(float(v))``, which reads back exactly;
+    strings are written as they are.
+    """
+    cells = [[v if isinstance(v, str) else repr(float(v)) for v in col] for col in columns]
+    text = "\n".join([header, *map(",".join, zip(*cells, strict=True))]) + "\n"
+    if hasattr(target, "write"):
+        target.write(text)
+    else:
+        with open(target, "w") as fh:
+            fh.write(text)
+
+
 def measure_to_csv(m, path):
     """Write the measure to CSV: header ``x,weight`` (atomic) or ``x,cdf`` (grid)."""
     if isinstance(m, DiscreteMeasure):
-        header, xs, ys = "x,weight", m.support, m.weights
+        write_table(path, "x,weight", (m.support, m.weights))
     elif isinstance(m, GridMeasure):
-        header, xs, ys = "x,cdf", m.grid, m.cdf_values
+        write_table(path, "x,cdf", (m.grid, m.cdf_values))
     else:
         raise TypeError(f"unsupported measure type {type(m)!r}")
-    lines = [header]
-    lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(xs, ys))
-    text = "\n".join(lines) + "\n"
-    if isinstance(path, io.TextIOBase):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 def measure_from_csv(path, mass_tol=1e-12):
     """Read a measure written by :func:`measure_to_csv`; the header decides the type."""
-    if isinstance(path, io.TextIOBase):
+    if hasattr(path, "read"):
         text = path.read()
     else:
         with open(path) as fh:

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.stats import poisson
 
 from wflow.evolution import apply_generator, verify_identity
 from wflow.jump_process import (
     JumpGeneratorSpec,
+    _poisson_cutoff,
+    _thinning,
     simulate_paths,
     uniformized_marginal,
 )
@@ -33,6 +34,7 @@ from wflow.measures import (
     GridMeasure,
     laplace_smooth,
     quantile,
+    write_table,
 )
 from wflow.transport import IntegrationError, potentials, wasserstein
 
@@ -357,39 +359,22 @@ def simulate_pdmp(spec, p0, t, n_paths, seed):
         raise ValueError("time must be nonnegative")
     if n_paths < 1:
         raise ValueError("need at least one path")
-    cum0 = np.cumsum(p0.weights) / p0.total_mass
     lb = spec.intensity_bound
-    rngs = [
-        np.random.Generator(np.random.Philox(key=[seed, path]))
-        for path in range(n_paths)
-    ]
-    u0 = np.array([rng.random() for rng in rngs])
-    idx = np.minimum(
-        np.searchsorted(cum0, u0, side="right"), p0.support.size - 1
+
+    def event(x, u):
+        return x, np.asarray(spec.intensity(x), dtype=float) >= lb * (1.0 - u)
+
+    x_start, x, n_jumps = _thinning(
+        p0.support,
+        np.cumsum(p0.weights) / p0.total_mass,
+        t,
+        lb,
+        n_paths,
+        seed,
+        event,
+        spec.kernel.quantile,
+        advance=lambda x, s: flow(spec, x, s),
     )
-    x = p0.support[idx].astype(float)
-    x_start = x.copy()
-    n_jumps = np.zeros(n_paths, dtype=np.int64)
-    elapsed = np.zeros(n_paths)
-    if lb > 0.0 and t > 0.0:
-        live = np.arange(n_paths)
-        while live.size:
-            tau = np.array([rngs[p].exponential(1.0 / lb) for p in live])
-            keep = elapsed[live] + tau < t
-            live = live[keep]
-            if not live.size:
-                break
-            tau = tau[keep]
-            elapsed[live] += tau
-            x[live] = flow(spec, x[live], tau)
-            u_acc = np.array([1.0 - rngs[p].random() for p in live])
-            lam_here = np.asarray(spec.intensity(x[live]), dtype=float)
-            acc = live[lam_here >= lb * u_acc]
-            if acc.size:
-                u_jump = np.array([rngs[p].random() for p in acc])
-                x[acc] = spec.kernel.quantile(x[acc], u_jump)
-                n_jumps[acc] += 1
-    x = flow(spec, x, t - elapsed)
     limit = spec.drift_bound * t + spec.jump_bound * n_jumps
     if np.any(np.abs(x - x_start) > limit + 1e-6 * (1.0 + limit)):
         raise RuntimeError("a path violated the displacement bound")
@@ -414,39 +399,29 @@ def simulate_chain(spec, p0, t, mu, n_paths, seed):
         raise ValueError("time must be nonnegative")
     if n_paths < 1:
         raise ValueError("need at least one path")
-    cum0 = np.cumsum(p0.weights) / p0.total_mass
     rate = mu + spec.intensity_bound
-    rngs = [
-        np.random.Generator(np.random.Philox(key=[seed, path]))
-        for path in range(n_paths)
-    ]
-    u0 = np.array([rng.random() for rng in rngs])
-    idx = np.minimum(
-        np.searchsorted(cum0, u0, side="right"), p0.support.size - 1
+
+    def event(x, u):
+        v = rate * u
+        move = v <= mu
+        if np.any(move):
+            x[move] = flow(spec, x[move], 1.0 / mu)
+        jumps = ~move
+        if np.any(jumps):
+            lam_here = np.asarray(spec.intensity(x[jumps]), dtype=float)
+            jumps[jumps] = v[jumps] <= mu + lam_here
+        return x, jumps
+
+    _, x, _ = _thinning(
+        p0.support,
+        np.cumsum(p0.weights) / p0.total_mass,
+        t,
+        rate,
+        n_paths,
+        seed,
+        event,
+        spec.kernel.quantile,
     )
-    x = p0.support[idx].astype(float)
-    if t > 0.0:
-        live = np.arange(n_paths)
-        elapsed = np.zeros(n_paths)
-        while live.size:
-            tau = np.array([rngs[p].exponential(1.0 / rate) for p in live])
-            keep = elapsed[live] + tau < t
-            live = live[keep]
-            if not live.size:
-                break
-            elapsed[live] += tau[keep]
-            v = rate * np.array([rngs[p].random() for p in live])
-            move = v <= mu
-            if np.any(move):
-                sub = live[move]
-                x[sub] = flow(spec, x[sub], 1.0 / mu)
-            cand = live[~move]
-            if cand.size:
-                lam_here = np.asarray(spec.intensity(x[cand]), dtype=float)
-                acc = cand[v[~move] <= mu + lam_here]
-                if acc.size:
-                    u_jump = np.array([rngs[p].random() for p in acc])
-                    x[acc] = spec.kernel.quantile(x[acc], u_jump)
     support, counts = np.unique(x, return_counts=True)
     return DiscreteMeasure(support, counts / n_paths, mass_tol=1e-9)
 
@@ -527,27 +502,18 @@ class MuConvergenceReport:
 
     def to_csv(self, target):
         """Write `mu,identity_residual,cauchy_x,cauchy_y,potential_gap`."""
-        rows = ["mu,identity_residual,cauchy_x,cauchy_y,potential_gap"]
-        for k in range(self.mu_list.size):
-            gap = self.potential_gap[k] if k < self.potential_gap.size else math.nan
-            rows.append(
-                ",".join(
-                    repr(float(v))
-                    for v in (
-                        self.mu_list[k],
-                        self.identity_residuals[k],
-                        self.cauchy_x[k],
-                        self.cauchy_y[k],
-                        gap,
-                    )
-                )
-            )
-        text = "\n".join(rows) + "\n"
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w") as fh:
-                fh.write(text)
+        missing = self.mu_list.size - self.potential_gap.size
+        write_table(
+            target,
+            "mu,identity_residual,cauchy_x,cauchy_y,potential_gap",
+            (
+                self.mu_list,
+                self.identity_residuals,
+                self.cauchy_x,
+                self.cauchy_y,
+                np.append(self.potential_gap, np.full(missing, math.nan)),
+            ),
+        )
 
 
 def mu_convergence_study(
@@ -578,7 +544,7 @@ def mu_convergence_study(
     if t <= 0.0:
         raise ValueError("t must be positive")
     lam_bar = max(specX.intensity_bound, specY.intensity_bound)
-    n_jump_bound = int(poisson.isf(1e-9, lam_bar * t)) + 2 if lam_bar > 0 else 0
+    n_jump_bound = _poisson_cutoff(lam_bar * t, 1e-9)[0] + 2 if lam_bar > 0 else 0
     reach = (
         max(specX.drift_bound, specY.drift_bound) * t
         + max(specX.jump_bound, specY.jump_bound) * n_jump_bound

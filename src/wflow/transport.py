@@ -30,6 +30,7 @@ from wflow.measures import (
     generalized_variance,
     moment,
     quantile,
+    write_table,
 )
 
 __all__ = [
@@ -434,20 +435,14 @@ class PotentialPair:
     def to_csv(self, prefix):
         """Write ``<prefix>_psi.csv``, ``<prefix>_psi_tilde.csv`` and, when a
         map is tabulated, ``<prefix>_map.csv``."""
-        for name, header, xs, ys in (
-            ("psi", "x,psi", self.x, self.psi),
-            ("psi_tilde", "y,psi_tilde", self.y, self.psi_tilde),
-        ):
-            with open(f"{prefix}_{name}.csv", "w") as fh:
-                fh.write(header + "\n")
-                fh.writelines(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(xs, ys))
+        write_table(f"{prefix}_psi.csv", "x,psi", (self.x, self.psi))
+        write_table(f"{prefix}_psi_tilde.csv", "y,psi_tilde", (self.y, self.psi_tilde))
         if self.transport_map is not None:
-            with open(f"{prefix}_map.csv", "w") as fh:
-                fh.write("x,T\n")
-                fh.writelines(
-                    f"{float(a)!r},{float(b)!r}\n"
-                    for a, b in zip(self.transport_map.x, self.transport_map.values)
-                )
+            write_table(
+                f"{prefix}_map.csv",
+                "x,T",
+                (self.transport_map.x, self.transport_map.values),
+            )
 
 
 def potentials(m1, m2, rho, validate=True):

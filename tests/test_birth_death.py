@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from wflow.birth_death import (
     BirthDeathSpec,
-    const_birth_linear_death,
     contraction_report,
     cost_difference_constant,
     curvature,
@@ -281,9 +280,7 @@ class TestMomentBound:
 class TestFamiliesAndStability:
     def test_family_builders_agree(self):
         a = mm_infty(1.2, 0.4, 17)
-        b = const_birth_linear_death(1.2, 0.4, 17)
-        assert np.array_equal(a.eta_raw, b.eta_raw)
-        assert np.array_equal(a.nu, b.nu)
+        assert np.array_equal(a.eta_raw, np.full(18, 1.2))
         assert np.array_equal(a.nu, 0.4 * np.arange(18.0))
 
     def test_truncation_stability(self):

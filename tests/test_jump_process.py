@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.integrate import cumulative_simpson
+from scipy.special import pdtrc
 from scipy.stats import poisson
 
 from wflow.jump_process import (
     JumpGeneratorSpec,
+    _poisson_cutoff,
+    _poisson_pmf,
     kernel_moment_bound,
     kernel_moment_constant,
     kernel_moment_constant_limit,
@@ -131,6 +134,20 @@ class TestGeneratorSpec:
         md = uniformized_marginal(gen_d, p0, 0.9)
         ms = uniformized_marginal(gen_s, p0, 0.9)
         np.testing.assert_allclose(ms.weights, md.weights, rtol=0, atol=1e-15)
+
+
+class TestPoissonHelpers:
+    """The closed-form Poisson pmf, tail and cutoff against scipy.stats."""
+
+    @pytest.mark.parametrize("mu", [1e-9, 0.3, 1.0, 2.0, 5.5, 41.0, 208.0, 550.0, 1200.0])
+    def test_pmf_and_tail_match_scipy_stats(self, mu):
+        k = np.arange(int(mu + 12.0 * math.sqrt(mu) + 30.0))
+        assert np.array_equal(_poisson_pmf(k, mu), poisson.pmf(k, mu))
+        assert np.array_equal(pdtrc(k, mu), poisson.sf(k, mu))
+
+    def test_cutoff_matches_isf(self):
+        for mu in np.linspace(0.01, 60.0, 601):
+            assert _poisson_cutoff(mu, 1e-9)[0] == int(poisson.isf(1e-9, mu))
 
 
 class TestMarginal:

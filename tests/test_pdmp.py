@@ -310,6 +310,10 @@ class TestSimulate:
             math.log(2.0 / 0.01) / (2.0 * n_paths)
         )
         assert wasserstein(emp, exact, 1.0) <= envelope
+        # both simulators read each path's stream in the same order
+        lattice = simulate_paths(gen, DiscreteMeasure([0.0], [1.0]), 2.0, n_paths, 17)
+        assert np.array_equal(lattice.support, emp.support)
+        assert np.array_equal(lattice.weights, emp.weights)
 
     def test_reruns_byte_identical(self):
         spec = tanh_spec(lam=1.0)
