@@ -121,23 +121,54 @@ def truncated_curvature(bd, n_top=None):
     return float(np.min(eta[:-1] + nu[1:] - eta_up - nu[:-1]))
 
 
+_SCAN_CHUNK = 1 << 16
+
+
+def _scan_max(f, rho, lo, hi):
+    """Max of the elementwise ``f(x, rho)`` over the integers lo..hi, in fixed chunks.
+
+    The max is exact whatever the chunking (a NaN still propagates), and
+    memory stays at one chunk; an empty range gives -inf.
+    """
+    peaks = [
+        np.max(f(np.arange(s, min(s + _SCAN_CHUNK, hi + 1), dtype=float), rho))
+        for s in range(lo, hi + 1, _SCAN_CHUNK)
+    ]
+    return float(np.max(peaks, initial=-np.inf))
+
+
+def _moment_rate_ratio(x, rho):
+    # (1+x)^rho - x^rho via expm1/log1p: safe against cancellation at large x
+    gap = x**rho * np.expm1(rho * np.log1p(1.0 / x))
+    return (1.0 + x) * gap / (1.0 + x**rho)
+
+
 @lru_cache(maxsize=None)
 def moment_rate_constant(rho, scan_top=1_000_000):
     """``sup_x (1+x)((1+x)^rho - x^rho) / (1+x^rho)`` over the integers.
 
     The ratio tends to ``rho`` as x grows; the scan is combined with that
-    limit so the tail cannot be undercut.
+    limit so the tail cannot be undercut; the scan starts at x = 1, since the
+    ratio at x = 0 is 1 <= rho.
     """
     if rho < 1:
         raise ValueError("rho must be >= 1")
-    x = np.arange(scan_top + 1, dtype=float)
-    # (1+x)^rho - x^rho via expm1/log1p: safe against cancellation at large x
-    gap = np.empty_like(x)
-    gap[0] = 1.0
-    xp = x[1:]
-    gap[1:] = xp**rho * np.expm1(rho * np.log1p(1.0 / xp))
-    ratio = (1.0 + x) * gap / (1.0 + x**rho)
-    return float(max(np.max(ratio), rho))
+    return float(max(_scan_max(_moment_rate_ratio, rho, 1, scan_top), rho))
+
+
+def _cost_difference_ratio(z, rho):
+    az = np.abs(z)
+    with np.errstate(divide="ignore"):
+        shift = np.where(z >= 0, 1.0, -1.0) / np.where(az == 0, 1.0, az)
+        log_term = rho * np.log1p(np.where(z == 0, 0.0, shift))
+    gap = np.where(
+        z == 0,
+        1.0,
+        np.where(az == 1.0, np.abs(z + 1) ** rho - 1.0, az**rho * np.expm1(log_term)),
+    )
+    numer = gap - rho * z * az ** (rho - 2.0)
+    denom = 1.0 + az ** (rho - 2.0)
+    return numer / denom
 
 
 @lru_cache(maxsize=None)
@@ -155,19 +186,8 @@ def cost_difference_constant(rho, scan_top=1_000_000):
         return 0.0
     if rho <= 2.0:
         return 1.0
-    z = np.arange(-scan_top, scan_top + 1, dtype=float)
-    az = np.abs(z)
-    with np.errstate(divide="ignore"):
-        shift = np.where(z >= 0, 1.0, -1.0) / np.where(az == 0, 1.0, az)
-        log_term = rho * np.log1p(np.where(z == 0, 0.0, shift))
-    gap = np.where(
-        z == 0,
-        1.0,
-        np.where(az == 1.0, np.abs(z + 1) ** rho - 1.0, az**rho * np.expm1(log_term)),
-    )
-    numer = gap - rho * z * az ** (rho - 2.0)
-    denom = 1.0 + az ** (rho - 2.0)
-    return float(max(np.max(numer / denom), 0.5 * rho * (rho - 1.0)))
+    scanned = _scan_max(_cost_difference_ratio, rho, -scan_top, scan_top)
+    return float(max(scanned, 0.5 * rho * (rho - 1.0)))
 
 
 def moment_bound(bd, p0, rho, t, tol=1e-12):

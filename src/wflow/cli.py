@@ -2,10 +2,12 @@
 
 One experiment per config file.  Every run writes the module report as CSV
 next to a ``summary.json`` carrying ``schema: 1`` and the headline numbers;
-the exit code is 0 exactly when no configured tolerance was violated, 2 on
-an invalid config (message anchored to the offending line), and 3 when the
-numerics themselves fail.  All randomness comes from explicit seeds, so
-identical config and seed reproduce the CSV byte for byte.
+the exit code is 0 exactly when no configured tolerance was violated, 1 when
+a configured tolerance was violated, including a non-finite checked value (a
+check passes only if ``value <= limit`` holds), 2 on an invalid config
+(message anchored to the offending line), and 3 when the numerics themselves
+fail.  All randomness comes from explicit seeds, so identical config and seed
+reproduce the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ def _run_identity(config, out_dir, started):
     report.to_csv(os.path.join(out_dir, "identity.csv"))
     tol = _tolerance(config, "residual")
     checked = int(report.residual.size - report.flagged_count)
-    violations = int(tol is not None and report.max_residual > tol)
+    violations = int(tol is not None and not report.max_residual <= tol)
     return _summary(
         out_dir, config.kind, report.max_residual, checked, violations, started
     )
@@ -241,7 +243,7 @@ def _run_bd_contraction(config, out_dir, started):
     curves = 1 + int(rho > 1.0) + int(report.iterated_bound is not None)
     checked = int(report.time_grid.size * curves)
     tol = _tolerance(config, "violation")
-    violations = int(tol is not None and report.max_violation > tol)
+    violations = int(tol is not None and not report.max_violation <= tol)
     return _summary(
         out_dir, config.kind, float(report.max_violation), checked, violations, started
     )
@@ -275,7 +277,7 @@ def _run_pdmp_approx(config, out_dir, started):
     violations = 0
     tol = _tolerance(config, "identity_residual")
     if tol is not None:
-        violations += int(np.sum(report.identity_residuals > tol))
+        violations += int(np.sum(~(report.identity_residuals <= tol)))
     if not report.cauchy_decreasing_x:
         violations += 1
     if not report.cauchy_decreasing_y:
@@ -312,7 +314,7 @@ def _run_simulate(config, out_dir, started):
         raise ConfigError("confidence must lie in (0, 1)", key="confidence")
     span = float(gen.states[-1] - gen.states[0])
     envelope = span * math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n_paths))
-    violations = int(gap > envelope)
+    violations = int(not gap <= envelope)
     return _summary(out_dir, config.kind, float(gap), 1, violations, started)
 
 
@@ -364,11 +366,12 @@ def _bounds_rows(config):
 def _run_bounds(config, out_dir, started):
     rows = _bounds_rows(config)
     tol = _tolerance(config, "violation") or 0.0
-    excess = [max(0.0, (lhs - rhs) / max(1.0, abs(rhs))) for _, lhs, rhs in rows]
+    # np.maximum keeps a NaN excess, where the builtin max would drop it
+    excess = [float(np.maximum(0.0, (lhs - rhs) / max(1.0, abs(rhs)))) for _, lhs, rhs in rows]
     columns = [[row[k] for row in rows] for k in range(3)] + [excess]
     write_table(os.path.join(out_dir, "bounds.csv"), "name,lhs,rhs,violation", columns)
-    worst = max(excess, default=0.0)
-    violations = sum(int(e > tol) for e in excess)
+    worst = float(np.max(excess, initial=0.0))
+    violations = sum(int(not e <= tol) for e in excess)
     return _summary(out_dir, config.kind, worst, len(rows), violations, started)
 
 
@@ -382,7 +385,7 @@ _RUNNERS = {
 
 
 def run(config):
-    """Execute one experiment; returns the process exit code (0, 2, or 3)."""
+    """Execute one experiment; returns the process exit code (0, 1, 2, or 3)."""
     started = time.time()
     out_dir = config.out_dir
     try:

@@ -182,8 +182,9 @@ def uniformized_marginal(gen, p0, t, tol=1e-10):
     Accumulates the dominating-clock expansion ``sum_m pmf(m) A^m p0`` where
     one clock step keeps the state with probability ``1 - lam(x)/lambda_bar``
     and otherwise jumps by the kernel.  The result is not renormalized; the
-    discarded mass is bounded by the returned measure's ``truncation_error``
-    attribute, which is strictly below ``tol``.
+    returned measure's ``truncation_error`` attribute declares the discarded
+    mass: the Poisson clock tail, which is strictly below ``tol``, or the mass
+    the result misses against ``p0`` when rounding lost more than that tail.
 
     Raises
     ------
@@ -209,7 +210,8 @@ def uniformized_marginal(gen, p0, t, tol=1e-10):
         v = keep_frac * v + gen.weighted_kernel_apply(v) / lb
         acc = acc + pmf[m] * v
     out = _measure_from_vector(gen, acc, max(2 * tol, 1e-12))
-    out.truncation_error = tail
+    # the declared loss also covers what rounding dropped along the expansion
+    out.truncation_error = max(tail, p0.total_mass - out.total_mass)
     return out
 
 
@@ -451,20 +453,25 @@ def simulate_paths(gen, p0, t, n_paths, seed):
     cum0[-1] = 1.0
     lb = gen.lambda_bar
     lam = gen.lam
-    dense_kernel = gen.kernel.toarray() if sparse.issparse(gen.kernel) else gen.kernel
-    kernel_cum = np.cumsum(dense_kernel, axis=1)
-    kernel_cum[:, -1] = 1.0
+    kernel = sparse.csr_array(gen.kernel, copy=True)
+    kernel.eliminate_zeros()
+    kernel.sum_duplicates()
 
     def event(i, u):
         return i, lam[i] >= lb * (1.0 - u)
 
     def jump(i, u):
-        # inverse CDF of each kernel row, one searchsorted per distinct row
+        # inverse CDF of each kernel row over its stored entries, one
+        # searchsorted per distinct row; the last stored entry takes the
+        # rounding gap below 1
         order = np.argsort(i, kind="stable")
         rows, first = np.unique(i[order], return_index=True)
         out = np.empty_like(i)
         for r, sel in zip(rows, np.split(order, first[1:])):
-            out[sel] = np.searchsorted(kernel_cum[r], u[sel], side="right")
+            lo, hi = kernel.indptr[r], kernel.indptr[r + 1]
+            cum = np.cumsum(kernel.data[lo:hi])
+            cum[-1] = 1.0
+            out[sel] = kernel.indices[lo:hi][np.searchsorted(cum, u[sel], side="right")]
         return out
 
     # an event exactly at t still counts: candidates run while their time is <= t

@@ -18,6 +18,7 @@ tabulation point of the source law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -318,30 +319,29 @@ def _clip_path_increment(x_lo, x_hi, y_lo, y_hi, rho):
     return lead + trail
 
 
-def _monotone_best(xs, vals, ys, rho):
-    """For each y: min over i of |xs_i - y|^rho + vals_i, exploiting monotone argmins."""
-    m = ys.size
-    best = np.empty(m)
-    stack = [(0, m - 1, 0, xs.size - 1)]
-    while stack:
-        jlo, jhi, ilo, ihi = stack.pop()
-        if jlo > jhi:
-            continue
-        jm = (jlo + jhi) // 2
-        c = np.abs(xs[ilo : ihi + 1] - ys[jm]) ** rho + vals[ilo : ihi + 1]
-        k = int(np.argmin(c))
-        best[jm] = c[k]
-        im = ilo + k
-        stack.append((jlo, jm - 1, ilo, im))
-        stack.append((jm + 1, jhi, im, ihi))
-    return best
-
-
 def _cost_transform(xs, vals, ys, rho):
-    """min_i |xs_i - ys_j|^rho + vals_i for every j (exact)."""
-    if xs.size * ys.size <= 250_000:
-        return np.min(np.abs(xs[:, None] - ys[None, :]) ** rho + vals[:, None], axis=0)
-    return _monotone_best(xs, vals, ys, rho)
+    """min_i |xs_i - ys_j|^rho + vals_i for every j (exact), ``xs`` sorted.
+
+    For rho >= 1 the cost is a Monge array: leftmost argmins never decrease in
+    y (Gangbo & McCann 1996; Aggarwal et al. 1987).  A dense pass takes them at
+    every ceil(sqrt(m))-th sorted query, and each block of queries between two
+    anchors scans only the table window that the anchors' argmins bracket.
+    """
+    m = ys.size
+    if m == 0:
+        return np.empty(0)
+    order = np.argsort(ys, kind="stable")
+    q = ys[order]
+    best = np.empty(m)
+    anchors = np.append(np.arange(0, m - 1, math.isqrt(m - 1) + 1), m - 1)
+    cost = np.abs(xs[:, None] - q[anchors]) ** rho + vals[:, None]
+    arg = np.argmin(cost, axis=0)
+    best[anchors] = cost[arg, np.arange(anchors.size)]
+    for a, b, lo, hi in zip(anchors[:-1] + 1, anchors[1:], arg[:-1], arg[1:]):
+        # a non-finite query breaks the argmin order: scan to the table's end
+        w = slice(lo, hi + 1 if hi >= lo else xs.size)
+        best[a:b] = np.min(np.abs(xs[w, None] - q[a:b]) ** rho + vals[w, None], axis=0)
+    return best[np.argsort(order)]
 
 
 class _AtomicDual:
@@ -384,21 +384,21 @@ class _AtomicDual:
         self.x, self.y = x, y
         self.psi, self.psit = psi, closed
 
-    def psi_at(self, q):
+    def _closure(self, table, values, other, other_values, q):
+        """``values`` where ``q`` hits ``table``, else the other side's cost transform."""
         q = np.asarray(q, dtype=float)
-        out = -_cost_transform(self.y, self.psit, np.atleast_1d(q), self.rho)
-        exact = np.searchsorted(self.x, np.atleast_1d(q))
-        hit = (exact < self.x.size) & (self.x[np.minimum(exact, self.x.size - 1)] == np.atleast_1d(q))
-        out[hit] = self.psi[exact[hit]]
+        flat = np.atleast_1d(q)
+        k = np.minimum(np.searchsorted(table, flat), table.size - 1)
+        hit = table[k] == flat
+        out = np.where(hit, values[k], 0.0)
+        out[~hit] = -_cost_transform(other, other_values, flat[~hit], self.rho)
         return out if q.ndim else float(out[0])
 
+    def psi_at(self, q):
+        return self._closure(self.x, self.psi, self.y, self.psit, q)
+
     def psi_tilde_at(self, q):
-        q = np.asarray(q, dtype=float)
-        out = -_cost_transform(self.x, self.psi, np.atleast_1d(q), self.rho)
-        exact = np.searchsorted(self.y, np.atleast_1d(q))
-        hit = (exact < self.y.size) & (self.y[np.minimum(exact, self.y.size - 1)] == np.atleast_1d(q))
-        out[hit] = self.psit[exact[hit]]
-        return out if q.ndim else float(out[0])
+        return self._closure(self.y, self.psit, self.x, self.psi, q)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wflow.birth_death import (
+    _SCAN_CHUNK,
     BirthDeathSpec,
+    _scan_max,
     contraction_report,
     cost_difference_constant,
     curvature,
@@ -158,6 +160,32 @@ class TestScannedConstants:
         assert cost_difference_constant(3.0) == pytest.approx(3.0, abs=1e-10)
         # at rho=2.5 the supremum is the large-z limit rho(rho-1)/2
         assert cost_difference_constant(2.5) == pytest.approx(1.875, abs=1e-9)
+
+    def test_chunked_scan_matches_one_shot(self):
+        # a scan_top spanning several chunks gives the one-shot numpy maximum
+        top = 3 * _SCAN_CHUNK + 17
+        x = np.arange(top + 1, dtype=float)
+        z = np.arange(-top, top + 1, dtype=float)
+        az = np.abs(z)
+        for rho in (1.5, 2.0, 3.0):
+            gap = np.concatenate(([1.0], x[1:] ** rho * np.expm1(rho * np.log1p(1.0 / x[1:]))))
+            one_shot = max(np.max((1.0 + x) * gap / (1.0 + x**rho)), rho)
+            assert moment_rate_constant(rho, scan_top=top) == one_shot
+        for rho in (2.5, 3.0, 4.0):
+            with np.errstate(divide="ignore"):
+                log_term = rho * np.log1p(np.where(z == 0, 0.0, np.sign(z) / np.maximum(az, 1)))
+            gap = np.where(
+                z == 0,
+                1.0,
+                np.where(az == 1.0, np.abs(z + 1) ** rho - 1.0, az**rho * np.expm1(log_term)),
+            )
+            ratio = (gap - rho * z * az ** (rho - 2.0)) / (1.0 + az ** (rho - 2.0))
+            one_shot = max(np.max(ratio), 0.5 * rho * (rho - 1.0))
+            assert cost_difference_constant(rho, scan_top=top) == one_shot
+        # the peak may sit in any chunk; a NaN still propagates
+        assert _scan_max(lambda v, c: -((v - c) ** 2), 2 * _SCAN_CHUNK + 5, 0, top) == 0.0
+        assert np.isnan(_scan_max(lambda v, c: np.where(v == c, np.nan, v), top, 0, top))
+        assert _scan_max(lambda v, c: v, 0, 1, 0) == -np.inf
 
     def test_cost_difference_dominates_every_integer(self):
         for rho in (2.5, 3.0, 4.0):

@@ -188,6 +188,20 @@ class TestExitCodes:
         assert "numerical failure" in err
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_bound_is_a_violation(self, tmp_path):
+        # the state 1e200 overflows the growth bound to NaN: that fails closed
+        text = BOUNDS_GROWTH.replace(
+            "  mm_infty: {birth: 1.0, death: 0.5, n_top: 40}",
+            "  states: [0.0, 1.0e200]\n  lam: [1.0, 1.0]\n  kernel: [[0.0, 1.0], [1.0, 0.0]]",
+        ).replace("dirac: 3.0", "dirac: 0.0").replace("[1, 2, 3]", "[2]")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        code = cli.main(["bounds", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert read_summary(out)["violations"] == 1
+        assert read_rows(out / "bounds.csv")[0]["violation"] == "nan"
+
     def test_kind_mismatch_anchored_to_kind_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, IDENTITY_EQUAL)
         code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])

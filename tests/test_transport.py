@@ -26,7 +26,7 @@ from wflow import (
     wasserstein,
     wasserstein_power,
 )
-from wflow.transport import _monotone_best, dual_value
+from wflow.transport import _cost_transform, dual_value
 
 
 def atoms(points, weights):
@@ -342,14 +342,42 @@ class TestPotentials:
             assert feasibility_violation(pair) <= 1e-9
 
     def test_monotone_argmin_matches_dense_scan(self):
+        # the bracketed scan equals the dense minimum bit for bit, for tables
+        # and query sets from one cell to well past 250 000 cells, unsorted
+        # and duplicate queries, tied costs, one atom and no query at all
+        def dense(xs, vals, ys, rho):
+            return np.min(np.abs(xs[:, None] - ys[None, :]) ** rho + vals[:, None], axis=0)
+
         rng = np.random.default_rng(59)
-        xs = np.sort(rng.uniform(-5, 5, size=400))
-        vals = rng.normal(size=400).cumsum() * 0.1
-        ys = np.sort(rng.uniform(-6, 6, size=700))
         for rho in (1.5, 2.0, 3.0):
-            fast = _monotone_best(xs, vals, ys, rho)
-            dense = np.min(np.abs(xs[:, None] - ys[None, :]) ** rho + vals[:, None], axis=0)
-            assert np.allclose(fast, dense, atol=0.0)
+            for n, m in ((1, 1), (1, 50), (40, 70), (300, 800), (400, 700), (1500, 2000)):
+                xs = np.sort(rng.uniform(-5, 5, size=n))
+                vals = rng.normal(size=n).cumsum() * 0.1
+                ys = rng.uniform(-6, 6, size=m)
+                ys[: m // 3] = ys[m // 3 : 2 * (m // 3)]
+                assert np.array_equal(_cost_transform(xs, vals, ys, rho), dense(xs, vals, ys, rho))
+            # half-integer queries tie two integer atoms; repeated levels tie values
+            xs = np.arange(30.0)
+            ys = rng.permutation(np.arange(-5.0, 35.0, 0.5))
+            for vals in (np.zeros(30), np.repeat([0.0, 1.0, 0.5], 10)):
+                assert np.array_equal(_cost_transform(xs, vals, ys, rho), dense(xs, vals, ys, rho))
+            assert _cost_transform(xs, np.zeros(30), np.empty(0), rho).shape == (0,)
+            # non-finite queries break the argmin order but not the result
+            ys = np.concatenate((rng.uniform(-6, 40, 200), [np.inf, -np.inf, np.nan]))
+            vals = rng.normal(size=30).cumsum()
+            got = _cost_transform(xs, vals, ys, rho)
+            assert np.array_equal(got, dense(xs, vals, ys, rho), equal_nan=True)
+
+    def test_shuffled_queries_match_sorted(self):
+        # the closure of an atomic pair does not depend on the query order
+        rng = np.random.default_rng(67)
+        m1 = DiscreteMeasure(np.sort(rng.uniform(-5, 5, 600)), rng.dirichlet(np.ones(600)))
+        m2 = DiscreteMeasure(np.sort(rng.uniform(-4, 6, 600)), rng.dirichlet(np.ones(600)))
+        pair = potentials(m1, m2, 2.0)
+        q = np.sort(np.concatenate([rng.uniform(-6, 7, 800), m1.support[::6], m2.support[::6]]))
+        perm = rng.permutation(q.size)
+        for at in (pair.psi_at, pair.psi_tilde_at):
+            assert np.array_equal(at(q[perm]), at(q)[perm])
 
     def test_csv_serialization(self, tmp_path):
         rng = np.random.default_rng(61)
