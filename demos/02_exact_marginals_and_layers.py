@@ -15,6 +15,7 @@ from wflow import (
     kernel_moment_bound,
     layer_inequality_report,
     layer_stack,
+    marginal_path,
     uniformized_marginal,
 )
 
@@ -31,6 +32,10 @@ print(
     "marginal at t=1:",
     {float(x): round(float(w), 6) for x, w in zip(marg.support, marg.weights)},
 )
+
+# one state vector stepped node to node; every node declares what it dropped
+path = marginal_path(gen, p0, np.linspace(0.0, 1.0, 5))
+print("declared truncation per node:", [f"{m.truncation_error:.1e}" for m in path])
 
 # the layers P_{n,t} add up to the marginal; their masses decay factorially
 stack = layer_stack(gen, p0, t=1.0, n_max=8)

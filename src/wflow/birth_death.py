@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
-from wflow.jump_process import JumpGeneratorSpec, uniformized_marginal
+from wflow.jump_process import JumpGeneratorSpec, marginal_path, uniformized_marginal
 from wflow.measures import write_table
 from wflow.transport import wasserstein_power
 
@@ -53,6 +54,8 @@ class BirthDeathSpec:
         nu = np.asarray(nu, dtype=float)
         if eta.ndim != 1 or eta.shape != nu.shape or eta.size < 2:
             raise ValueError("eta and nu must be equal-length 1-d arrays, N >= 1")
+        if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(nu))):
+            raise ValueError("rates must be finite")
         if np.any(eta < 0) or np.any(nu < 0):
             raise ValueError("rates must be nonnegative")
         if nu[0] != 0.0:
@@ -75,18 +78,16 @@ class BirthDeathSpec:
 
     def to_generator(self):
         """The jump generator of the truncated chain."""
-        n = self.n_top + 1
-        states = np.arange(n, dtype=float)
+        states = np.arange(self.n_top + 1, dtype=float)
         lam = self.eta + self.nu
-        kernel = np.zeros((n, n))
-        for i in range(n):
-            if lam[i] > 0.0:
-                if i + 1 < n:
-                    kernel[i, i + 1] = self.eta[i] / lam[i]
-                if i > 0:
-                    kernel[i, i - 1] = self.nu[i] / lam[i]
-            else:
-                kernel[i, i] = 1.0
+        # a state without rates jumps to itself; its rows of eta, nu are zero
+        frozen = lam == 0.0
+        safe = np.where(frozen, 1.0, lam)
+        kernel = sparse.diags(
+            [self.nu[1:] / safe[1:], frozen.astype(float), self.eta[:-1] / safe[:-1]],
+            [-1, 0, 1],
+            format="csr",
+        )
         return JumpGeneratorSpec(states, lam, kernel)
 
 
@@ -269,9 +270,9 @@ def contraction_report(bd, p0X, p0Y, rho, t_end, n_steps, marginal_tol=1e-12):
     w1 = np.empty(grid.size)
     w_rho = np.empty(grid.size)
     w_prev = np.empty(grid.size)
-    for k, t in enumerate(grid):
-        mX = uniformized_marginal(gen, p0X, t, tol=marginal_tol)
-        mY = uniformized_marginal(gen, p0Y, t, tol=marginal_tol)
+    pathX = marginal_path(gen, p0X, grid, tol=marginal_tol)
+    pathY = marginal_path(gen, p0Y, grid, tol=marginal_tol)
+    for k, (mX, mY) in enumerate(zip(pathX, pathY)):
         w1[k] = wasserstein_power(mX, mY, 1.0)
         if rho > 1:
             w_rho[k] = wasserstein_power(mX, mY, rho)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wflow.jump_process import JumpGeneratorSpec, _state_vector, uniformized_marginal
+from wflow.jump_process import JumpGeneratorSpec, _state_vector, marginal_path, uniformized_marginal
 from wflow.measures import write_table
 from wflow.transport import potentials, wasserstein_power
 
@@ -169,9 +169,9 @@ def verify_identity(
     w_vals = np.empty(grid.size)
     integ = np.empty(grid.size)
     diag = np.empty(grid.size)
-    for k, t in enumerate(grid):
-        mX = uniformized_marginal(genX, p0X, t, tol=marginal_tol)
-        mY = uniformized_marginal(genY, p0Y, t, tol=marginal_tol)
+    pathX = marginal_path(genX, p0X, grid, tol=marginal_tol)
+    pathY = marginal_path(genY, p0Y, grid, tol=marginal_tol)
+    for k, (mX, mY) in enumerate(zip(pathX, pathY)):
         w_vals[k] = wasserstein_power(mX, mY, rho)
         if k == 0:
             mX = uniformized_marginal(genX, p0X, eps_reg, tol=marginal_tol)

@@ -1,14 +1,14 @@
-"""Finite-state pure jump processes solved exactly by layered uniformization.
+"""Finite-state pure jump processes solved exactly by uniformization.
 
-The forward marginal of a jump process with bounded intensities splits into
-layers by the number of genuine jumps.  Conditioning on the event count of a
-dominating Poisson clock of rate ``lambda_bar`` turns the layer recursion into
-a two-term matrix recursion over (clock events, genuine jumps): a clock event
-at state ``x`` is genuine with probability ``lambda(x)/lambda_bar``, otherwise
-the state survives unchanged.  Summing the recursion against Poisson weights
-reproduces the exact per-state survival factors ``exp(-lambda(x) t)`` of the
-integral formula, so the layers here are the genuine ones up to an explicit
-Poisson tail truncation.
+One clock expansion gives every forward marginal: a Poisson clock of rate
+``lambda_bar`` ticks, and at a tick state ``x`` jumps by the kernel with
+probability ``lambda(x)/lambda_bar``, so over a panel of length ``h`` the law
+is ``sum_m pmf(m; lambda_bar h) A^m P``, cut where the clock tail drops below
+the tolerance.  :func:`marginal_path` steps one vector from node to node and
+returns a :class:`Marginal` per node with the summed declared tail, and
+:func:`uniformized_marginal` is its one-panel path.  :func:`layer_stack` runs
+the expansion on rows split by genuine-jump count, which restores the exact
+per-state survival factors ``exp(-lambda(x) t)`` of the layers.
 
 The module also evaluates the layer comparison inequalities (time equivalence
 and the factorial sandwich against the weighted-kernel chain), the kernel
@@ -32,6 +32,8 @@ __all__ = [
     "LayerStack",
     "LayerInequalityReport",
     "KernelMomentBound",
+    "Marginal",
+    "marginal_path",
     "uniformized_marginal",
     "layer_stack",
     "layer_inequality_report",
@@ -52,9 +54,9 @@ class JumpGeneratorSpec:
         Strictly increasing real state values.
     lam : array_like
         Nonnegative jump intensity per state.
-    kernel : ndarray or scipy.sparse matrix
-        Row-stochastic jump distribution ``k(x, .)``; a state with positive
-        intensity must not jump to itself (``lam(x) * k(x, {x}) = 0``).
+    kernel : array_like or scipy.sparse matrix
+        Row-stochastic jump distribution ``k(x, .)``, stored as CSR; a state
+        with positive intensity must not jump to itself.
     """
 
     def __init__(self, states, lam, kernel):
@@ -62,43 +64,40 @@ class JumpGeneratorSpec:
         lam = np.asarray(lam, dtype=float)
         if states.ndim != 1 or states.shape != lam.shape or states.size == 0:
             raise ValueError("states and lam must be equal-length 1-d arrays")
+        if not (np.all(np.isfinite(states)) and np.all(np.isfinite(lam))):
+            raise ValueError("states and intensities must be finite")
         if states.size > 1 and np.any(np.diff(states) <= 0):
             raise ValueError("states must be strictly increasing")
         if np.any(lam < 0):
             raise ValueError("intensities must be nonnegative")
         n = states.size
-        if sparse.issparse(kernel):
-            kernel = kernel.tocsr()
-            row_sums = np.asarray(kernel.sum(axis=1)).ravel()
-            diag = kernel.diagonal()
-        else:
-            kernel = np.asarray(kernel, dtype=float)
-            row_sums = kernel.sum(axis=1)
-            diag = np.diagonal(kernel)
+        kernel = sparse.csr_array(kernel, dtype=float, copy=True)
         if kernel.shape != (n, n):
             raise ValueError(f"kernel must be {n}x{n}")
-        if sparse.issparse(kernel):
-            if kernel.nnz and kernel.data.min() < 0:
-                raise ValueError("kernel entries must be nonnegative")
-        elif np.any(kernel < 0):
+        kernel.sum_duplicates()
+        kernel.eliminate_zeros()
+        if not np.all(np.isfinite(kernel.data)):
+            raise ValueError("kernel entries must be finite")
+        if np.any(kernel.data < 0):
             raise ValueError("kernel entries must be nonnegative")
-        if np.any(np.abs(row_sums - 1.0) > 1e-12):
+        if np.any(np.abs(kernel.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("kernel rows must sum to 1 within 1e-12")
-        if np.any(lam * diag != 0.0):
+        if np.any(lam * kernel.diagonal() != 0.0):
             raise ValueError("a state with positive intensity cannot jump to itself")
         self.states = states
         self.lam = lam
         self.kernel = kernel
-        self.lambda_bar = float(lam.max())
-        self._kt = kernel.T.tocsr() if sparse.issparse(kernel) else kernel.T
+        self.lambda_bar = lb = float(lam.max())
+        self._kt = kernel.T.tocsr()
+        self._keep = (lb - lam) / lb if lb > 0 else np.ones(n)  # mass a clock tick keeps
 
     @property
     def n_states(self):
         return self.states.size
 
     def weighted_kernel_apply(self, v):
-        """``(K^T diag(lam)) v``: one step of the intensity-weighted chain."""
-        return self._kt @ (self.lam * v)
+        """``(K^T diag(lam)) v``: one step of the weighted chain, per row of a 2-d v."""
+        return (self._kt @ (self.lam * v).T).T
 
     def kernel_mean_abs(self, f_abs):
         """``integral |f(y)| k(x, dy)`` for every state x."""
@@ -114,6 +113,20 @@ class JumpGeneratorSpec:
         except KeyError as exc:
             raise ValueError(f"generator config missing key {exc.args[0]!r}") from exc
         return cls(states, lam, np.asarray(kernel, dtype=float))
+
+
+class Marginal(DiscreteMeasure):
+    """Forward marginal, not renormalized, with its declared truncation.
+
+    ``truncation_error`` is the larger of the summed clock tails and the mass
+    rounding lost against ``initial_mass``; ``m_max`` is the clock cutoff of
+    the panel that ends here.
+    """
+
+    def __init__(self, support, weights, clock_tail, m_max, initial_mass, mass_tol=1e-12):
+        super().__init__(support, weights, mass_tol=mass_tol)
+        self.truncation_error = max(clock_tail, initial_mass - self.total_mass)
+        self.m_max = int(m_max)
 
 
 @dataclass
@@ -169,93 +182,96 @@ def _poisson_cutoff(mu, tol):
         hi *= 2
 
 
-def _measure_from_vector(gen, vec, mass_tol):
-    keep = vec > 0.0
-    if not np.any(keep):
-        raise ValueError("marginal has no positive mass; tolerance too loose")
-    return DiscreteMeasure(gen.states[keep], vec[keep], mass_tol=mass_tol)
+def _uniformize(step, v, mu, tol, m_min=0):
+    """``sum_{m <= m_max} pmf(m; mu) step^m(v)``, the declared tail and ``m_max``,
+    the Poisson cutoff for ``tol`` raised to ``m_min`` once the clock runs."""
+    m_max, tail = _poisson_cutoff(mu, tol)
+    if mu > 0:
+        m_max = max(m_max, m_min)
+    pmf = _poisson_pmf(np.arange(m_max + 1), mu)
+    acc = pmf[0] * v
+    for m in range(1, m_max + 1):
+        v = step(v)
+        acc = acc + pmf[m] * v
+    return acc, tail, m_max
+
+
+def marginal_path(gen, p0, times, tol=1e-12):
+    """Exact forward marginals at the nodes ``times``, one :class:`Marginal` each.
+
+    One state vector steps from panel to panel, ``[0, times[0]]`` first, each
+    uniformized at rate ``lambda_bar * (b - a)`` with tolerance
+    ``tol / len(times)``, so the summed clock tails stay below ``tol``.  Raises
+    ``ValueError`` on empty, non-finite, negative or decreasing times, on
+    ``tol <= 0``, or when ``p0`` leaves the generator's states.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+        raise ValueError("times must be a nonempty 1-d array of finite values")
+    if times[0] < 0 or np.any(np.diff(times) < 0):
+        raise ValueError("time must be nonnegative and nondecreasing")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    lb = gen.lambda_bar
+
+    def tick(u):
+        return gen._keep * u + gen.weighted_kernel_apply(u) / lb
+
+    v = _state_vector(gen, p0)
+    mass_tol = max(2 * tol, 1e-12)
+    tails = 0.0
+    path = []
+    for a, b in zip(np.concatenate([[0.0], times[:-1]]), times):
+        v, tail, m_max = _uniformize(tick, v, lb * (b - a), tol / times.size)
+        tails += tail
+        keep = v > 0.0
+        if not np.any(keep):
+            raise ValueError("marginal has no positive mass; tolerance too loose")
+        path.append(Marginal(gen.states[keep], v[keep], tails, m_max, p0.total_mass, mass_tol))
+    return path
 
 
 def uniformized_marginal(gen, p0, t, tol=1e-10):
     """Exact forward marginal at time ``t`` up to a declared Poisson tail.
 
-    Accumulates the dominating-clock expansion ``sum_m pmf(m) A^m p0`` where
-    one clock step keeps the state with probability ``1 - lam(x)/lambda_bar``
-    and otherwise jumps by the kernel.  The result is not renormalized; the
-    returned measure's ``truncation_error`` attribute declares the discarded
-    mass: the Poisson clock tail, which is strictly below ``tol``, or the mass
-    the result misses against ``p0`` when rounding lost more than that tail.
-
-    Raises
-    ------
-    ValueError
-        If ``t < 0``, ``tol <= 0``, or ``p0`` leaves the generator's states.
+    The one-panel :func:`marginal_path`, not renormalized: ``truncation_error``
+    declares the Poisson clock tail (strictly below ``tol``) or the mass
+    missing against ``p0`` when rounding lost more.  Raises ``ValueError`` if
+    ``t < 0``, ``tol <= 0``, or ``p0`` leaves the generator's states.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    v = _state_vector(gen, p0)
-    lb = gen.lambda_bar
-    mu = lb * t
-    m_max, tail = _poisson_cutoff(mu, tol)
-    if m_max == 0:
-        out = _measure_from_vector(gen, v, max(2 * tol, 1e-12))
-        out.truncation_error = tail
-        return out
-    pmf = _poisson_pmf(np.arange(m_max + 1), mu)
-    keep_frac = (lb - gen.lam) / lb
-    acc = pmf[0] * v
-    for m in range(1, m_max + 1):
-        v = keep_frac * v + gen.weighted_kernel_apply(v) / lb
-        acc = acc + pmf[m] * v
-    out = _measure_from_vector(gen, acc, max(2 * tol, 1e-12))
-    # the declared loss also covers what rounding dropped along the expansion
-    out.truncation_error = max(tail, p0.total_mass - out.total_mass)
-    return out
+    return marginal_path(gen, p0, [t], tol=tol)[0]
 
 
 def layer_stack(gen, p0, t, n_max, tol=1e-13):
     """Genuine-jump layers ``P_{n,t}`` for ``n <= n_max`` with the weighted chain.
 
-    The two-term recursion runs over dominating-clock events m: a state keeps
-    its layer with weight ``1 - lam(x)/lambda_bar`` and advances one layer
-    through the kernel otherwise; Poisson weights over m restore the exact
-    per-state survival factors.  ``tol`` controls only the clock-tail cutoff.
+    The clock expansion runs on an ``(n_max + 1) x n_states`` block: a tick
+    keeps each layer with weight ``1 - lam(x)/lambda_bar`` and moves layer
+    ``n - 1`` into layer ``n`` through the kernel otherwise; Poisson weights
+    over the ticks restore the exact per-state survival factors.  ``tol``
+    controls only the clock-tail cutoff.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     v0 = _state_vector(gen, p0)
-    lb = gen.lambda_bar
-    n_states = gen.n_states
-    q_chain = [v0.copy()]
+    q_chain = [v0]
     for _ in range(n_max):
         q_chain.append(gen.weighted_kernel_apply(q_chain[-1]))
-    mu = lb * t
-    m_max, m_tail = _poisson_cutoff(mu, tol)
-    m_max = max(m_max, n_max)
+
+    def tick(block):
+        out = gen._keep * block
+        out[1:] += gen.weighted_kernel_apply(block[:-1]) / gen.lambda_bar
+        return out
+
+    block = np.zeros((n_max + 1, gen.n_states))
+    block[0] = v0
+    mu = gen.lambda_bar * t
+    layers, m_tail, _ = _uniformize(tick, block, mu, tol, m_min=n_max)
     # mass in layers beyond n_max is at most the clock tail beyond n_max
     layer_tail = float(pdtrc(n_max, mu)) if mu > 0 else 0.0
-    if lb == 0.0 or t == 0.0:
-        layers = [v0.copy()] + [np.zeros(n_states) for _ in range(n_max)]
-        return LayerStack(gen.states, layers, q_chain, m_tail + layer_tail)
-    pmf = _poisson_pmf(np.arange(m_max + 1), mu)
-    keep_frac = (lb - gen.lam) / lb
-    current = [v0]
-    acc = [pmf[0] * v0] + [np.zeros(n_states) for _ in range(n_max)]
-    for m in range(1, m_max + 1):
-        top = min(m, n_max)
-        nxt = [None] * (top + 1)
-        for n in range(top, -1, -1):
-            stay = keep_frac * current[n] if n < len(current) else 0.0
-            jump = gen.weighted_kernel_apply(current[n - 1]) / lb if n >= 1 else 0.0
-            nxt[n] = stay + jump
-        current = nxt
-        for n in range(top + 1):
-            acc[n] = acc[n] + pmf[m] * current[n]
-    return LayerStack(gen.states, acc, q_chain, m_tail + layer_tail)
+    return LayerStack(gen.states, list(layers), q_chain, m_tail + layer_tail)
 
 
 @dataclass(frozen=True)
@@ -342,9 +358,7 @@ def kernel_moment_bound(gen, p0, t, f, eta, tol=1e-13):
     f = np.asarray(f, dtype=float)
     if f.shape != gen.states.shape:
         raise ValueError("f must be tabulated on the generator's states")
-    marg = uniformized_marginal(gen, p0, t, tol=tol)
-    p_t = np.zeros(gen.n_states)
-    p_t[np.searchsorted(gen.states, marg.support)] = marg.weights
+    p_t = _state_vector(gen, uniformized_marginal(gen, p0, t, tol=tol))
     abs_f = np.abs(f)
     lhs = float(np.dot(p_t, gen.lam * gen.kernel_mean_abs(abs_f)))
     p0_vec = _state_vector(gen, p0)
@@ -369,13 +383,10 @@ def moment_growth_bound(gen, p0, alpha, t, tol=1e-12):
         raise ValueError("time must be nonnegative")
     marg = uniformized_marginal(gen, p0, t, tol=tol)
     exact = float(np.sum(marg.weights * np.abs(marg.support) ** alpha))
-    jump_gap = np.abs(gen.states[None, :] - gen.states[:, None]) ** alpha
-    if sparse.issparse(gen.kernel):
-        kernel_moment = np.max(
-            np.asarray(gen.kernel.multiply(jump_gap).sum(axis=1)).ravel()
-        )
-    else:
-        kernel_moment = np.max(np.sum(gen.kernel * jump_gap, axis=1))
+    # integral |y - x|^alpha k(x, dy) per row, summed over the stored entries
+    rows = np.repeat(np.arange(gen.n_states), np.diff(gen.kernel.indptr))
+    gap = np.abs(gen.states[gen.kernel.indices] - gen.states[rows]) ** alpha
+    kernel_moment = np.max(np.bincount(rows, gen.kernel.data * gap, gen.n_states))
     p0_vec = _state_vector(gen, p0)
     k_bar = max(float(np.dot(p0_vec, np.abs(gen.states) ** alpha)), float(kernel_moment))
     ceil_a = math.ceil(alpha)
@@ -453,9 +464,6 @@ def simulate_paths(gen, p0, t, n_paths, seed):
     cum0[-1] = 1.0
     lb = gen.lambda_bar
     lam = gen.lam
-    kernel = sparse.csr_array(gen.kernel, copy=True)
-    kernel.eliminate_zeros()
-    kernel.sum_duplicates()
 
     def event(i, u):
         return i, lam[i] >= lb * (1.0 - u)
@@ -468,10 +476,10 @@ def simulate_paths(gen, p0, t, n_paths, seed):
         rows, first = np.unique(i[order], return_index=True)
         out = np.empty_like(i)
         for r, sel in zip(rows, np.split(order, first[1:])):
-            lo, hi = kernel.indptr[r], kernel.indptr[r + 1]
-            cum = np.cumsum(kernel.data[lo:hi])
+            lo, hi = gen.kernel.indptr[r], gen.kernel.indptr[r + 1]
+            cum = np.cumsum(gen.kernel.data[lo:hi])
             cum[-1] = 1.0
-            out[sel] = kernel.indices[lo:hi][np.searchsorted(cum, u[sel], side="right")]
+            out[sel] = gen.kernel.indices[lo:hi][np.searchsorted(cum, u[sel], side="right")]
         return out
 
     # an event exactly at t still counts: candidates run while their time is <= t

@@ -102,6 +102,8 @@ class DiscreteMeasure:
             raise ValueError("support and weights must be 1-d arrays of equal length")
         if support.size == 0:
             raise ValueError("measure needs at least one atom")
+        if not (np.all(np.isfinite(support)) and np.all(np.isfinite(weights))):
+            raise ValueError("support and weights must be finite")
         if np.any(np.diff(support) <= 0):
             raise ValueError("support must be strictly increasing")
         if np.any(weights <= 0):
@@ -145,6 +147,8 @@ class GridMeasure:
         cdf_values = np.asarray(cdf_values, dtype=float)
         if grid.ndim != 1 or grid.shape != cdf_values.shape or grid.size < 2:
             raise ValueError("grid and cdf_values must be equal-length 1-d arrays, length >= 2")
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(cdf_values))):
+            raise ValueError("grid and cdf_values must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be strictly increasing")
         if cdf_values[0] != 0.0 or cdf_values[-1] != 1.0:

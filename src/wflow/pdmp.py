@@ -573,18 +573,21 @@ def mu_convergence_study(
     cauchy_x = np.empty(mu_arr.size)
     cauchy_y = np.empty(mu_arr.size)
     applied = []
-    first_gen = None
+    mc_gap = None
+    mc_env = None
     for k, mu in enumerate(mu_arr):
         apprX = mu_generator(specX, mu, grid)
         apprY = mu_generator(specY, mu, grid)
-        if first_gen is None:
-            first_gen = apprX.generator
         rep = verify_identity(
             apprX.generator, apprY.generator, e0X, e0Y, rho, t, identity_steps
         )
         residuals[k] = rep.max_residual
         mx = uniformized_marginal(apprX.generator, e0X, t)
         my = uniformized_marginal(apprY.generator, e0Y, t)
+        if k == 0 and n_paths >= 1:
+            emp = simulate_paths(apprX.generator, e0X, t, n_paths, seed)
+            mc_gap = wasserstein(emp, mx, 1.0)
+            mc_env = (hi - lo) * math.sqrt(math.log(2.0 / 0.01) / (2.0 * n_paths))
         cauchy_x[k] = wasserstein(mx, ref_x, rho)
         cauchy_y[k] = wasserstein(my, ref_y, rho)
         pair = potentials(mx, my, rho)
@@ -595,13 +598,6 @@ def mu_convergence_study(
             for k in range(len(applied) - 1)
         ]
     )
-    mc_gap = None
-    mc_env = None
-    if n_paths >= 1:
-        emp = simulate_paths(first_gen, e0X, t, n_paths, seed)
-        exact = uniformized_marginal(first_gen, e0X, t)
-        mc_gap = wasserstein(emp, exact, 1.0)
-        mc_env = (hi - lo) * math.sqrt(math.log(2.0 / 0.01) / (2.0 * n_paths))
     return MuConvergenceReport(
         mu_arr,
         grid,

@@ -72,7 +72,7 @@ class TestGenerator:
         assert np.array_equal(gen.states, np.arange(7.0))
         assert np.allclose(gen.lam[:-1], 1.0 + 2.0 * np.arange(6.0))
         assert gen.lam[-1] == 12.0
-        k = np.asarray(gen.kernel)
+        k = gen.kernel.toarray()
         assert k[0, 1] == 1.0
         assert np.allclose(k[3, 2], 6.0 / 7.0)
         assert np.allclose(k[3, 4], 1.0 / 7.0)

@@ -227,6 +227,20 @@ class TestExitCodes:
         line = 1 + text.splitlines().index("tolerances:")
         assert err.startswith(f"{cfg}:{line}:")
 
+    def test_nan_weight_is_config_error_with_line(self, tmp_path, capsys):
+        # YAML's .nan parses to a float NaN that no comparison check catches
+        text = SIMULATE.replace(
+            "p0:\n  dirac: 2.0", "p0:\n  support: [1.0, 2.0]\n  weights: [.nan, 0.5]"
+        )
+        assert ".nan" in text
+        cfg = write_config(tmp_path, text)
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        line = 1 + text.splitlines().index("p0:")
+        assert err.startswith(f"{cfg}:{line}:")
+        assert "finite" in err
+
     def test_rho_below_one_rejected(self, tmp_path, capsys):
         text = IDENTITY_EQUAL.replace("rho: 2.0", "rho: 0.5")
         cfg = write_config(tmp_path, text)

@@ -1,6 +1,7 @@
 """Tests for jump_process: layered marginals, comparison bounds, simulation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,18 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.integrate import cumulative_simpson
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import pdtrc
 from scipy.stats import poisson
 
+from wflow import pdmp
+from wflow.birth_death import mm_infty
 from wflow.jump_process import (
     JumpGeneratorSpec,
+    Marginal,
     _poisson_cutoff,
     _poisson_pmf,
+    _state_vector,
     kernel_moment_bound,
     kernel_moment_constant,
     kernel_moment_constant_limit,
     layer_inequality_report,
     layer_stack,
+    marginal_path,
     moment_growth_bound,
     simulate_paths,
     uniformized_marginal,
@@ -56,6 +63,18 @@ def three_state():
         ]
     )
     return JumpGeneratorSpec([-1.0, 0.5, 2.0], [1.3, 0.4, 2.1], kernel)
+
+
+def mu_chain(n_nodes, mu=8.0):
+    """Speed-``mu`` chain of a flow with shift jumps on ``n_nodes`` grid nodes."""
+    spec = pdmp.PdmpSpec.from_dict(
+        {
+            "drift": {"name": "neg_tanh"},
+            "intensity": {"const": 0.5},
+            "kernel": {"name": "shift", "d": 0.4},
+        }
+    )
+    return pdmp.mu_generator(spec, mu, np.linspace(-6.0, 6.0, n_nodes)).generator
 
 
 def layer_oracle(gen, p0_vec, t, n_max, n_times=4001):
@@ -134,6 +153,34 @@ class TestGeneratorSpec:
         md = uniformized_marginal(gen_d, p0, 0.9)
         ms = uniformized_marginal(gen_s, p0, 0.9)
         np.testing.assert_allclose(ms.weights, md.weights, rtol=0, atol=1e-15)
+
+    def test_kernel_stored_as_canonical_csr(self):
+        # a dense input, a sparse input with duplicate entries and one with
+        # explicit zeros all store the same CSR kernel
+        dense = np.array([[0.0, 0.7, 0.3], [0.5, 0.0, 0.5], [0.2, 0.8, 0.0]])
+        rows = [0, 0, 0, 1, 1, 2, 2]
+        cols = [2, 1, 2, 2, 0, 1, 0]
+        vals = [0.1, 0.7, 0.2, 0.5, 0.5, 0.8, 0.2]
+        duplicates = sparse.coo_array((vals, (rows, cols)), shape=(3, 3))
+        zeros = sparse.csr_array(
+            (
+                np.array([0.0, 0.7, 0.3, 0.5, 0.0, 0.5, 0.2, 0.8, 0.0]),
+                np.array([0, 1, 2, 0, 1, 2, 0, 1, 2]),
+                np.array([0, 3, 6, 9]),
+            ),
+            shape=(3, 3),
+        )
+        lam = [1.3, 0.4, 2.1]
+        ref = JumpGeneratorSpec([-1.0, 0.5, 2.0], lam, dense).kernel
+        assert isinstance(ref, sparse.csr_array)
+        assert ref.has_canonical_format and ref.nnz == 6
+        for kernel in (duplicates, zeros):
+            got = JumpGeneratorSpec([-1.0, 0.5, 2.0], lam, kernel).kernel
+            assert isinstance(got, sparse.csr_array)
+            np.testing.assert_array_equal(got.indptr, ref.indptr)
+            np.testing.assert_array_equal(got.indices, ref.indices)
+            np.testing.assert_allclose(got.data, ref.data, rtol=0, atol=1e-16)
+        assert zeros.nnz == 9  # the caller's matrix is left as it was
 
 
 class TestPoissonHelpers:
@@ -214,6 +261,74 @@ class TestMarginal:
         gen = three_state()
         with pytest.raises(ValueError):
             uniformized_marginal(gen, DiscreteMeasure([0.25], [1.0]), 1.0)
+
+
+def transposed_generator(q):
+    """Sparse transposed generator matrix ``Q^T`` with ``Q = diag(lam)(K - I)``."""
+    n = q.n_states
+    return (sparse.diags_array(q.lam) @ (q.kernel - sparse.eye_array(n))).T.tocsc()
+
+
+class TestMarginalPath:
+    @pytest.mark.parametrize(
+        "gen, p0, clock, nodes",
+        [
+            (
+                mm_infty(20, 1, 200).to_generator(),
+                DiscreteMeasure([3.0, 40.0], [0.5, 0.5]),
+                550.0,
+                41,
+            ),
+            (three_state(), DiscreteMeasure([-1.0, 2.0], [0.4, 0.6]), 6.3, 31),
+            (three_state(), DiscreteMeasure([0.5], [1.0]), 105.0, 7),
+        ],
+    )
+    def test_matches_expm_multiply(self, gen, p0, clock, nodes):
+        # every node against Al-Mohy & Higham's expm_multiply on the grid,
+        # with declared truncation below tol and covering the missing mass
+        t_end = clock / gen.lambda_bar
+        times = np.linspace(0.0, t_end, nodes)
+        tol = 1e-12
+        path = marginal_path(gen, p0, times, tol=tol)
+        ref = expm_multiply(
+            transposed_generator(gen), _state_vector(gen, p0), start=0.0, stop=t_end, num=nodes
+        )
+        assert len(path) == nodes
+        for m, want in zip(path, ref):
+            assert np.max(np.abs(_state_vector(gen, m) - want)) <= 1e-12
+            assert m.truncation_error <= tol
+            assert 1.0 - m.total_mass <= m.truncation_error + 1e-15
+
+    def test_nodes_are_typed_marginals(self):
+        gen = three_state()
+        p0 = DiscreteMeasure([0.5], [1.0])
+        path = marginal_path(gen, p0, [0.0, 0.4, 1.3])
+        for m in path:
+            assert isinstance(m, Marginal) and isinstance(m, DiscreteMeasure)
+        assert path[0].truncation_error == 0.0 and path[0].m_max == 0
+        assert path[2].m_max >= 1
+        # the one-panel path is uniformized_marginal
+        one = uniformized_marginal(gen, p0, 1.3, tol=1e-12)
+        assert isinstance(one, Marginal)
+        assert one.m_max == _poisson_cutoff(gen.lambda_bar * 1.3, 1e-12)[0]
+
+    def test_fields_set_by_the_constructor(self):
+        m = Marginal([0.0, 1.0], [0.5, 0.5 - 3e-13], 1e-13, 7, 1.0)
+        assert m.m_max == 7
+        assert m.truncation_error == pytest.approx(3e-13, rel=1e-3)
+        m = Marginal([0.0, 1.0], [0.5, 0.5], 2e-13, 4, 1.0)
+        assert m.truncation_error == 2e-13
+
+    @pytest.mark.parametrize(
+        "times", [[], [0.5, 0.2], [-0.1, 0.3], [0.0, np.nan], [[0.1, 0.2]]]
+    )
+    def test_rejects_bad_times(self, times):
+        with pytest.raises(ValueError):
+            marginal_path(three_state(), DiscreteMeasure([0.5], [1.0]), times)
+
+    def test_rejects_bad_tol(self):
+        with pytest.raises(ValueError):
+            marginal_path(three_state(), DiscreteMeasure([0.5], [1.0]), [1.0], tol=0.0)
 
 
 class TestLayerStack:
@@ -405,6 +520,32 @@ class TestMomentGrowthBound:
         exact, bound = moment_growth_bound(gen, p0, 2.0, t)
         assert exact == pytest.approx(t + t * t, rel=1e-10)
         assert exact <= bound
+
+    def test_kernel_moment_matches_dense_sum(self):
+        # the stored-entry sum gives the dense row sums of k(x,y)|y-x|^alpha
+        gen = mu_chain(257)
+        p0 = pdmp.embed_on_grid(DiscreteMeasure([0.3], [1.0]), gen.states)
+        p0_moment = float(np.dot(_state_vector(gen, p0), np.abs(gen.states) ** 2.5))
+        gap = np.abs(gen.states[None, :] - gen.states[:, None]) ** 2.5
+        k_bar = max(p0_moment, float(np.max(np.sum(gen.kernel.toarray() * gap, axis=1))))
+        mu = gen.lambda_bar * 0.4
+        series = 1.0 + 2.0**2.5 * mu + 3.0**2.5 / 2.0 * mu**2
+        series += 4.0**2.5 / 6.0 * mu**3 * math.exp(mu)
+        _, bound = moment_growth_bound(gen, p0, 2.5, 0.4)
+        assert bound == pytest.approx(k_bar * series, rel=1e-13)
+
+    def test_no_dense_kernel_copy(self):
+        # a 4097-node chain: an n x n array of jump sizes alone would be 128 MiB
+        gen = mu_chain(4097)
+        p0 = pdmp.embed_on_grid(DiscreteMeasure([0.3], [1.0]), gen.states)
+        tracemalloc.start()
+        try:
+            exact, bound = moment_growth_bound(gen, p0, 2.0, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exact <= bound
+        assert peak < 16 * 2**20
 
     def test_rejects_bad_args(self):
         gen = three_state()

@@ -12,9 +12,11 @@ from scipy import integrate
 
 from oracles import quad_mean, quad_moment
 from wflow import (
+    BirthDeathSpec,
     CoverageError,
     DiscreteMeasure,
     GridMeasure,
+    JumpGeneratorSpec,
     TailConstants,
     UnboundableError,
     generalized_variance,
@@ -41,7 +43,35 @@ UNIFORM_01 = GridMeasure(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 # =============================================================================
 
 
+FLIP = [[0.0, 1.0], [1.0, 0.0]]
+
+
 class TestConstruction:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DiscreteMeasure([0.0, 1.0], [np.nan, 0.5]),
+            lambda: DiscreteMeasure([np.nan], [1.0]),
+            lambda: DiscreteMeasure([0.0, np.inf], [0.5, 0.5]),
+            lambda: DiscreteMeasure([0.0, 1.0], [0.5, np.inf]),
+            lambda: GridMeasure([0.0, np.nan, 2.0], [0.0, 0.5, 1.0]),
+            lambda: GridMeasure([0.0, 1.0, np.inf], [0.0, 0.5, 1.0]),
+            lambda: GridMeasure([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]),
+            lambda: BirthDeathSpec([np.nan, 1.0, 0.0], [0.0, 1.0, 2.0]),
+            lambda: BirthDeathSpec([1.0, 1.0, 0.0], [0.0, np.inf, 2.0]),
+            lambda: JumpGeneratorSpec([0.0, np.inf], [1.0, 1.0], FLIP),
+            lambda: JumpGeneratorSpec([np.nan, 1.0], [1.0, 1.0], FLIP),
+            lambda: JumpGeneratorSpec([0.0, 1.0], [np.inf, 1.0], FLIP),
+            lambda: JumpGeneratorSpec([0.0, 1.0], [1.0, np.nan], FLIP),
+            lambda: JumpGeneratorSpec([0.0, 1.0], [1.0, 1.0], [[0.0, np.nan], [1.0, 0.0]]),
+            lambda: JumpGeneratorSpec([0.0, 1.0], [1.0, 1.0], [[0.0, np.inf], [1.0, 0.0]]),
+        ],
+    )
+    def test_constructors_reject_non_finite_input(self, build):
+        # a NaN slips past every comparison check, so finiteness is its own check
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
     def test_atomic_rejects_unsorted_support(self):
         with pytest.raises(ValueError):
             DiscreteMeasure(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
