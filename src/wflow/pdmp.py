@@ -110,9 +110,11 @@ class ShiftJump:
 class PdmpSpec:
     """Drift, jump intensity, and jump law with their declared bounds.
 
-    The declared bounds are verified on a dense sample grid at construction:
-    drift values against ``drift_bound``, intensity values against
-    ``[0, intensity_bound]``, and sampled jump sizes against ``jump_bound``.
+    The declared bounds must be finite, and are verified on a dense sample
+    grid at construction: drift values against ``drift_bound``, intensity
+    values against ``[0, intensity_bound]``, and sampled jump sizes against
+    ``jump_bound``.  ``mu_generator`` evaluates jump laws only within
+    ``jump_bound`` of each node and fails closed on a CDF that reaches beyond.
     """
 
     def __init__(
@@ -127,8 +129,6 @@ class PdmpSpec:
         check_window=(-20.0, 20.0),
         check_points=2001,
     ):
-        if drift_bound < 0 or intensity_bound < 0:
-            raise ValueError("declared bounds must be nonnegative")
         self.drift = drift
         self.drift_bound = float(drift_bound)
         self.intensity = intensity
@@ -137,6 +137,11 @@ class PdmpSpec:
         self.jump_bound = float(
             kernel.bound if jump_bound is None else jump_bound
         )
+        bounds = (self.drift_bound, self.intensity_bound, self.jump_bound)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("declared bounds must be finite")
+        if self.drift_bound < 0 or self.intensity_bound < 0:
+            raise ValueError("declared bounds must be nonnegative")
         if self.jump_bound <= 0:
             raise ValueError("jump bound must be positive")
         self.continuous_kernel = bool(continuous_kernel)
@@ -255,6 +260,58 @@ class MuApproximation:
     boundary_jump_leak: float
 
 
+_BAND_CHUNK = 1 << 14
+
+
+def _jump_cells(kernel, grid, nodes, bound):
+    """Nonzero jump cell masses ``(node, cell, mass)`` from the listed nodes.
+
+    Cell ``c`` is node ``c``'s grid cell, so its mass is ``G(c) - G(c - 1)``
+    with ``G(k) = F(mids[k])``, ``G(-1) = 0`` and ``G(n - 1) = 1``.  Per node
+    only the band of ``G`` indices covering ``[x - bound, x + bound]``,
+    widened by two cells a side, is evaluated, in blocks of at most
+    ``_BAND_CHUNK`` entries; ``G`` must be exactly 0 at the lower band edge
+    and exactly 1 at the upper one, else the node is named in a
+    ``ValueError``.
+    """
+    n = grid.size
+    if nodes.size == 0:
+        return nodes, nodes, np.empty(0)
+    mids = 0.5 * (grid[1:] + grid[:-1])
+    padded = np.concatenate([mids[:1], mids, mids[-1:]])  # G index k at k + 1
+    x = grid[nodes]
+    lo = np.maximum(np.searchsorted(mids, x - bound, side="left") - 3, -1)
+    hi = np.minimum(np.searchsorted(mids, x + bound, side="right") + 2, n - 1)
+    width = int(np.max(hi - lo)) + 1
+    start = np.minimum(lo, n - width)  # windows of one width inside [-1, n-1]
+    offsets = np.arange(width)
+    step = max(1, _BAND_CHUNK // width)
+    rows, cols, vals = [], [], []
+    for s in range(0, nodes.size, step):
+        part = slice(s, s + step)
+        first = start[part]
+        g = np.array(
+            kernel.cdf(x[part, None], padded[first[:, None] + offsets + 1]), dtype=float
+        )
+        g[first == -1, 0] = 0.0  # -1 only ever starts a window, n - 1 only ends one
+        g[first == n - width, -1] = 1.0
+        k = np.arange(first.size)
+        bad = (g[k, lo[part] - first] != 0.0) | (g[k, hi[part] - first] != 1.0)
+        if np.any(bad):
+            i = int(nodes[part][np.argmax(bad)])
+            raise ValueError(
+                f"jump law of node {i} (x = {float(grid[i])!r}) puts mass "
+                f"beyond the declared jump bound {bound!r}"
+            )
+        cell = np.diff(g, axis=1).ravel()
+        hit = np.flatnonzero(cell)
+        r, c = np.divmod(hit, width - 1)
+        rows.append(nodes[part][r])
+        cols.append(first[r] + 1 + c)
+        vals.append(cell[hit])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
 def mu_generator(spec, mu, state_grid):
     """Discretize the speed-``mu`` jump chain on a state grid.
 
@@ -262,9 +319,22 @@ def mu_generator(spec, mu, state_grid):
     mean-preserving mass split; genuine jumps are discretized by CDF
     differences over the grid cells.  A flow target outside the union of
     the grid cells raises a coverage error.
+
+    Jump cells are evaluated only on the band ``[x - b, x + b]`` around each
+    node, ``b = spec.jump_bound``, widened by two cells a side to absorb
+    rounding; ``spec.kernel.cdf(x, y)`` is called with a column of nodes
+    against a block of midpoints and must broadcast.  The kernel CDF must be
+    nondecreasing with values in ``[0, 1]``; it is then checked to be
+    exactly 0 at the lower band edge and exactly 1 at the upper one, so
+    every cell outside the band has mass exactly 0, as a full-grid
+    evaluation would give.  A CDF that fails the check puts mass beyond the
+    declared bound and raises a ``ValueError`` naming the node.  Flow and
+    jump masses are summed per entry, the self mass is struck out and each
+    row is divided by what remains; a row that keeps at most ``1e-9`` is
+    frozen (intensity 0, kernel ``(i, i) = 1``).
     """
-    if mu < 1.0:
-        raise ValueError("mu must be at least 1")
+    if not math.isfinite(mu) or mu < 1.0:
+        raise ValueError("mu must be finite and at least 1")
     grid = np.asarray(state_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("state grid must be strictly increasing, length >= 2")
@@ -284,58 +354,38 @@ def mu_generator(spec, mu, state_grid):
     if np.any(lam < 0) or np.any(lam > spec.intensity_bound + 1e-12):
         raise ValueError("intensity leaves [0, bound] on the state grid")
     total = mu + lam
-    mids = 0.5 * (grid[1:] + grid[:-1])
-    indptr = [0]
-    indices = []
-    data = []
-    out_lam = np.empty(n)
-    self_mass = np.empty(n)
+    w_flow = mu / total
+    jumping = np.flatnonzero(lam > 0.0)
+    jr, jc, jv = _jump_cells(spec.kernel, grid, jumping, spec.jump_bound)
+    rows = np.arange(n)
+    mass = [w_flow * (1.0 - theta), w_flow * theta, (lam / total)[jr] * jv]
+    summed = sparse.coo_matrix(
+        (
+            np.concatenate(mass),
+            (np.concatenate([rows, rows, jr]), np.concatenate([j, j + 1, jc])),
+        ),
+        shape=(n, n),
+    ).tocsr()  # sums the (at most two) terms of each entry
+    self_mass = summed.diagonal()
+    keep = 1.0 - self_mass
+    frozen = keep <= 1e-9  # everything returned to the start node
+    r = np.repeat(rows, np.diff(summed.indptr))
+    on_diag = summed.indices == r
+    live = ~on_diag & ~frozen[r]
+    data = np.zeros_like(summed.data)
+    data[live] = summed.data[live] / keep[r[live]]
+    data[on_diag & frozen[r]] = 1.0
+    kernel = sparse.csr_matrix((data, summed.indices, summed.indptr), shape=(n, n))
     leak = 0.0
-    row = np.zeros(n)
-    for i in range(n):
-        touched = [j[i], j[i] + 1]
-        w_flow = mu / total[i]
-        row[j[i]] += w_flow * (1.0 - theta[i])
-        row[j[i] + 1] += w_flow * theta[i]
-        if lam[i] > 0.0:
-            cdf_mid = np.asarray(spec.kernel.cdf(grid[i], mids), dtype=float)
-            cell = np.empty(n)
-            cell[0] = cdf_mid[0]
-            cell[1:-1] = np.diff(cdf_mid)
-            cell[-1] = 1.0 - cdf_mid[-1]
-            lo_out = float(spec.kernel.cdf(grid[i], np.array([grid[0] - half_lo]))[0])
-            hi_out = 1.0 - float(
-                spec.kernel.cdf(grid[i], np.array([grid[-1] + half_hi]))[0]
-            )
-            leak = max(leak, lo_out, hi_out)
-            nz = np.nonzero(cell)[0]
-            row[nz] += (lam[i] / total[i]) * cell[nz]
-            touched.extend(nz.tolist())
-        s_mass = row[i]
-        self_mass[i] = s_mass
-        keep = 1.0 - s_mass
-        if keep <= 1e-9:
-            # everything returned to the start node: a frozen state
-            for k in set(touched):
-                row[k] = 0.0
-            indices.append(i)
-            data.append(1.0)
-            out_lam[i] = 0.0
-            indptr.append(len(indices))
-            continue
-        row[i] = 0.0
-        cols = sorted(set(touched) - {i})
-        for k in cols:
-            if row[k] != 0.0:
-                indices.append(k)
-                data.append(row[k] / keep)
-            row[k] = 0.0
-        out_lam[i] = total[i] * keep
-        indptr.append(len(indices))
-    kernel = sparse.csr_matrix(
-        (np.asarray(data), np.asarray(indices), np.asarray(indptr)), shape=(n, n)
-    )
-    gen = JumpGeneratorSpec(grid, out_lam, kernel)
+    if jumping.size:
+        edge = np.asarray(
+            spec.kernel.cdf(
+                grid[jumping, None], np.array([grid[0] - half_lo, grid[-1] + half_hi])
+            ),
+            dtype=float,
+        )
+        leak = max(0.0, float(np.max(edge[:, 0])), float(np.max(1.0 - edge[:, 1])))
+    gen = JumpGeneratorSpec(grid, np.where(frozen, 0.0, total * keep), kernel)
     return MuApproximation(
         float(mu), gen, grid, targets, total, self_mass, float(leak)
     )

@@ -1,14 +1,19 @@
 """Independent reference computations used to pin expected test values.
 
 Everything here is deliberately naive: linear programming over the full
-coupling polytope, dense quadrature, and direct summation.  The package under
-test must agree with these to tight tolerances on small instances.
+coupling polytope, dense quadrature, direct summation, and the speed-mu chain
+built row by row over the whole grid.  The package under test must agree with
+these to tight tolerances on small instances (the chain build exactly).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, sparse
+
+from wflow.jump_process import JumpGeneratorSpec
+from wflow.measures import CoverageError
+from wflow.pdmp import MuApproximation, flow
 
 
 def lp_coupling_cost(x, wx, y, wy, rho):
@@ -51,3 +56,88 @@ def quad_mean(density, lo, hi, phi):
     val, err = integrate.quad(lambda t: phi(t) * density(t), lo, hi, limit=400)
     assert err < 1e-9
     return val
+
+
+def mu_generator_rowloop(spec, mu, state_grid):
+    """Speed-``mu`` chain built row by row over the full grid.
+
+    Each row evaluates the jump CDF at every cell midpoint and accumulates
+    flow and jump masses in a dense scratch row; ``pdmp.mu_generator`` must
+    return exactly the same kernel, intensities and diagnostics.
+    """
+    if mu < 1.0:
+        raise ValueError("mu must be at least 1")
+    grid = np.asarray(state_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+        raise ValueError("state grid must be strictly increasing, length >= 2")
+    n = grid.size
+    targets = flow(spec, grid, 1.0 / mu)
+    half_lo = 0.5 * (grid[1] - grid[0])
+    half_hi = 0.5 * (grid[-1] - grid[-2])
+    if np.any(targets < grid[0] - half_lo) or np.any(targets > grid[-1] + half_hi):
+        worst = targets[np.argmax(np.abs(targets - np.clip(targets, grid[0], grid[-1])))]
+        raise CoverageError(
+            f"flow target {float(worst)!r} escapes the grid cell coverage"
+        )
+    clipped = np.clip(targets, grid[0], grid[-1])
+    j = np.clip(np.searchsorted(grid, clipped, side="right") - 1, 0, n - 2)
+    theta = (clipped - grid[j]) / (grid[j + 1] - grid[j])
+    lam = np.asarray(spec.intensity(grid), dtype=float)
+    if np.any(lam < 0) or np.any(lam > spec.intensity_bound + 1e-12):
+        raise ValueError("intensity leaves [0, bound] on the state grid")
+    total = mu + lam
+    mids = 0.5 * (grid[1:] + grid[:-1])
+    indptr = [0]
+    indices = []
+    data = []
+    out_lam = np.empty(n)
+    self_mass = np.empty(n)
+    leak = 0.0
+    row = np.zeros(n)
+    for i in range(n):
+        touched = [j[i], j[i] + 1]
+        w_flow = mu / total[i]
+        row[j[i]] += w_flow * (1.0 - theta[i])
+        row[j[i] + 1] += w_flow * theta[i]
+        if lam[i] > 0.0:
+            cdf_mid = np.asarray(spec.kernel.cdf(grid[i], mids), dtype=float)
+            cell = np.empty(n)
+            cell[0] = cdf_mid[0]
+            cell[1:-1] = np.diff(cdf_mid)
+            cell[-1] = 1.0 - cdf_mid[-1]
+            lo_out = float(spec.kernel.cdf(grid[i], np.array([grid[0] - half_lo]))[0])
+            hi_out = 1.0 - float(
+                spec.kernel.cdf(grid[i], np.array([grid[-1] + half_hi]))[0]
+            )
+            leak = max(leak, lo_out, hi_out)
+            nz = np.nonzero(cell)[0]
+            row[nz] += (lam[i] / total[i]) * cell[nz]
+            touched.extend(nz.tolist())
+        s_mass = row[i]
+        self_mass[i] = s_mass
+        keep = 1.0 - s_mass
+        if keep <= 1e-9:
+            # everything returned to the start node: a frozen state
+            for k in set(touched):
+                row[k] = 0.0
+            indices.append(i)
+            data.append(1.0)
+            out_lam[i] = 0.0
+            indptr.append(len(indices))
+            continue
+        row[i] = 0.0
+        cols = sorted(set(touched) - {i})
+        for k in cols:
+            if row[k] != 0.0:
+                indices.append(k)
+                data.append(row[k] / keep)
+            row[k] = 0.0
+        out_lam[i] = total[i] * keep
+        indptr.append(len(indices))
+    kernel = sparse.csr_matrix(
+        (np.asarray(data), np.asarray(indices), np.asarray(indptr)), shape=(n, n)
+    )
+    gen = JumpGeneratorSpec(grid, out_lam, kernel)
+    return MuApproximation(
+        float(mu), gen, grid, targets, total, self_mass, float(leak)
+    )

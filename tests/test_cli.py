@@ -241,6 +241,17 @@ class TestExitCodes:
         assert err.startswith(f"{cfg}:{line}:")
         assert "finite" in err
 
+    def test_nan_jump_bound_is_config_error_with_line(self, tmp_path, capsys):
+        text = PDMP_APPROX.replace("{name: shift, d: 0.5}", "{name: shift, d: 0.5, m: .nan}")
+        assert ".nan" in text
+        cfg = write_config(tmp_path, text)
+        code = cli.main(["pdmp-approx", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        line = 1 + text.splitlines().index("x:")
+        assert err.startswith(f"{cfg}:{line}:")
+        assert "finite" in err
+
     def test_rho_below_one_rejected(self, tmp_path, capsys):
         text = IDENTITY_EQUAL.replace("rho: 2.0", "rho: 0.5")
         cfg = write_config(tmp_path, text)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mu_generator_rowloop
 
 from wflow.evolution import apply_generator
 from wflow.jump_process import JumpGeneratorSpec, simulate_paths, uniformized_marginal
@@ -80,6 +81,21 @@ class TestSpecValidation:
     def test_shift_kernel_declared_bound(self):
         with pytest.raises(ValueError):
             ShiftJump(0.8, bound=0.5)
+
+    def test_declared_bounds_must_be_finite(self):
+        drift, bound = named_drift("zero")
+        lam = const_intensity(0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                PdmpSpec(drift, bad, lam, 0.5, UniformJump(1.0))
+            with pytest.raises(ValueError, match="finite"):
+                PdmpSpec(drift, bound, lam, bad, UniformJump(1.0))
+            with pytest.raises(ValueError, match="finite"):
+                PdmpSpec(drift, bound, lam, 0.5, UniformJump(1.0), jump_bound=bad)
+            with pytest.raises(ValueError, match="finite"):
+                PdmpSpec(drift, bound, lam, 0.5, ShiftJump(0.5, bound=bad))
+            with pytest.raises(ValueError, match="finite"):
+                PdmpSpec(drift, bound, lam, 0.5, UniformJump(bad))
 
     def test_from_dict_named_forms(self):
         spec = PdmpSpec.from_dict(
@@ -248,6 +264,82 @@ class TestMuGenerator:
             mu_generator(spec, 2.0, np.array([0.0, 0.0, 1.0]))
         with pytest.raises(ValueError):
             mu_generator(spec, 2.0, np.array([0.0]))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="mu must be finite and at least 1"):
+                mu_generator(spec, bad, grid)
+
+    def test_banded_build_matches_row_loop(self):
+        zero, _ = named_drift("zero")
+        tabulated = PdmpSpec.from_dict(
+            {
+                "drift": {"name": "neg_tanh"},
+                "intensity": {"x": [-3.0, -1.0, 0.0, 1.0], "val": [0.0, 0.0, 1.0, 0.5]},
+                "kernel": {"name": "uniform_pm", "m": 0.4},
+            }
+        )
+        uniform = np.linspace(-3.0, 3.0, 121)
+        small = np.linspace(-1.0, 1.0, 41)
+        cases = {
+            "shift +": (tanh_spec(0.5, ShiftJump(0.5)), 8.0, uniform),
+            "shift -": (tanh_spec(0.5, ShiftJump(-0.35)), 8.0, uniform),
+            "uniform narrow": (tanh_spec(0.5, UniformJump(0.4)), 8.0, uniform),
+            "uniform wide": (tanh_spec(0.5, UniformJump(3.0)), 4.0, small),
+            "tabulated with zeros": (tabulated, 8.0, uniform),
+            "non-uniform grid": (
+                tanh_spec(0.5, UniformJump(0.4)),
+                16.0,
+                np.sinh(np.linspace(-2.0, 2.0, 151)),
+            ),
+            "two nodes": (tanh_spec(0.5, UniformJump(1.0)), 8.0, np.array([-0.5, 0.5])),
+            "all frozen": (
+                PdmpSpec(zero, 0.0, zero_intensity, 0.0, ShiftJump(0.5)), 4.0, uniform
+            ),
+            "boundary leak": (
+                PdmpSpec(zero, 0.0, const_intensity(1.0), 1.0, UniformJump(1.0)),
+                4.0,
+                small,
+            ),
+        }
+        for name, (spec, mu, grid) in cases.items():
+            got = mu_generator(spec, mu, grid)
+            want = mu_generator_rowloop(spec, mu, grid)
+            k_got, k_want = got.generator.kernel, want.generator.kernel
+            pairs = {
+                "indptr": (k_got.indptr, k_want.indptr),
+                "indices": (k_got.indices, k_want.indices),
+                "data": (k_got.data, k_want.data),
+                "lam": (got.generator.lam, want.generator.lam),
+                "self_mass": (got.self_mass, want.self_mass),
+                "raw_intensity": (got.raw_intensity, want.raw_intensity),
+                "flow_targets": (got.flow_targets, want.flow_targets),
+            }
+            for field, (a, b) in pairs.items():
+                assert a.dtype == b.dtype, (name, field)
+                np.testing.assert_array_equal(a, b, err_msg=f"{name}: {field}")
+            assert got.boundary_jump_leak == want.boundary_jump_leak, name
+        frozen = mu_generator(*cases["all frozen"])
+        assert np.all(frozen.generator.lam == 0.0)
+        assert np.all(frozen.generator.kernel.diagonal() == 1.0)
+
+    def test_jump_mass_beyond_declared_bound_fails_closed(self):
+        class Overreaching:
+            """Samples within its bound, but its CDF moves the mass twice as far."""
+
+            bound = 0.5
+
+            def cdf(self, x, y):
+                return (np.asarray(y, dtype=float) >= x + 1.0).astype(float)
+
+            def quantile(self, x, u):
+                return x + 0.5
+
+        drift, bound = named_drift("zero")
+        spec = PdmpSpec(drift, bound, const_intensity(0.5), 0.5, Overreaching())
+        grid = np.linspace(-2.0, 2.0, 81)
+        # the full-grid row loop keeps the out-of-bound mass without a word
+        mu_generator_rowloop(spec, 8.0, grid)
+        with pytest.raises(ValueError, match=r"node 0 \(x = -2\.0\)"):
+            mu_generator(spec, 8.0, grid)
 
 
 class TestEmbedAndCellLaw:
