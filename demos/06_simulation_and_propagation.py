@@ -54,5 +54,5 @@ print(f"displacement moment bound (q=2): {moment_cap:.3f}")
 print(f"tail comparison constant c_t:    {c_t:.3f}")
 
 audit = propagation_check(spec, 1.0, 1.0, 1.0, 2.0, math.inf, n_paths=10_000, seed=7)
-print(f"simulated moment {audit['moment_estimate']:.4f} <= {audit['moment_envelope']:.3f}")
-print(f"worst tail ratio over its cap: {audit['worst_tail_ratio']:.3f}")
+print(f"simulated moment {audit.moment_estimate:.4f} <= {audit.moment_envelope:.3f}")
+print(f"worst tail ratio over its cap: {audit.worst_tail_ratio:.3f}")

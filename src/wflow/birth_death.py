@@ -191,14 +191,15 @@ def cost_difference_constant(rho, scan_top=1_000_000):
     return float(max(scanned, 0.5 * rho * (rho - 1.0)))
 
 
-def moment_bound(bd, p0, rho, t, tol=1e-12):
-    """Exact ``E[X_t^rho]`` with its exponential-growth closed-form bound."""
+def moment_bound(bd, p0, rho, t):
+    """Exact ``E[X_t^rho]`` (clock tolerance 1e-12) with its exponential-growth
+    closed-form bound."""
     if rho < 1:
         raise ValueError("rho must be >= 1")
     if t < 0:
         raise ValueError("time must be nonnegative")
     gen = bd.to_generator()
-    marg = uniformized_marginal(gen, p0, t, tol=tol)
+    marg = uniformized_marginal(gen, p0, t, tol=1e-12)
     exact = float(np.sum(marg.weights * marg.support**rho))
     m0 = float(np.sum(p0.weights * p0.support**rho))
     c_rho = moment_rate_constant(rho)
@@ -249,10 +250,11 @@ def _relative_excess(value, bound):
     return np.maximum(0.0, (value - bound) / np.maximum(1.0, np.abs(bound)))
 
 
-def contraction_report(bd, p0X, p0Y, rho, t_end, n_steps, marginal_tol=1e-12):
+def contraction_report(bd, p0X, p0Y, rho, t_end, n_steps):
     """Certify the contraction envelopes along a uniform time grid.
 
-    Both marginals evolve under the same truncated chain.  The certified
+    Both marginals evolve under the same truncated chain, each one
+    :func:`marginal_path` at its default tolerance.  The certified
     rate is the truncated curvature; a vanishing ``kappa (rho - 1)`` on
     (1, 2] switches the closed form to its continuity limit
     ``W_rho^rho(0) + Lip W_1(0) t`` and marks the report degenerate.
@@ -270,8 +272,8 @@ def contraction_report(bd, p0X, p0Y, rho, t_end, n_steps, marginal_tol=1e-12):
     w1 = np.empty(grid.size)
     w_rho = np.empty(grid.size)
     w_prev = np.empty(grid.size)
-    pathX = marginal_path(gen, p0X, grid, tol=marginal_tol)
-    pathY = marginal_path(gen, p0Y, grid, tol=marginal_tol)
+    pathX = marginal_path(gen, p0X, grid)
+    pathY = marginal_path(gen, p0Y, grid)
     for k, (mX, mY) in enumerate(zip(pathX, pathY)):
         w1[k] = wasserstein_power(mX, mY, 1.0)
         if rho > 1:

@@ -19,7 +19,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -119,7 +119,7 @@ def _key_line(text, key):
     return 1
 
 
-def _need(options, key, kind=None):
+def _need(options, key):
     if key not in options:
         raise ConfigError(f"missing required key {key!r}", key=key)
     return options[key]
@@ -347,17 +347,11 @@ def _bounds_rows(config):
         n_paths = int(_need(opts, "n_paths"))
         seed = _seed_of(config)
         for q in _need(opts, "q_list"):
-            audit = propagation_check(
-                spec, c0, big_c0, horizon, float(q), mu, n_paths, seed
-            )
+            audit = propagation_check(spec, c0, big_c0, horizon, float(q), mu, n_paths, seed)
             rows.append(
-                (
-                    f"displacement_moment_q_{q}",
-                    audit["moment_estimate"],
-                    audit["moment_envelope"],
-                )
+                (f"displacement_moment_q_{q}", audit.moment_estimate, audit.moment_envelope)
             )
-            rows.append((f"tail_ratio_q_{q}", audit["worst_tail_ratio"], 1.0))
+            rows.append((f"tail_ratio_q_{q}", audit.worst_tail_ratio, 1.0))
     else:
         raise ConfigError(f"unknown bounds family {family!r}", key="family")
     return rows

@@ -81,11 +81,11 @@ class EvolutionReport:
     atomic marginals has corners wherever a cumulative weight of one marginal
     crosses one of the other, and the derivative genuinely jumps there; a
     corner with enough mass to matter degrades its panel mismatch from
-    O(dt^3) to O(dt), so those panels surface as extreme outliers against
+    O(dt^3) to O(dt), so those panels surface as outliers 50 times above
     the median panel, are marked in ``flags``, and are excluded from
     ``max_residual``, while ``residual`` keeps their raw values.
     ``diagnostics`` holds the generator moment
-    ``integral |L psi_t|^(1+delta) dP_t`` used to monitor local boundedness
+    ``integral |L psi_t|^(3/2) dP_t`` used to monitor local boundedness
     (reported, not asserted).
     """
 
@@ -125,26 +125,19 @@ class EvolutionReport:
         )
 
 
-def verify_identity(
-    genX,
-    genY,
-    p0X,
-    p0Y,
-    rho,
-    t_end,
-    n_steps,
-    marginal_tol=1e-12,
-    diag_delta=0.5,
-    flag_factor=50.0,
-):
+_DIAG_EXPONENT = 1.5  # order of the generator moment in ``diagnostics``
+_FLAG_FACTOR = 50.0  # a panel this far above the median panel is a corner
+
+
+def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps, marginal_tol=1e-12):
     """Evaluate both sides of the evolution identity on a uniform grid.
 
     At each of ``n_steps + 1`` nodes the forward marginals, the transport
     cost, and the candidate derivative are computed; each panel's trapezoid
     contribution is compared with the increment of the cost over the panel.
-    Panels whose mismatch stands ``flag_factor`` times above the median panel
-    mismatch contain a corner of the cost curve (the derivative exists only
-    off a finite set of crossing times) and are flagged rather than failed.
+    Panels whose mismatch stands 50 times above the median panel mismatch
+    contain a corner of the cost curve (the derivative exists only off a
+    finite set of crossing times) and are flagged rather than failed.
 
     ``rho = 1`` is rejected: the dual pair degenerates there (potentials are
     1-Lipschitz and far from unique), so first-order claims are certified by
@@ -180,7 +173,7 @@ def verify_identity(
         vX = _state_vector(genX, mX)
         vY = _state_vector(genY, mY)
         integ[k], l_psi = _integrand_from_pair(genX, genY, vX, vY, pair)
-        diag[k] = float(np.dot(vX, np.abs(l_psi) ** (1.0 + diag_delta)))
+        diag[k] = float(np.dot(vX, np.abs(l_psi) ** _DIAG_EXPONENT))
     dt = grid[1] - grid[0]
     panel = 0.5 * dt * (integ[1:] + integ[:-1])
     cumulative = np.concatenate([[0.0], np.cumsum(panel)])
@@ -193,6 +186,6 @@ def verify_identity(
     positive = residual[residual > 0]
     floor = 1e-12 * dt * (1.0 + float(np.max(np.abs(integ))))
     if positive.size:
-        cut = max(flag_factor * float(np.median(positive)), floor)
+        cut = max(_FLAG_FACTOR * float(np.median(positive)), floor)
         flags = residual > cut
     return EvolutionReport(grid, w_vals, integ, cumulative, residual, diag, flags)

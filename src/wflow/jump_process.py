@@ -28,6 +28,7 @@ from scipy.special import gammaln, pdtrc, xlogy
 from wflow.measures import DiscreteMeasure
 
 __all__ = [
+    "NumericalError",
     "JumpGeneratorSpec",
     "LayerStack",
     "LayerInequalityReport",
@@ -43,6 +44,10 @@ __all__ = [
     "moment_growth_bound",
     "simulate_paths",
 ]
+
+
+class NumericalError(RuntimeError):
+    """A computed marginal broke its declared mass tolerance."""
 
 
 class JumpGeneratorSpec:
@@ -98,21 +103,6 @@ class JumpGeneratorSpec:
     def weighted_kernel_apply(self, v):
         """``(K^T diag(lam)) v``: one step of the weighted chain, per row of a 2-d v."""
         return (self._kt @ (self.lam * v).T).T
-
-    def kernel_mean_abs(self, f_abs):
-        """``integral |f(y)| k(x, dy)`` for every state x."""
-        return self.kernel @ f_abs
-
-    @classmethod
-    def from_dict(cls, data):
-        """Build from a config mapping with keys states, lambda, kernel."""
-        try:
-            states = data["states"]
-            lam = data["lambda"]
-            kernel = data["kernel"]
-        except KeyError as exc:
-            raise ValueError(f"generator config missing key {exc.args[0]!r}") from exc
-        return cls(states, lam, np.asarray(kernel, dtype=float))
 
 
 class Marginal(DiscreteMeasure):
@@ -203,7 +193,9 @@ def marginal_path(gen, p0, times, tol=1e-12):
     uniformized at rate ``lambda_bar * (b - a)`` with tolerance
     ``tol / len(times)``, so the summed clock tails stay below ``tol``.  Raises
     ``ValueError`` on empty, non-finite, negative or decreasing times, on
-    ``tol <= 0``, or when ``p0`` leaves the generator's states.
+    ``tol <= 0``, or when ``p0`` leaves the generator's states, and
+    :class:`NumericalError` when a node keeps no positive mass or its mass
+    leaves ``1 +/- max(2 tol, 1e-12)`` (rounding loss beyond the tolerance).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
@@ -226,7 +218,12 @@ def marginal_path(gen, p0, times, tol=1e-12):
         tails += tail
         keep = v > 0.0
         if not np.any(keep):
-            raise ValueError("marginal has no positive mass; tolerance too loose")
+            raise NumericalError(f"marginal at t={float(b)!r} has no positive mass")
+        total = float(v[keep].sum())
+        if abs(total - 1.0) > mass_tol:
+            raise NumericalError(
+                f"marginal at t={float(b)!r} sums to {total!r}, outside 1 +/- {mass_tol!r}"
+            )
         path.append(Marginal(gen.states[keep], v[keep], tails, m_max, p0.total_mass, mass_tol))
     return path
 
@@ -237,7 +234,8 @@ def uniformized_marginal(gen, p0, t, tol=1e-10):
     The one-panel :func:`marginal_path`, not renormalized: ``truncation_error``
     declares the Poisson clock tail (strictly below ``tol``) or the mass
     missing against ``p0`` when rounding lost more.  Raises ``ValueError`` if
-    ``t < 0``, ``tol <= 0``, or ``p0`` leaves the generator's states.
+    ``t < 0``, ``tol <= 0``, or ``p0`` leaves the generator's states, and
+    :class:`NumericalError` as :func:`marginal_path` does.
     """
     return marginal_path(gen, p0, [t], tol=tol)[0]
 
@@ -291,19 +289,20 @@ class LayerInequalityReport:
         )
 
 
-def layer_inequality_report(gen, p0, s, t, n_max, tol=1e-13):
+def layer_inequality_report(gen, p0, s, t, n_max):
     """Check the time-equivalence and sandwich inequalities on the layers.
 
     For ``0 <= s`` and ``t > 0``: each layer at time s is dominated by
     ``exp(lambda_bar (t-s)^+) (s/t)^n`` times the layer at time t, and each
     layer at time t sits between ``exp(-lambda_bar t) t^n/n!`` and
     ``t^n/n!`` times the n-step weighted-kernel chain.  Returns the maximal
-    componentwise violations (nonpositive values mean slack).
+    componentwise violations (nonpositive values mean slack); the layers
+    come from :func:`layer_stack` at its default clock tolerance.
     """
     if s < 0 or t <= 0:
         raise ValueError("need 0 <= s and 0 < t")
-    stack_t = layer_stack(gen, p0, t, n_max, tol=tol)
-    stack_s = layer_stack(gen, p0, s, n_max, tol=tol)
+    stack_t = layer_stack(gen, p0, t, n_max)
+    stack_s = layer_stack(gen, p0, s, n_max)
     lb = gen.lambda_bar
     factor = math.exp(lb * max(t - s, 0.0))
     equiv = -np.inf
@@ -343,13 +342,14 @@ class KernelMomentBound:
     constant: float
 
 
-def kernel_moment_bound(gen, p0, t, f, eta, tol=1e-13):
+def kernel_moment_bound(gen, p0, t, f, eta):
     """Bound the kernel-averaged |f| against higher layer moments.
 
     lhs is ``integral lam(x) (integral |f(y)| k(x,dy)) P_t(dx)``; rhs is the
     constant times ``(sum_{n>=1} integral |f|^{1+eta} dP_{n,t} / t)`` to the
     power ``1/(1+eta)``.  Only the zero-jump layer needs isolating: it is the
-    explicit survival-weighted initial law.
+    explicit survival-weighted initial law.  ``P_t`` is solved with clock
+    tolerance 1e-13.
     """
     if t <= 0:
         raise ValueError("time must be positive")
@@ -358,9 +358,9 @@ def kernel_moment_bound(gen, p0, t, f, eta, tol=1e-13):
     f = np.asarray(f, dtype=float)
     if f.shape != gen.states.shape:
         raise ValueError("f must be tabulated on the generator's states")
-    p_t = _state_vector(gen, uniformized_marginal(gen, p0, t, tol=tol))
+    p_t = _state_vector(gen, uniformized_marginal(gen, p0, t, tol=1e-13))
     abs_f = np.abs(f)
-    lhs = float(np.dot(p_t, gen.lam * gen.kernel_mean_abs(abs_f)))
+    lhs = float(np.dot(p_t, gen.lam * (gen.kernel @ abs_f)))
     p0_vec = _state_vector(gen, p0)
     layer0 = np.exp(-gen.lam * t) * p0_vec
     higher = np.maximum(p_t - layer0, 0.0)
@@ -370,9 +370,10 @@ def kernel_moment_bound(gen, p0, t, f, eta, tol=1e-13):
     return KernelMomentBound(lhs, rhs, constant)
 
 
-def moment_growth_bound(gen, p0, alpha, t, tol=1e-12):
+def moment_growth_bound(gen, p0, alpha, t):
     """Exact absolute moment at time t with its factorial growth bound.
 
+    The exact moment is taken from the marginal at clock tolerance 1e-12.
     The bound scales ``max(E|X_0|^alpha, sup_x integral |y-x|^alpha k(x,dy))``
     by a truncated exponential series in ``lambda_bar * t`` whose order is the
     integer ceiling of ``alpha``.
@@ -381,7 +382,7 @@ def moment_growth_bound(gen, p0, alpha, t, tol=1e-12):
         raise ValueError("alpha must be >= 1")
     if t < 0:
         raise ValueError("time must be nonnegative")
-    marg = uniformized_marginal(gen, p0, t, tol=tol)
+    marg = uniformized_marginal(gen, p0, t, tol=1e-12)
     exact = float(np.sum(marg.weights * np.abs(marg.support) ** alpha))
     # integral |y - x|^alpha k(x, dy) per row, summed over the stored entries
     rows = np.repeat(np.arange(gen.n_states), np.diff(gen.kernel.indptr))

@@ -115,7 +115,6 @@ class DiscreteMeasure:
             )
         self.support = support
         self.weights = weights
-        self.mass_tol = float(mass_tol)
 
     @property
     def total_mass(self):
@@ -372,7 +371,10 @@ def laplace_smooth(m, eta, grid_spec=4096):
     return GridMeasure(grid, cdf), TailConstants(1.0, 1.0 / eta)
 
 
-def tail_ratio_constants(m, y_grid, floor=1e-6):
+_RATIO_FLOOR = 1e-6  # numerators at or below this over a zero denominator are skipped
+
+
+def tail_ratio_constants(m, y_grid):
     """Fit the smallest exponential envelope for CDF/SF shift ratios on a sample grid.
 
     For every grid node ``x`` and every shift ``y`` in ``y_grid`` the ratios
@@ -380,9 +382,9 @@ def tail_ratio_constants(m, y_grid, floor=1e-6):
     their maxima and the fitted constants ``(c, C) = (1, max log-ratio / y)``.
 
     A sample whose denominator vanishes (the grid endpoints) is informative
-    only when the numerator sits above ``floor``: then no finite envelope
-    exists at the grid's resolution and :class:`UnboundableError` is raised.
-    Numerators at or below ``floor`` are truncation-level artifacts and are
+    only when the numerator sits above 1e-6: then no finite envelope exists
+    at the grid's resolution and :class:`UnboundableError` is raised.
+    Numerators at or below 1e-6 are truncation-level artifacts and are
     skipped.
     """
     if not isinstance(m, GridMeasure):
@@ -401,7 +403,7 @@ def tail_ratio_constants(m, y_grid, floor=1e-6):
         sf_dn = m.sf_at(x - y)
         for numer, denom, kind in ((f_up, f_x, "CDF"), (sf_dn, sf_x, "SF")):
             dead = denom <= 0.0
-            bad = dead & (numer > floor)
+            bad = dead & (numer > _RATIO_FLOOR)
             if np.any(bad):
                 i = int(np.argmax(bad))
                 raise UnboundableError(
@@ -448,8 +450,11 @@ def measure_to_csv(m, path):
         raise TypeError(f"unsupported measure type {type(m)!r}")
 
 
-def measure_from_csv(path, mass_tol=1e-12):
-    """Read a measure written by :func:`measure_to_csv`; the header decides the type."""
+def measure_from_csv(path):
+    """Read a measure written by :func:`measure_to_csv`; the header decides the type.
+
+    An atomic measure must sum to 1 within 1e-12.
+    """
     if hasattr(path, "read"):
         text = path.read()
     else:
@@ -463,7 +468,7 @@ def measure_from_csv(path, mass_tol=1e-12):
     if body.ndim != 2 or body.shape[1] != 2:
         raise ValueError("expected two numeric columns")
     if header == "x,weight":
-        return DiscreteMeasure(body[:, 0], body[:, 1], mass_tol=mass_tol)
+        return DiscreteMeasure(body[:, 0], body[:, 1])
     if header == "x,cdf":
         return GridMeasure(body[:, 0], body[:, 1])
     raise ValueError(f"unrecognized CSV header {lines[0]!r}: need 'x,weight' or 'x,cdf'")

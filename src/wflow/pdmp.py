@@ -32,6 +32,7 @@ from wflow.measures import (
     CoverageError,
     DiscreteMeasure,
     GridMeasure,
+    TailConstants,
     laplace_smooth,
     quantile,
     write_table,
@@ -42,6 +43,7 @@ __all__ = [
     "PdmpSpec",
     "MuApproximation",
     "MuConvergenceReport",
+    "PropagationAudit",
     "UniformJump",
     "ShiftJump",
     "named_drift",
@@ -107,28 +109,22 @@ class ShiftJump:
         return x + self.offset
 
 
+_CHECK_WINDOW = (-20.0, 20.0)  # PdmpSpec checks its declared bounds here,
+_CHECK_POINTS = 2001  # on this many equispaced points
+
+
 class PdmpSpec:
     """Drift, jump intensity, and jump law with their declared bounds.
 
-    The declared bounds must be finite, and are verified on a dense sample
-    grid at construction: drift values against ``drift_bound``, intensity
-    values against ``[0, intensity_bound]``, and sampled jump sizes against
-    ``jump_bound``.  ``mu_generator`` evaluates jump laws only within
-    ``jump_bound`` of each node and fails closed on a CDF that reaches beyond.
+    The declared bounds must be finite, and are verified at construction on
+    2001 equispaced points of ``[-20, 20]``: drift values against
+    ``drift_bound``, intensity values against ``[0, intensity_bound]``, and
+    jump sizes sampled from every 50th point against ``jump_bound``.
+    ``mu_generator`` evaluates jump laws only within ``jump_bound`` of each
+    node and fails closed on a CDF that reaches beyond.
     """
 
-    def __init__(
-        self,
-        drift,
-        drift_bound,
-        intensity,
-        intensity_bound,
-        kernel,
-        jump_bound=None,
-        continuous_kernel=True,
-        check_window=(-20.0, 20.0),
-        check_points=2001,
-    ):
+    def __init__(self, drift, drift_bound, intensity, intensity_bound, kernel, jump_bound=None):
         self.drift = drift
         self.drift_bound = float(drift_bound)
         self.intensity = intensity
@@ -144,15 +140,14 @@ class PdmpSpec:
             raise ValueError("declared bounds must be nonnegative")
         if self.jump_bound <= 0:
             raise ValueError("jump bound must be positive")
-        self.continuous_kernel = bool(continuous_kernel)
-        xs = np.linspace(check_window[0], check_window[1], check_points)
+        xs = np.linspace(*_CHECK_WINDOW, _CHECK_POINTS)
         v = np.asarray(self.drift(xs), dtype=float)
         if np.any(np.abs(v) > self.drift_bound + 1e-12):
             raise ValueError("drift exceeds its declared bound on the sample grid")
         lam = np.asarray(self.intensity(xs), dtype=float)
         if np.any(lam < 0) or np.any(lam > self.intensity_bound + 1e-12):
             raise ValueError("intensity leaves [0, bound] on the sample grid")
-        for x in xs[:: max(1, check_points // 40)]:
+        for x in xs[:: _CHECK_POINTS // 40]:
             for u in np.linspace(0.02, 0.98, 13):
                 if abs(self.kernel.quantile(float(x), float(u)) - x) > (
                     self.jump_bound + 1e-12
@@ -584,7 +579,8 @@ def mu_convergence_study(
     For every speed in ``mu_list`` the chain is solved on a shared grid
     sized from the drift bound and a high-probability jump count; the
     evolution identity is verified on the chain pair, and the marginal is
-    compared against the reference chain at twice the largest speed.
+    compared against the reference chain at twice the largest speed.  When
+    ``specY is specX`` each chain is built once and serves both sides.
     """
     mu_arr = np.asarray(mu_list, dtype=float)
     if mu_arr.size < 1 or np.any(np.diff(mu_arr) <= 0) or mu_arr[0] < 1.0:
@@ -608,13 +604,14 @@ def mu_convergence_study(
     embed_x = wasserstein(p0X, e0X, 1.0)
     embed_y = wasserstein(p0Y, e0Y, 1.0)
 
+    def chains(mu):
+        apprX = mu_generator(specX, mu, grid)
+        return apprX, apprX if specY is specX else mu_generator(specY, mu, grid)
+
     mu_ref = 2.0 * mu_arr[-1]
-    ref_x = uniformized_marginal(
-        mu_generator(specX, mu_ref, grid).generator, e0X, t
-    )
-    ref_y = uniformized_marginal(
-        mu_generator(specY, mu_ref, grid).generator, e0Y, t
-    )
+    refX, refY = chains(mu_ref)
+    ref_x = uniformized_marginal(refX.generator, e0X, t)
+    ref_y = uniformized_marginal(refY.generator, e0Y, t)
     w_lo = quantile(ref_x, 0.005)
     w_hi = quantile(ref_x, 0.995)
     window = (grid >= w_lo) & (grid <= w_hi)
@@ -626,8 +623,7 @@ def mu_convergence_study(
     mc_gap = None
     mc_env = None
     for k, mu in enumerate(mu_arr):
-        apprX = mu_generator(specX, mu, grid)
-        apprY = mu_generator(specY, mu, grid)
+        apprX, apprY = chains(mu)
         rep = verify_identity(
             apprX.generator, apprY.generator, e0X, e0Y, rho, t, identity_steps
         )
@@ -667,17 +663,14 @@ def mu_convergence_study(
     )
 
 
-def propagation_constants(spec, c0, C0, t, q, mu, n_paths=0, seed=0):
+def propagation_constants(spec, c0, C0, t, q, mu):
     """Closed-form displacement-moment and tail-envelope constants.
 
     Valid uniformly over chain speeds from ``1/t`` up to the process itself;
     the moment constant bounds ``E|X_t - X_0|^q`` and the tail constant
     ``c_t`` extends the initial envelope ``(c0, C0)`` to time ``t`` with the
-    same exponential rate.  With ``n_paths`` positive the constants are also
-    checked against a seeded simulation (displacement moment within a CLT
-    envelope, empirical tail ratios of a smoothed-initial marginal), raising
-    ``RuntimeError`` on violation; the default skips the simulation so the
-    call stays deterministic closed-form arithmetic.
+    same exponential rate.  :func:`propagation_check` audits both against a
+    seeded simulation.
     """
     if c0 < 1.0:
         raise ValueError("c0 must be at least 1")
@@ -700,28 +693,51 @@ def propagation_constants(spec, c0, C0, t, q, mu, n_paths=0, seed=0):
             + lb * t * (math.exp(C0 * m) - math.exp(-C0 * m))
         )
     )
-    if n_paths > 0:
-        report = propagation_check(spec, c0, C0, t, q, mu, n_paths, seed)
-        if not report["moment_ok"]:
-            raise RuntimeError("simulated displacement moment exceeds the bound")
-        if not report["tails_ok"]:
-            raise RuntimeError("empirical tail ratio exceeds the envelope")
     return float(moment_bound), float(c_t)
 
 
-def propagation_check(
-    spec, c0, C0, t, q, mu, n_paths, seed, x_quantiles=None, y_offsets=None
-):
+@dataclass(frozen=True)
+class PropagationAudit:
+    """Simulated values against the closed-form constants ``moment_bound``, ``c_t``.
+
+    ``moment_estimate`` is ``E|X_t - X_0|^q`` from a point start with standard
+    error ``moment_sigma``; ``moment_envelope`` is ``moment_bound`` plus four
+    sigma.  ``worst_tail_ratio`` is the largest probed tail ratio over its cap
+    ``c_t exp(C0 y)``, from a start smoothed with ``initial_tail_constants``.
+    """
+
+    moment_bound: float
+    c_t: float
+    moment_estimate: float
+    moment_sigma: float
+    moment_envelope: float
+    worst_tail_ratio: float
+    initial_tail_constants: TailConstants
+
+    @property
+    def moment_ok(self):
+        return bool(self.moment_estimate <= self.moment_envelope)
+
+    @property
+    def tails_ok(self):
+        return bool(self.worst_tail_ratio <= 1.0)
+
+
+_TAIL_QUANTILES = np.linspace(0.05, 0.95, 10)  # tail probe points, as empirical quantiles
+_TAIL_OFFSETS = np.array([0.25, 0.5, 1.0, 2.0])  # tail probe shifts y
+
+
+def propagation_check(spec, c0, C0, t, q, mu, n_paths, seed):
     """Simulation audit of the closed-form propagation constants.
 
     The displacement moment is estimated from a point start (displacement
     law equals the endpoint law shifted), with a four-sigma CLT envelope on
     top of the closed-form bound.  Tail ratios of the marginal started from
     the Laplace-smoothed point mass (scale ``1/C0``, so the initial envelope
-    holds with constants ``(1, C0)``) are probed at empirical quantiles on
-    both CDF and survival sides against ``c_t * exp(C0 y)``; probes whose
-    denominator carries fewer than 25 paths are skipped as pure noise.
-    Returns a dict of measured values and pass flags.
+    holds with constants ``(1, C0)``) are probed at the empirical quantiles
+    0.05, 0.15, ..., 0.95 and shifts 0.25, 0.5, 1 and 2, on both CDF and
+    survival sides, against ``c_t * exp(C0 y)``; probes whose denominator
+    carries fewer than 25 paths are skipped as pure noise.
     """
     moment_bound, c_t = propagation_constants(spec, c0, C0, t, q, mu)
     simulate = (
@@ -740,10 +756,6 @@ def propagation_check(
     emp_s = simulate(spec, atomize(smooth), t, n_paths, seed + 1)
     cum = np.cumsum(emp_s.weights)
     total = cum[-1]
-    if x_quantiles is None:
-        x_quantiles = np.linspace(0.05, 0.95, 10)
-    if y_offsets is None:
-        y_offsets = np.array([0.25, 0.5, 1.0, 2.0])
     floor = 25.0 / n_paths
 
     def cdf_at(pts):
@@ -751,12 +763,12 @@ def propagation_check(
         return np.where(j > 0, cum[np.maximum(j - 1, 0)], 0.0)
 
     worst = 0.0
-    for uq in x_quantiles:
+    for uq in _TAIL_QUANTILES:
         k = int(np.searchsorted(cum, uq * total))
         xq = float(emp_s.support[min(k, emp_s.support.size - 1)])
         f_x = float(cdf_at(np.array([xq]))[0])
         s_x = total - float(cdf_at(np.array([xq - 1e-12]))[0])
-        for y in y_offsets:
+        for y in _TAIL_OFFSETS:
             cap = c_t * math.exp(C0 * y)
             if f_x >= floor:
                 ratio = float(cdf_at(np.array([xq + y]))[0]) / f_x
@@ -764,14 +776,4 @@ def propagation_check(
             if s_x >= floor:
                 sf_up = total - float(cdf_at(np.array([xq - y - 1e-12]))[0])
                 worst = max(worst, (sf_up / s_x) / cap)
-    return {
-        "moment_bound": moment_bound,
-        "c_t": c_t,
-        "moment_estimate": mean,
-        "moment_sigma": sigma,
-        "moment_envelope": envelope,
-        "moment_ok": bool(mean <= envelope),
-        "worst_tail_ratio": worst,
-        "tails_ok": bool(worst <= 1.0),
-        "initial_tail_constants": tail0,
-    }
+    return PropagationAudit(moment_bound, c_t, mean, sigma, envelope, worst, tail0)

@@ -344,61 +344,54 @@ def _cost_transform(xs, vals, ys, rho):
     return best[np.argsort(order)]
 
 
-class _AtomicDual:
-    def __init__(self, m1, m2, rho, validate=True):
-        self.rho = rho
-        x, y = m1.support, m2.support
-        n1, n2 = x.size, y.size
-        cum1 = np.cumsum(m1.weights) / m1.total_mass
-        cum2 = np.cumsum(m2.weights) / m2.total_mass
-        psi = np.zeros(n1)
-        psit = np.zeros(n2)
-        psit[0] = -np.abs(x[0] - y[0]) ** rho
-        i = j = 0
-        while i < n1 - 1 or j < n2 - 1:
-            at_x_end = i == n1 - 1
-            at_y_end = j == n2 - 1
-            if not at_x_end and (at_y_end or cum1[i] < cum2[j]):
-                i += 1
-                psi[i] = -psit[j] - np.abs(x[i] - y[j]) ** rho
-            elif not at_y_end and (at_x_end or cum2[j] < cum1[i]):
-                j += 1
-                psit[j] = -psi[i] - np.abs(x[i] - y[j]) ** rho
-            else:
-                # tied cumulative masses: both sides jump at the same level
-                inc = _clip_path_increment(x[i], x[i + 1], y[j], y[j + 1], rho)
-                i += 1
-                j += 1
-                psi[i] = psi[i - 1] + inc
-                psit[j] = -psi[i] - np.abs(x[i] - y[j]) ** rho
-        closed = -_cost_transform(x, psi, y, rho)
-        if validate:
-            scale = 1.0 + float(np.max(np.abs(psit)))
-            gap = np.abs(closed - psit)
-            worst = int(np.argmax(gap))
-            if gap[worst] > 1e-9 * scale:
-                raise PotentialConstructionError(
-                    "staircase propagation is dual-infeasible near "
-                    f"y={y[worst]!r} (transform correction {gap[worst]!r})"
-                )
-        self.x, self.y = x, y
-        self.psi, self.psit = psi, closed
+def _staircase(m1, m2, rho):
+    """``(psi, psi_tilde)`` on the atoms: the staircase along the monotone
+    coupling, ``psi_tilde`` closed by the cost transform within 1e-9 relative."""
+    x, y = m1.support, m2.support
+    n1, n2 = x.size, y.size
+    cum1 = np.cumsum(m1.weights) / m1.total_mass
+    cum2 = np.cumsum(m2.weights) / m2.total_mass
+    psi = np.zeros(n1)
+    psit = np.zeros(n2)
+    psit[0] = -np.abs(x[0] - y[0]) ** rho
+    i = j = 0
+    while i < n1 - 1 or j < n2 - 1:
+        at_x_end = i == n1 - 1
+        at_y_end = j == n2 - 1
+        if not at_x_end and (at_y_end or cum1[i] < cum2[j]):
+            i += 1
+            psi[i] = -psit[j] - np.abs(x[i] - y[j]) ** rho
+        elif not at_y_end and (at_x_end or cum2[j] < cum1[i]):
+            j += 1
+            psit[j] = -psi[i] - np.abs(x[i] - y[j]) ** rho
+        else:
+            # tied cumulative masses: both sides jump at the same level
+            inc = _clip_path_increment(x[i], x[i + 1], y[j], y[j + 1], rho)
+            i += 1
+            j += 1
+            psi[i] = psi[i - 1] + inc
+            psit[j] = -psi[i] - np.abs(x[i] - y[j]) ** rho
+    closed = -_cost_transform(x, psi, y, rho)
+    scale = 1.0 + float(np.max(np.abs(psit)))
+    gap = np.abs(closed - psit)
+    worst = int(np.argmax(gap))
+    if gap[worst] > 1e-9 * scale:
+        raise PotentialConstructionError(
+            "staircase propagation is dual-infeasible near "
+            f"y={y[worst]!r} (transform correction {gap[worst]!r})"
+        )
+    return psi, closed
 
-    def _closure(self, table, values, other, other_values, q):
-        """``values`` where ``q`` hits ``table``, else the other side's cost transform."""
-        q = np.asarray(q, dtype=float)
-        flat = np.atleast_1d(q)
-        k = np.minimum(np.searchsorted(table, flat), table.size - 1)
-        hit = table[k] == flat
-        out = np.where(hit, values[k], 0.0)
-        out[~hit] = -_cost_transform(other, other_values, flat[~hit], self.rho)
-        return out if q.ndim else float(out[0])
 
-    def psi_at(self, q):
-        return self._closure(self.x, self.psi, self.y, self.psit, q)
-
-    def psi_tilde_at(self, q):
-        return self._closure(self.y, self.psit, self.x, self.psi, q)
+def _closure(table, values, other, other_values, q, rho):
+    """``values`` where ``q`` hits ``table``, else the other side's cost transform."""
+    q = np.asarray(q, dtype=float)
+    flat = np.atleast_1d(q)
+    k = np.minimum(np.searchsorted(table, flat), table.size - 1)
+    hit = table[k] == flat
+    out = np.where(hit, values[k], 0.0)
+    out[~hit] = -_cost_transform(other, other_values, flat[~hit], rho)
+    return out if q.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +402,11 @@ class _AtomicDual:
 class PotentialPair:
     """Kantorovich dual pair for ``|x-y|^rho`` cost, tabulated on both sides.
 
-    ``psi_at``/``psi_tilde_at`` evaluate off the tabulation: exactly for grid
-    measures, by cost transform for atomic ones.  ``transport_map`` is present
-    only for the continuous-CDF route.
+    ``psi_at``/``psi_tilde_at`` evaluate off the tabulation: exactly through
+    the continuous route's grid dual when there is one, otherwise by the cost
+    transform of the other side's table, the extension under which the pair
+    stays feasible.  ``transport_map`` is present only for the continuous
+    route.
     """
 
     rho: float
@@ -420,17 +415,17 @@ class PotentialPair:
     y: np.ndarray
     psi_tilde: np.ndarray
     transport_map: TransportMap | None = None
-    _impl: object = field(default=None, repr=False)
+    _grid: _GridDual | None = field(default=None, repr=False)
 
     def psi_at(self, q):
-        if self._impl is None:
-            return np.interp(q, self.x, self.psi)
-        return self._impl.psi_at(q)
+        if self._grid is not None:
+            return self._grid.psi_at(q)
+        return _closure(self.x, self.psi, self.y, self.psi_tilde, q, self.rho)
 
     def psi_tilde_at(self, q):
-        if self._impl is None:
-            return np.interp(q, self.y, self.psi_tilde)
-        return self._impl.psi_tilde_at(q)
+        if self._grid is not None:
+            return self._grid.psi_tilde_at(q)
+        return _closure(self.y, self.psi_tilde, self.x, self.psi, q, self.rho)
 
     def to_csv(self, prefix):
         """Write ``<prefix>_psi.csv``, ``<prefix>_psi_tilde.csv`` and, when a
@@ -445,7 +440,7 @@ class PotentialPair:
             )
 
 
-def potentials(m1, m2, rho, validate=True):
+def potentials(m1, m2, rho):
     """Construct a dual pair achieving ``wasserstein(m1, m2, rho) ** rho``.
 
     Parameters
@@ -457,70 +452,60 @@ def potentials(m1, m2, rho, validate=True):
         the cost transform).
     rho : float
         Cost exponent, strictly greater than 1.
-    validate : bool, optional
-        Check the construction's internal duality/feasibility certificates.
 
     Returns
     -------
     PotentialPair
+        Certified on construction: the continuous route's dual value matches
+        the primal within 1e-7 relative (else :class:`IntegrationError`), the
+        atomic staircase its closure within 1e-9 (else
+        :class:`PotentialConstructionError`).
     """
     rho = _check_rho(rho, need_gt1=True)
     if isinstance(m1, GridMeasure) and isinstance(m2, GridMeasure):
-        impl = _GridDual(m1, m2, rho)
-        yb = impl.target_breaks()
-        pair = PotentialPair(
+        grid = _GridDual(m1, m2, rho)
+        yb = grid.target_breaks()
+        w = wasserstein_power(m1, m2, rho)
+        dual = -grid.integral_source() - grid.integral_target()
+        if abs(w - dual) > 1e-7 * max(abs(w), 1e-9):
+            raise IntegrationError(
+                f"dual value {dual!r} does not match primal {w!r} within 1e-7 relative"
+            )
+        return PotentialPair(
             rho,
-            impl.xb,
-            impl.psi_b.copy(),
+            grid.xb,
+            grid.psi_b.copy(),
             yb,
-            impl.psi_tilde_at(yb),
-            TransportMap(impl.xb, impl.t),
-            impl,
+            grid.psi_tilde_at(yb),
+            TransportMap(grid.xb, grid.t),
+            grid,
         )
-        if validate:
-            w = wasserstein_power(m1, m2, rho)
-            dual = -impl.integral_source() - impl.integral_target()
-            if abs(w - dual) > 1e-7 * max(abs(w), 1e-9):
-                raise IntegrationError(
-                    f"dual value {dual!r} does not match primal {w!r} within 1e-7 relative"
-                )
-        return pair
     if isinstance(m1, DiscreteMeasure) and isinstance(m2, DiscreteMeasure):
-        impl = _AtomicDual(m1, m2, rho, validate=validate)
-        return PotentialPair(rho, impl.x, impl.psi, impl.y, impl.psit, None, impl)
+        psi, psi_tilde = _staircase(m1, m2, rho)
+        return PotentialPair(rho, m1.support, psi, m2.support, psi_tilde)
     raise TypeError("potentials needs both measures atomic or both grid")
 
 
-def _integrate_tabulated(m, xs, vals):
-    """Integral against ``m`` of the piecewise-linear table ``(xs, vals)``."""
-    if isinstance(m, DiscreteMeasure):
-        if xs.shape == m.support.shape and np.array_equal(xs, m.support):
-            return float(m.weights @ vals)
-        return float(m.weights @ np.interp(m.support, xs, vals))
-    dens = m.densities()
-    pts = np.union1d(m.grid, xs[(xs > m.grid[0]) & (xs < m.grid[-1])])
-    v = np.interp(pts, xs, vals)
-    cell = np.clip(
-        np.searchsorted(m.grid, 0.5 * (pts[:-1] + pts[1:]), side="right") - 1, 0, dens.size - 1
-    )
-    seg = 0.5 * (v[:-1] + v[1:]) * np.diff(pts)
-    return float(np.sum(dens[cell] * seg))
-
-
 def dual_value(pair, m1, m2):
-    """``-integral psi dm1 - integral psi_tilde dm2`` for the tabulated pair."""
-    if isinstance(pair._impl, _GridDual):
-        return -pair._impl.integral_source() - pair._impl.integral_target()
-    return -_integrate_tabulated(m1, pair.x, pair.psi) - _integrate_tabulated(
-        m2, pair.y, pair.psi_tilde
+    """``-integral psi dm1 - integral psi_tilde dm2``: exact through the grid
+    dual, else against atomic laws at their atoms."""
+    if pair._grid is not None:
+        return -pair._grid.integral_source() - pair._grid.integral_target()
+    if not isinstance(m1, DiscreteMeasure) or not isinstance(m2, DiscreteMeasure):
+        raise TypeError("a pair without a grid dual integrates only against atomic laws")
+    return -float(m1.weights @ pair.psi_at(m1.support)) - float(
+        m2.weights @ pair.psi_tilde_at(m2.support)
     )
 
 
-def feasibility_violation(pair, chunk=2_000_000):
+_FEASIBILITY_CHUNK = 2_000_000  # (x, y) cells per block of the feasibility scan
+
+
+def feasibility_violation(pair):
     """max over tabulated (x, y) of ``-psi(x) - psi_tilde(y) - |x-y|^rho``."""
     worst = -np.inf
     n = pair.x.size
-    step = max(1, chunk // max(pair.y.size, 1))
+    step = max(1, _FEASIBILITY_CHUNK // max(pair.y.size, 1))
     for s in range(0, n, step):
         xs = pair.x[s : s + step, None]
         ps = pair.psi[s : s + step, None]
@@ -622,7 +607,10 @@ def _phi_norm(u_nodes, phi_vals, p):
     return total ** (1.0 / p)
 
 
-def translated_map_bound(m1, m2, y, q, phi_y, delta, n_check=10_000):
+_HYPOTHESIS_LEVELS = 10_000  # equispaced levels where translated_map_bound checks phi_y
+
+
+def translated_map_bound(m1, m2, y, q, phi_y, delta):
     """Moment bound for the monotone map evaluated at left-translated arguments.
 
     Parameters
@@ -636,7 +624,7 @@ def translated_map_bound(m1, m2, y, q, phi_y, delta, n_check=10_000):
     phi_y : (array_like, array_like)
         Tabulation ``(u_nodes, values)`` on (0,1) of a nonnegative function
         whose running integral dominates ``F1(F1^{-1}(u) + y) - u``.  Checked
-        on ``n_check`` equispaced levels before anything is computed.
+        on 10 000 equispaced levels before anything is computed.
     delta : float
         Holder split parameter in ``[0, inf]``; ``delta = 0`` pairs the sup
         norm of ``|X2|^q`` with the L1 norm of ``phi_y``, ``delta = inf`` the
@@ -668,7 +656,7 @@ def translated_map_bound(m1, m2, y, q, phi_y, delta, n_check=10_000):
         raise ValueError("phi_y nodes must be strictly increasing inside (0, 1)")
     if np.any(phi_vals < 0):
         raise ValueError("phi_y must be nonnegative")
-    u = np.linspace(0.0, 1.0, n_check + 2)[1:-1]
+    u = np.linspace(0.0, 1.0, _HYPOTHESIS_LEVELS + 2)[1:-1]
     lhs_check = m1.cdf_at(quantile(m1, u) + y) - u
     rhs_check = _phi_cumulative(u_nodes, phi_vals, u)
     bad = lhs_check > rhs_check

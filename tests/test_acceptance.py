@@ -335,11 +335,9 @@ def test_criterion_09_propagation_constants(capsys):
     for mu in (16.0, math.inf):
         for q in (1.0, 2.0):
             audit = propagation_check(spec, 1.0, 1.0, 1.0, q, mu, 20_000, seed=909)
-            assert audit["moment_ok"] and audit["tails_ok"], (mu, q)
-            worst_moment = max(
-                worst_moment, audit["moment_estimate"] / audit["moment_envelope"]
-            )
-            worst_tail = max(worst_tail, audit["worst_tail_ratio"])
+            assert audit.moment_ok and audit.tails_ok, (mu, q)
+            worst_moment = max(worst_moment, audit.moment_estimate / audit.moment_envelope)
+            worst_tail = max(worst_tail, audit.worst_tail_ratio)
     ok = worst_moment <= 1.0 and worst_tail <= 1.0
     certify(
         capsys,

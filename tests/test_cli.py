@@ -148,6 +148,37 @@ class TestExitCodes:
         assert err.startswith(f"{cfg}:{line}:")
         assert "kernel rows" in err
 
+    def test_generator_without_kernel_is_config_error_with_line(self, tmp_path, capsys):
+        text = BAD_KERNEL.replace("  kernel: [[0.0, 0.9], [1.0, 0.0]]\n", "")
+        assert "kernel" not in text
+        cfg = write_config(tmp_path, text)
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        line = 1 + text.splitlines().index("generator:")
+        assert err.startswith(f"{cfg}:{line}:")
+        assert "'kernel'" in err
+
+    def test_rounding_loss_is_numerical_failure(self, tmp_path, capsys):
+        # lambda_bar * horizon = 220 * 90.9090909 = 2e4 clock events in one
+        # panel: rounding moves the marginal's mass past its 2e-12 tolerance
+        text = (
+            "kind: bounds\n"
+            "family: bd-moment\n"
+            "chain:\n"
+            "  mm_infty: {birth: 20.0, death: 1.0, n_top: 200}\n"
+            "p0:\n"
+            "  dirac: 3.0\n"
+            "horizon: 90.9090909\n"
+            "rho_list: [2.0]\n"
+        )
+        cfg = write_config(tmp_path, text)
+        code = cli.main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: marginal at t=90.9090909 sums to")
+        assert "Traceback" not in err
+
     def test_tolerance_violation_exits_nonzero(self, tmp_path):
         text = BD_CONTRACTION.replace("1.0e-8", "1.0e-30")
         cfg = write_config(tmp_path, text)

@@ -18,6 +18,7 @@ from wflow.birth_death import mm_infty
 from wflow.jump_process import (
     JumpGeneratorSpec,
     Marginal,
+    NumericalError,
     _poisson_cutoff,
     _poisson_pmf,
     _state_vector,
@@ -131,20 +132,6 @@ class TestGeneratorSpec:
         kernel[1, 1] = -0.2
         with pytest.raises(ValueError):
             JumpGeneratorSpec([0.0, 1.0], [1.0, 1.0], kernel)
-
-    def test_from_dict(self):
-        gen = JumpGeneratorSpec.from_dict(
-            {
-                "states": [0.0, 1.0],
-                "lambda": [1.0, 2.0],
-                "kernel": [[0.0, 1.0], [1.0, 0.0]],
-            }
-        )
-        assert gen.lambda_bar == 2.0
-
-    def test_from_dict_missing_key(self):
-        with pytest.raises(ValueError, match="kernel"):
-            JumpGeneratorSpec.from_dict({"states": [0.0], "lambda": [0.0]})
 
     def test_sparse_kernel_matches_dense(self):
         gen_d = three_state()
@@ -298,6 +285,12 @@ class TestMarginalPath:
             assert np.max(np.abs(_state_vector(gen, m) - want)) <= 1e-12
             assert m.truncation_error <= tol
             assert 1.0 - m.total_mass <= m.truncation_error + 1e-15
+
+    def test_rounding_loss_is_numerical_error(self):
+        # 2e4 clock events in one panel: rounding moves the mass past 1 +/- 2e-12
+        gen = mm_infty(20, 1, 200).to_generator()
+        with pytest.raises(NumericalError, match="outside 1 \\+/- 2e-12"):
+            uniformized_marginal(gen, DiscreteMeasure([3.0], [1.0]), 20000.0 / 220.0, tol=1e-12)
 
     def test_nodes_are_typed_marginals(self):
         gen = three_state()

@@ -1,5 +1,6 @@
 """Tests for the piecewise-deterministic module."""
 
+import dataclasses
 import io
 import math
 
@@ -9,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import mu_generator_rowloop
 
+from wflow import pdmp
 from wflow.evolution import apply_generator
 from wflow.jump_process import JumpGeneratorSpec, simulate_paths, uniformized_marginal
-from wflow.measures import CoverageError, DiscreteMeasure, laplace_smooth
+from wflow.measures import CoverageError, DiscreteMeasure, TailConstants, laplace_smooth
 from wflow.pdmp import (
     PdmpSpec,
+    PropagationAudit,
     ShiftJump,
     UniformJump,
     atomize,
@@ -487,18 +490,29 @@ class TestPropagationConstants:
     def test_simulation_audit_passes(self):
         spec = tanh_spec(lam=1.0)
         report = propagation_check(spec, 1.0, 1.0, 1.0, 1.0, math.inf, 4000, 5)
-        assert report["moment_ok"]
-        assert report["tails_ok"]
-        assert report["moment_estimate"] <= report["moment_bound"]
-        assert report["worst_tail_ratio"] <= 1.0
-        # the audited constants also pass through the checked entry point
-        propagation_constants(spec, 1.0, 1.0, 1.0, 1.0, math.inf, n_paths=2000, seed=5)
+        assert isinstance(report, PropagationAudit)
+        assert report.moment_ok
+        assert report.tails_ok
+        assert report.moment_estimate <= report.moment_bound
+        assert report.worst_tail_ratio <= 1.0
+        # the audit checks against exactly the closed-form constants
+        constants = propagation_constants(spec, 1.0, 1.0, 1.0, 1.0, math.inf)
+        assert (report.moment_bound, report.c_t) == constants
+        assert report.moment_envelope == report.moment_bound + 4.0 * report.moment_sigma
+        assert report.initial_tail_constants == TailConstants(1.0, 1.0)
 
     def test_finite_mu_audit(self):
         spec = tanh_spec(lam=0.5)
         report = propagation_check(spec, 1.0, 1.0, 1.0, 2.0, 16.0, 4000, 9)
-        assert report["moment_ok"]
-        assert report["tails_ok"]
+        assert report.moment_ok
+        assert report.tails_ok
+
+    def test_audit_is_frozen_and_flags_follow_values(self):
+        audit = PropagationAudit(1.0, 2.0, 1.5, 0.1, 1.4, 1.2, TailConstants(1.0, 1.0))
+        assert not audit.moment_ok
+        assert not audit.tails_ok
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            audit.worst_tail_ratio = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -553,6 +567,43 @@ class TestConvergenceStudy:
         last = [float(v) for v in lines[3].split(",")]
         assert last[0] == 16.0
         assert math.isnan(last[4])
+
+    def test_shared_spec_builds_each_chain_once(self, monkeypatch):
+        # one spec on both sides: one chain per speed serves both, and the
+        # report equals, array by array, the one from two equal specs
+        p0X = DiscreteMeasure([0.5, 1.0, 1.5], [0.4, 0.3, 0.3])
+        p0Y = DiscreteMeasure([-1.0, -0.4], [0.5, 0.5])
+        built = []
+        real = pdmp.mu_generator
+
+        def counted(spec, mu, grid):
+            built.append(float(mu))
+            return real(spec, mu, grid)
+
+        monkeypatch.setattr(pdmp, "mu_generator", counted)
+
+        def run(specX, specY):
+            built.clear()
+            return mu_convergence_study(
+                specX, specY, p0X, p0Y, 2.0, 1.0, [4.0, 8.0], 200, 42,
+                grid_nodes=257, identity_steps=20,
+            )
+
+        def spec():
+            return tanh_spec(lam=0.5, kernel=ShiftJump(0.5))
+
+        shared = spec()
+        one = run(shared, shared)
+        assert built == [16.0, 4.0, 8.0]
+        two = run(spec(), spec())
+        assert built == [16.0, 16.0, 4.0, 4.0, 8.0, 8.0]
+        assert one.mc_gap is not None
+        for f in dataclasses.fields(one):
+            a, b = getattr(one, f.name), getattr(two, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
 
     def test_argument_validation(self):
         spec = tanh_spec(lam=0.3, kernel=ShiftJump(0.5))

@@ -309,6 +309,32 @@ class TestPotentials:
         same = PotentialPair(2.0, HALF_HALF.support, np.zeros(2), HALF_HALF.support, np.zeros(2))
         assert duality_gap(same, HALF_HALF, HALF_HALF) == 0.0
 
+    def test_hand_built_pair_extends_by_cost_transform(self):
+        # off its table an atomic pair takes the other side's c-transform,
+        # the extension under which it stays feasible everywhere
+        x, psi = np.array([0.0, 1.0, 3.0]), np.array([0.0, -0.5, 2.0])
+        y, psi_tilde = np.array([-1.0, 2.0]), np.array([-1.0, -3.0])
+        pair = PotentialPair(2.0, x, psi, y, psi_tilde)
+        q = np.linspace(-3.0, 5.0, 161)
+        off_x = ~np.isin(q, x)
+        off_y = ~np.isin(q, y)
+        want_psi = -np.min((q[:, None] - y) ** 2 + psi_tilde, axis=1)
+        want_psi_tilde = -np.min((q[:, None] - x) ** 2 + psi, axis=1)
+        got_psi = pair.psi_at(q)
+        got_psi_tilde = pair.psi_tilde_at(q)
+        assert np.allclose(got_psi[off_x], want_psi[off_x], rtol=0.0, atol=1e-12)
+        assert np.allclose(got_psi_tilde[off_y], want_psi_tilde[off_y], rtol=0.0, atol=1e-12)
+        # on the tables the tabulated values come back unchanged
+        assert np.array_equal(pair.psi_at(x), psi)
+        assert np.array_equal(pair.psi_tilde_at(y), psi_tilde)
+        assert pair.psi_at(0.5) == pytest.approx(-min(2.25 - 1.0, 2.25 - 3.0), abs=1e-15)
+        # feasible against the other table from every off-table point, however
+        # the hand-built tables themselves were chosen
+        slack_x = -got_psi[:, None] - psi_tilde - (q[:, None] - y) ** 2
+        slack_y = -got_psi_tilde[:, None] - psi - (q[:, None] - x) ** 2
+        assert np.max(slack_x[off_x]) <= 1e-12
+        assert np.max(slack_y[off_y]) <= 1e-12
+
     def test_gap_rejects_mismatched_rho(self):
         pair = potentials(HALF_HALF, atoms([0.0, 2.0], [0.5, 0.5]), 2.0)
         with pytest.raises(ValueError):
