@@ -29,23 +29,24 @@ tolerances:
   violation: 1.0e-8
 """
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="wflow-demo-"))
-config_path = workdir / "contraction.yaml"
-config_path.write_text(CONFIG)
+with tempfile.TemporaryDirectory(prefix="wflow-demo-") as tmp:
+    workdir = pathlib.Path(tmp)
+    config_path = workdir / "contraction.yaml"
+    config_path.write_text(CONFIG)
 
-config = cli.load_config(config_path, "bd-contraction", out_dir=str(workdir / "out"))
-code = cli.run(config)
-print("exit code:", code)
+    config = cli.load_config(config_path, "bd-contraction", out_dir=str(workdir / "out"))
+    code = cli.run(config)
+    print("exit code:", code)
 
-summary = json.loads((workdir / "out" / "summary.json").read_text())
-print("summary:", {k: summary[k] for k in ("kind", "max_residual", "violations")})
+    summary = json.loads((workdir / "out" / "summary.json").read_text())
+    print("summary:", {k: summary[k] for k in ("kind", "max_residual", "violations")})
 
-csv_lines = (workdir / "out" / "bd-contraction.csv").read_text().splitlines()
-print("csv header:", csv_lines[0])
-print("rows:", len(csv_lines) - 1)
+    csv_lines = (workdir / "out" / "bd-contraction.csv").read_text().splitlines()
+    print("csv header:", csv_lines[0])
+    print("rows:", len(csv_lines) - 1)
 
-# a config error comes back as exit code 2 with a line-anchored message
-bad = workdir / "bad.yaml"
-bad.write_text(CONFIG.replace("rho: 2.0", "rho: 0.25"))
-code = cli.main(["bd-contraction", "--config", str(bad), "--out", str(workdir / "o2")])
-print("exit code for rho below 1:", code)
+    # a config error comes back as exit code 2 with a line-anchored message
+    bad = workdir / "bad.yaml"
+    bad.write_text(CONFIG.replace("rho: 2.0", "rho: 0.25"))
+    code = cli.main(["bd-contraction", "--config", str(bad), "--out", str(workdir / "o2")])
+    print("exit code for rho below 1:", code)

@@ -426,12 +426,16 @@ def load_config(path, kind, seed=None, out_dir=None):
             key="kind",
             text=text,
         )
-    resolved_seed = seed if seed is not None else raw.get("seed")
+    seed = seed if seed is not None else raw.get("seed")
+    if seed is not None and (type(seed) is not int or not 0 <= seed < 2**64):  # bool is not int
+        raise ConfigError(
+            f"seed must be an integer in [0, 2**64), got {seed!r}", key="seed", text=text
+        )
     config = ExperimentConfig(
         kind=kind,
         options=raw,
         out_dir=out_dir or raw.get("out", "wflow-out"),
-        seed=None if resolved_seed is None else int(resolved_seed),
+        seed=seed,
         source_path=str(path),
         source_text=text,
     )

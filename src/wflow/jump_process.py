@@ -13,7 +13,7 @@ per-state survival factors ``exp(-lambda(x) t)`` of the layers.
 The module also evaluates the layer comparison inequalities (time equivalence
 and the factorial sandwich against the weighted-kernel chain), the kernel
 moment bound with its explicit constant, the moment growth bound, and a
-thinning Monte Carlo simulator with counter-based per-path random streams.
+thinning Monte Carlo simulator that reads one seeded random stream per call.
 """
 
 from __future__ import annotations
@@ -400,13 +400,12 @@ def moment_growth_bound(gen, p0, alpha, t):
 def _thinning(start, cum0, t, rate, n_paths, seed, event, jump, advance=None):
     """Lockstep thinning of ``n_paths`` paths at the dominating ``rate``.
 
-    Path p reads its own counter-based stream keyed ``(seed, p)``, so its
-    values do not depend on how paths are scheduled.  The stream is read in
-    a fixed order: one uniform picks the start from ``start`` by the
-    cumulative weights ``cum0``; then each candidate event reads an
-    exponential gap and one uniform, and a candidate that jumps reads one
-    more uniform.  A path stops at the first candidate not before ``t``.
-    All live paths advance one candidate per round:
+    One generator seeded with ``seed`` serves the call, read in a fixed
+    order: one uniform per path picks the start from ``start`` by the
+    cumulative weights ``cum0``; then each round draws a gap for every live
+    path, a uniform for every path whose candidate falls before ``t``, and
+    one more for every path that jumps.  A path stops at the first candidate
+    not before ``t``.  All live paths advance one candidate per round:
 
     * ``advance(x, s)`` moves states ``x`` along for times ``s``, between
       candidates and from the last candidate up to ``t`` (``None``: the
@@ -417,17 +416,16 @@ def _thinning(start, cum0, t, rate, n_paths, seed, event, jump, advance=None):
 
     Returns the start states, the end states and the jump count per path.
     """
-    rngs = [np.random.Generator(np.random.Philox(key=[seed, p])) for p in range(n_paths)]
-    u0 = np.array([rng.random() for rng in rngs])
+    rng = np.random.default_rng(seed)
+    u0 = rng.random(n_paths)
     x = start[np.minimum(np.searchsorted(cum0, u0, side="right"), start.size - 1)]
     x0 = x.copy()
     n_jumps = np.zeros(n_paths, dtype=np.int64)
     elapsed = np.zeros(n_paths)
     if rate > 0.0 and t > 0.0:
-        scale = 1.0 / rate
         live = np.arange(n_paths)
         while live.size:
-            tau = np.array([rngs[p].exponential(scale) for p in live.tolist()])
+            tau = rng.exponential(1.0 / rate, live.size)
             keep = elapsed[live] + tau < t
             live = live[keep]
             if not live.size:
@@ -435,13 +433,11 @@ def _thinning(start, cum0, t, rate, n_paths, seed, event, jump, advance=None):
             tau = tau[keep]
             elapsed[live] += tau
             x_live = x[live] if advance is None else advance(x[live], tau)
-            u = np.array([rngs[p].random() for p in live.tolist()])
-            x_live, jumps = event(x_live, u)
+            x_live, jumps = event(x_live, rng.random(live.size))
             x[live] = x_live
             hit = live[jumps]
             if hit.size:
-                u_jump = np.array([rngs[p].random() for p in hit.tolist()])
-                x[hit] = jump(x[hit], u_jump)
+                x[hit] = jump(x[hit], rng.random(hit.size))
                 n_jumps[hit] += 1
     if advance is not None:
         x = advance(x, t - elapsed)
@@ -451,11 +447,10 @@ def _thinning(start, cum0, t, rate, n_paths, seed, event, jump, advance=None):
 def simulate_paths(gen, p0, t, n_paths, seed):
     """Empirical endpoint law of thinning Monte Carlo paths.
 
-    Each path consumes its own counter-based stream keyed by
-    ``(seed, path index)``, so the result is identical for a given
-    ``(seed, n_paths)`` no matter how paths are scheduled.  Events arrive at
-    the dominating rate; an event at state x is accepted iff
-    ``lam(x) >= lambda_bar * u`` with ``u`` uniform on (0, 1].
+    All paths read one stream seeded with ``seed``, so the result is identical
+    for a given ``(seed, n_paths)``.  Events arrive at the dominating rate;
+    an event at state x is accepted iff ``lam(x) >= lambda_bar * u`` with
+    ``u`` uniform on (0, 1].
     """
     if n_paths < 1:
         raise ValueError("need at least one path")

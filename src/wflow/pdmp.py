@@ -394,9 +394,8 @@ def simulate_pdmp(spec, p0, t, n_paths, seed):
     event, with the flow integrated exactly between candidates.  Every path
     is checked against the displacement bound
     ``drift_bound * t + jump_bound * (number of jumps)``.
-    Deterministic given the seed: each path consumes its own counter-based
-    stream in candidate order, with the flow advanced for all live paths in
-    lockstep rounds.
+    Deterministic given the seed: all paths read one seeded stream, with the
+    flow advanced for all live paths in lockstep rounds.
     """
     if not isinstance(p0, DiscreteMeasure):
         raise TypeError("initial law must be a DiscreteMeasure")

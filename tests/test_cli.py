@@ -297,6 +297,29 @@ class TestExitCodes:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "seed_line, flag",
+        [
+            ("seed: 1.5", []),
+            ("seed: 11", ["--seed", "-5"]),
+            ("seed: 18446744073709551616", []),
+            ("seed: abc", []),
+            ("seed: true", []),
+        ],
+        ids=["float", "negative-flag", "too-large", "string", "bool"],
+    )
+    def test_bad_seed_is_config_error_with_line(self, tmp_path, capsys, seed_line, flag):
+        text = SIMULATE.replace("seed: 11", seed_line)
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(out), *flag])
+        assert code == 2
+        err = capsys.readouterr().err
+        line = 1 + text.splitlines().index(seed_line)
+        assert err.startswith(f"{cfg}:{line}:")
+        assert "seed must be an integer" in err
+        assert not out.exists()
+
     def test_unknown_bounds_family(self, tmp_path, capsys):
         text = BOUNDS_GROWTH.replace("growth-moment", "mystery")
         cfg = write_config(tmp_path, text)

@@ -590,6 +590,19 @@ class TestSimulatePaths:
         sigma = math.sqrt(t / n)
         assert abs(mean - t) <= 4.0 * sigma
 
+    def test_no_per_path_generator_state(self):
+        # one generator object per path would take tens of MiB at 1e5 paths
+        gen = telegraph(1.7, 0.6)
+        p0 = DiscreteMeasure([0.0], [1.0])
+        tracemalloc.start()
+        try:
+            emp = simulate_paths(gen, p0, 1.0, 100_000, seed=77)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emp.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert peak < 32 * 2**20
+
     def test_zero_rate_stays_put(self):
         gen = JumpGeneratorSpec([0.0, 1.0], [0.0, 0.0], np.eye(2))
         p0 = DiscreteMeasure([1.0], [1.0])

@@ -405,7 +405,7 @@ class TestSimulate:
             math.log(2.0 / 0.01) / (2.0 * n_paths)
         )
         assert wasserstein(emp, exact, 1.0) <= envelope
-        # both simulators read each path's stream in the same order
+        # both simulators read the one seeded stream in the same order
         lattice = simulate_paths(gen, DiscreteMeasure([0.0], [1.0]), 2.0, n_paths, 17)
         assert np.array_equal(lattice.support, emp.support)
         assert np.array_equal(lattice.weights, emp.weights)
