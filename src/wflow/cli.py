@@ -2,12 +2,15 @@
 
 One experiment per config file.  Every run writes the module report as CSV
 next to a ``summary.json`` carrying ``schema: 1`` and the headline numbers;
-the exit code is 0 exactly when no configured tolerance was violated, 1 when
-a configured tolerance was violated, including a non-finite checked value (a
-check passes only if ``value <= limit`` holds), 2 on an invalid config
-(message anchored to the offending line), and 3 when the numerics themselves
-fail.  All randomness comes from explicit seeds, so identical config and seed
-reproduce the CSV byte for byte.
+a ``simulate`` run also writes ``certified``, false for a flow-with-jumps
+process, whose paths are not checked against an exact law.  The exit code is
+0 exactly when no configured tolerance was violated, 1 when a configured
+tolerance was violated, including a NaN residual (a check passes only if
+``value <= limit`` holds), 2 on an invalid config (message anchored to the
+offending line), and 3 when the numerics themselves fail, including a
+``bounds`` row with a non-finite side (its ``bounds.csv`` is still
+written).  All randomness comes from explicit seeds, so identical config and
+seed reproduce the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -194,7 +197,7 @@ def _seed_of(config):
     return config.seed
 
 
-def _summary(out_dir, kind, max_residual, bounds_checked, violations, started):
+def _summary(out_dir, kind, max_residual, bounds_checked, violations, started, certified=None):
     payload = {
         "schema": 1,
         "kind": kind,
@@ -203,6 +206,8 @@ def _summary(out_dir, kind, max_residual, bounds_checked, violations, started):
         "violations": violations,
         "runtime_seconds": time.time() - started,
     }
+    if certified is not None:  # only simulate runs say whether a law was checked
+        payload["certified"] = certified
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -302,7 +307,8 @@ def _run_simulate(config, out_dir, started):
         else:
             empirical = simulate_chain(spec, p0, horizon, mu, n_paths, seed)
         measure_to_csv(empirical, os.path.join(out_dir, "simulate.csv"))
-        return _summary(out_dir, config.kind, None, 0, 0, started)
+        # no exact law is compared against the paths here
+        return _summary(out_dir, config.kind, None, 0, 0, started, certified=False)
     gen = _generator_from(opts, "generator")
     p0 = _measure_from(opts, "p0")
     empirical = simulate_paths(gen, p0, horizon, n_paths, seed)
@@ -315,7 +321,7 @@ def _run_simulate(config, out_dir, started):
     span = float(gen.states[-1] - gen.states[0])
     envelope = span * math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n_paths))
     violations = int(not gap <= envelope)
-    return _summary(out_dir, config.kind, float(gap), 1, violations, started)
+    return _summary(out_dir, config.kind, float(gap), 1, violations, started, certified=True)
 
 
 def _bounds_rows(config):
@@ -364,6 +370,9 @@ def _run_bounds(config, out_dir, started):
     excess = [float(np.maximum(0.0, (lhs - rhs) / max(1.0, abs(rhs)))) for _, lhs, rhs in rows]
     columns = [[row[k] for row in rows] for k in range(3)] + [excess]
     write_table(os.path.join(out_dir, "bounds.csv"), "name,lhs,rhs,violation", columns)
+    for name, lhs, rhs in rows:
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise FloatingPointError(f"bound {name} is not finite: lhs {lhs!r}, rhs {rhs!r}")
     worst = float(np.max(excess, initial=0.0))
     violations = sum(int(not e <= tol) for e in excess)
     return _summary(out_dir, config.kind, worst, len(rows), violations, started)

@@ -9,7 +9,8 @@ marginals converge to the process marginals, which transfers the transport
 evolution identity of the pure jump theory to the limit; the module solves
 the chains exactly on a state grid, simulates the limit process by thinning,
 and evaluates the closed-form moment and tail constants that are uniform in
-``mu``.
+``mu``.  The vector fields are the named drifts of :func:`named_drift`, each
+a :class:`Drift` whose flow is closed form, so no ODE is integrated.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from wflow.measures import (
     quantile,
     write_table,
 )
-from wflow.transport import IntegrationError, potentials, wasserstein
+from wflow.transport import potentials, wasserstein
 
 __all__ = [
     "PdmpSpec",
@@ -46,6 +47,7 @@ __all__ = [
     "PropagationAudit",
     "UniformJump",
     "ShiftJump",
+    "Drift",
     "named_drift",
     "flow",
     "mu_generator",
@@ -60,19 +62,78 @@ __all__ = [
 ]
 
 
+_DRIFT_NAMES = ("zero", "const", "neg_tanh")
+_FAR_LOG = 20.0  # past log(2y) = 20, asinh(y) = log(2y) to double precision
+
+
+def _neg_tanh_flow(x, s):
+    """``asinh(sinh(x) e^{-s})``, the exact flow of ``-tanh``, without overflow.
+
+    With ``log(2y) = |x| - s + log(-expm1(-2|x|))`` for ``y = |sinh(x)| e^{-s}``,
+    the far branch ``log(2y) > 20`` returns ``sign(x) log(2y)`` (the omitted
+    term is below ``e^{-40}``), and the near branch evaluates ``asinh`` of
+    ``y = exp(log(2y)) / 2``, which is at most ``e^20 / 2``.  States with
+    ``s = 0`` come back unchanged.
+    """
+    ax = np.abs(x)
+    with np.errstate(divide="ignore"):
+        log_2y = ax - s + np.log(-np.expm1(-2.0 * ax))
+    near = np.arcsinh(0.5 * np.exp(np.minimum(log_2y, _FAR_LOG)))
+    out = np.sign(x) * np.where(log_2y > _FAR_LOG, log_2y, near)
+    return np.where(s == 0.0, x, out)
+
+
+@dataclass(frozen=True)
+class Drift:
+    """A named bounded drift field that carries its exact flow.
+
+    ``zero`` is the field 0, ``const`` the constant ``c`` and ``neg_tanh``
+    the field ``-tanh(x)``.  Calling a drift evaluates the field;
+    :meth:`flow` moves states along it in closed form.  Build drifts with
+    :func:`named_drift`, which pairs each with its sup bound.
+    """
+
+    name: str
+    c: float = 0.0
+
+    def __post_init__(self):
+        if self.name not in _DRIFT_NAMES:
+            raise ValueError(f"unknown drift name {self.name!r}")
+
+    @property
+    def bound(self):
+        """Supremum of ``|v(x)|`` over the real line."""
+        return {"zero": 0.0, "const": abs(self.c), "neg_tanh": 1.0}[self.name]
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        if self.name == "neg_tanh":
+            return -np.tanh(x)
+        return np.full_like(x, self.c if self.name == "const" else 0.0)
+
+    def flow(self, x, s):
+        """States ``x`` after signed time ``s`` (shared, or one per state).
+
+        ``zero`` returns a copy of ``x``, ``const`` returns ``x + c s`` and
+        ``neg_tanh`` solves ``sinh(x(s)) = sinh(x) e^{-s}``.
+        """
+        x = np.asarray(x, dtype=float)
+        s = np.asarray(s, dtype=float)
+        if self.name == "zero":
+            return x.copy()
+        if self.name == "const":
+            return x + self.c * s
+        return _neg_tanh_flow(x, s)
+
+
 def named_drift(name, c=0.0):
     """Named drift fields: ``zero``, ``const`` (value c), ``neg_tanh``.
 
-    Returns ``(callable, sup_bound)``.
+    Returns ``(drift, sup_bound)``: a frozen :class:`Drift` with its exact
+    flow, and the supremum of its field.  ``c`` is read only by ``const``.
     """
-    if name == "zero":
-        return (lambda x: np.zeros_like(np.asarray(x, dtype=float))), 0.0
-    if name == "const":
-        c = float(c)
-        return (lambda x: np.full_like(np.asarray(x, dtype=float), c)), abs(c)
-    if name == "neg_tanh":
-        return (lambda x: -np.tanh(np.asarray(x, dtype=float))), 1.0
-    raise ValueError(f"unknown drift name {name!r}")
+    drift = Drift(name, float(c) if name == "const" else 0.0)
+    return drift, drift.bound
 
 
 class UniformJump:
@@ -116,7 +177,9 @@ _CHECK_POINTS = 2001  # on this many equispaced points
 class PdmpSpec:
     """Drift, jump intensity, and jump law with their declared bounds.
 
-    The declared bounds must be finite, and are verified at construction on
+    ``drift`` must be a :class:`Drift` (from :func:`named_drift`), so that
+    every flow is closed form; anything else raises a ``TypeError``.  The
+    declared bounds must be finite, and are verified at construction on
     2001 equispaced points of ``[-20, 20]``: drift values against
     ``drift_bound``, intensity values against ``[0, intensity_bound]``, and
     jump sizes sampled from every 50th point against ``jump_bound``.
@@ -125,6 +188,10 @@ class PdmpSpec:
     """
 
     def __init__(self, drift, drift_bound, intensity, intensity_bound, kernel, jump_bound=None):
+        if not isinstance(drift, Drift):
+            raise TypeError(
+                f"drift must be a Drift built by named_drift, got {type(drift).__name__}"
+            )
         self.drift = drift
         self.drift_bound = float(drift_bound)
         self.intensity = intensity
@@ -188,49 +255,18 @@ class PdmpSpec:
         return cls(drift, vbound, intensity, lbound, ker)
 
 
-def _rk4(v_field, x, s, n):
-    h = s / n
-    x = np.array(x, dtype=float, copy=True)
-    for _ in range(n):
-        k1 = v_field(x)
-        k2 = v_field(x + 0.5 * h * k1)
-        k3 = v_field(x + 0.5 * h * k2)
-        k4 = v_field(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
-
-
 def flow(spec, x, s):
-    """Advance states along the drift field for (signed) time ``s``.
+    """Advance states along the drift field for signed time ``s``.
 
-    Classical fourth-order integration with an initial step from the local
-    Lipschitz estimate of the field, halved until two consecutive
-    refinements agree to 1e-10 relatively.  ``s`` may be an array matched
-    to ``x`` (per-state horizons); the shared step count is then sized
-    from the largest horizon, so every state advances with a step at
-    least as small as the scalar contract requires.
+    Every drift is a :class:`Drift`, so the flow is its closed form
+    (:meth:`Drift.flow`), exact to rounding.  ``s`` is shared or an array
+    matched to ``x`` (per-state horizons); a scalar ``x`` gives a float and
+    an array gives a new array, which equals ``x`` where ``s = 0``.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.ndim(x) == 0
+    x_arr = np.asarray(x, dtype=float)
     s_arr = np.broadcast_to(np.asarray(s, dtype=float), x_arr.shape)
-    s_max = float(np.max(np.abs(s_arr))) if s_arr.size else 0.0
-    if s_max == 0.0 or x_arr.size == 0:
-        out = x_arr.copy()
-        return float(out[0]) if scalar else out
-    reach = s_max * spec.drift_bound + 1.0
-    zs = np.linspace(x_arr.min() - reach, x_arr.max() + reach, 513)
-    vz = np.asarray(spec.drift(zs), dtype=float)
-    lip = float(np.max(np.abs(np.diff(vz) / np.diff(zs))))
-    h0 = min(s_max / 16.0, 1.0 / (8.0 * (1.0 + lip)))
-    n = max(16, int(math.ceil(s_max / h0)))
-    prev = _rk4(spec.drift, x_arr, s_arr, n)
-    for _ in range(20):
-        n *= 2
-        cur = _rk4(spec.drift, x_arr, s_arr, n)
-        if np.max(np.abs(cur - prev)) <= 1e-10 * (1.0 + np.max(np.abs(cur))):
-            return float(cur[0]) if scalar else cur
-        prev = cur
-    raise IntegrationError("flow step controller failed to converge")
+    out = spec.drift.flow(x_arr, s_arr)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -391,7 +427,7 @@ def simulate_pdmp(spec, p0, t, n_paths, seed):
 
     Candidate events arrive at the declared intensity bound; each candidate
     is accepted with probability intensity/bound evaluated just before the
-    event, with the flow integrated exactly between candidates.  Every path
+    event, with the drift's closed-form flow between candidates.  Every path
     is checked against the displacement bound
     ``drift_bound * t + jump_bound * (number of jumps)``.
     Deterministic given the seed: all paths read one seeded stream, with the

@@ -220,8 +220,8 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_bound_is_a_violation(self, tmp_path):
-        # the state 1e200 overflows the growth bound to NaN: that fails closed
+    def test_nan_bound_is_a_violation(self, tmp_path, capsys):
+        # the state 1e200 overflows the growth bound to NaN: a numerical failure
         text = BOUNDS_GROWTH.replace(
             "  mm_infty: {birth: 1.0, death: 0.5, n_top: 40}",
             "  states: [0.0, 1.0e200]\n  lam: [1.0, 1.0]\n  kernel: [[0.0, 1.0], [1.0, 0.0]]",
@@ -229,8 +229,8 @@ class TestExitCodes:
         cfg = write_config(tmp_path, text)
         out = tmp_path / "o"
         code = cli.main(["bounds", "--config", str(cfg), "--out", str(out)])
-        assert code == 1
-        assert read_summary(out)["violations"] == 1
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
         assert read_rows(out / "bounds.csv")[0]["violation"] == "nan"
 
     def test_kind_mismatch_anchored_to_kind_line(self, tmp_path, capsys):
@@ -367,6 +367,7 @@ class TestRunners:
         summary = read_summary(out)
         assert summary["violations"] == 0
         assert summary["max_residual"] > 0
+        assert summary["certified"] is True
         rows = read_rows(out / "simulate.csv")
         assert abs(sum(float(r["weight"]) for r in rows) - 1.0) < 1e-12
 
@@ -381,6 +382,22 @@ class TestRunners:
         code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         assert (out / "simulate.csv").exists()
+        assert read_summary(out)["certified"] is False
+
+    def test_simulate_flow_with_jumps_is_uncertified(self, tmp_path):
+        # no exact law is checked against the paths: the summary says so
+        text = SIMULATE.replace("generator:", "mu: inf\npdmp:").replace(
+            "  mm_infty: {birth: 1.0, death: 0.5, n_top: 30}",
+            "  drift: {name: const, c: 0.5}\n  intensity: {const: 2.0}\n"
+            "  kernel: {name: shift, d: 0.25}",
+        ).replace("n_paths: 20000", "n_paths: 2000")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        summary = read_summary(out)
+        assert summary["certified"] is False
+        assert summary["bounds_checked"] == 0
 
     def test_pdmp_approx_without_sampling_needs_no_seed(self, tmp_path):
         cfg = write_config(tmp_path, PDMP_APPROX)

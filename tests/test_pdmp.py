@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mu_generator_rowloop
+from oracles import flow_rk4, mu_generator_rowloop
 
 from wflow import pdmp
 from wflow.evolution import apply_generator
 from wflow.jump_process import JumpGeneratorSpec, simulate_paths, uniformized_marginal
 from wflow.measures import CoverageError, DiscreteMeasure, TailConstants, laplace_smooth
 from wflow.pdmp import (
+    Drift,
     PdmpSpec,
     PropagationAudit,
     ShiftJump,
@@ -35,7 +36,7 @@ from wflow.transport import wasserstein
 
 # forward Euler for dx/dt = -tanh(x), x(0)=1, over [0,1]; frozen runs at
 # 1e6 and 2e6 steps, whose Richardson pair cancels the O(h) bias that the
-# raw run carries (~1.3e-7, larger than the integrator's own tolerance)
+# raw run carries (~1.3e-7, far above the closed form's rounding)
 EULER_1E6 = 0.4198851282147978
 EULER_2E6 = 0.41988519288842585
 EULER_RICHARDSON = 2.0 * EULER_2E6 - EULER_1E6
@@ -80,6 +81,14 @@ class TestSpecValidation:
             PdmpSpec(
                 drift, bound, zero_intensity, 0.0, UniformJump(1.0), jump_bound=0.5
             )
+
+    def test_drift_must_be_named(self):
+        field = lambda x: -np.tanh(np.asarray(x, dtype=float))
+        with pytest.raises(TypeError, match="named_drift"):
+            PdmpSpec(field, 1.0, zero_intensity, 0.0, UniformJump(1.0))
+        drift, bound = named_drift("neg_tanh")
+        assert isinstance(drift, Drift)
+        assert PdmpSpec(drift, bound, zero_intensity, 0.0, UniformJump(1.0)).drift is drift
 
     def test_shift_kernel_declared_bound(self):
         with pytest.raises(ValueError):
@@ -187,6 +196,30 @@ class TestFlow:
         spec = tanh_spec()
         fwd = flow(spec, 1.3, 0.8)
         assert flow(spec, fwd, -0.8) == pytest.approx(1.3, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["zero", "const", "neg_tanh"])
+    def test_closed_forms_match_rk4_oracle(self, name):
+        spec = PdmpSpec(*named_drift(name, c=-0.7), zero_intensity, 0.0, UniformJump(1.0))
+        xs = np.linspace(-5.0, 5.0, 41)
+        for s in np.linspace(-1.0, 2.0, 7):
+            assert np.max(np.abs(flow(spec, xs, s) - flow_rk4(spec, xs, s))) <= 1e-9
+            for x in xs[::8]:
+                assert flow(spec, float(x), float(s)) == pytest.approx(
+                    flow_rk4(spec, float(x), float(s)), abs=1e-9
+                )
+        per_state = np.random.default_rng(3).uniform(-1.0, 2.0, xs.size)
+        assert np.max(np.abs(flow(spec, xs, per_state) - flow_rk4(spec, xs, per_state))) <= 1e-9
+
+    def test_tanh_flow_far_from_the_origin(self):
+        spec = tanh_spec()
+        xs = np.array([800.0, -800.0, 1e6, -1e6])
+        for s in (-1.0, 0.5, 2.0):
+            out = flow(spec, xs, s)
+            assert np.all(np.isfinite(out))
+            np.testing.assert_allclose(out, xs - s * np.sign(xs), rtol=1e-15)
+        back = flow(spec, 700.0, -5.0)
+        assert math.isfinite(back)
+        assert back == pytest.approx(705.0, rel=1e-15)
 
     @settings(max_examples=10, deadline=None)
     @given(
