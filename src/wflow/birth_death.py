@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
-from wflow.jump_process import JumpGeneratorSpec, marginal_path, uniformized_marginal
+from wflow.jump_process import JumpGeneratorSpec, Kernel, marginal_path, uniformized_marginal
 from wflow.measures import write_table
 from wflow.transport import wasserstein_power
 
@@ -78,15 +77,18 @@ class BirthDeathSpec:
 
     def to_generator(self):
         """The jump generator of the truncated chain."""
-        states = np.arange(self.n_top + 1, dtype=float)
+        n = self.n_top + 1
+        states = np.arange(n, dtype=float)
         lam = self.eta + self.nu
         # a state without rates jumps to itself; its rows of eta, nu are zero
         frozen = lam == 0.0
         safe = np.where(frozen, 1.0, lam)
-        kernel = sparse.diags(
-            [self.nu[1:] / safe[1:], frozen.astype(float), self.eta[:-1] / safe[:-1]],
-            [-1, 0, 1],
-            format="csr",
+        x = np.arange(n)
+        kernel = Kernel.from_coo(
+            np.concatenate([x[1:], x, x[:-1]]),
+            np.concatenate([x[:-1], x, x[1:]]),
+            np.concatenate([self.nu[1:] / safe[1:], frozen, self.eta[:-1] / safe[:-1]]),
+            n,
         )
         return JumpGeneratorSpec(states, lam, kernel)
 

@@ -41,7 +41,7 @@ def apply_generator(gen, f):
     f = np.asarray(f, dtype=float)
     if f.shape != gen.states.shape:
         raise ValueError("f must be tabulated on all generator states")
-    return gen.lam * (gen.kernel @ f - f)
+    return gen.lam * (gen.kernel.apply(f) - f)
 
 
 def _integrand_from_pair(genX, genY, vX, vY, pair):

@@ -4,11 +4,16 @@ One clock expansion gives every forward marginal: a Poisson clock of rate
 ``lambda_bar`` ticks, and at a tick state ``x`` jumps by the kernel with
 probability ``lambda(x)/lambda_bar``, so over a panel of length ``h`` the law
 is ``sum_m pmf(m; lambda_bar h) A^m P``, cut where the clock tail drops below
-the tolerance.  :func:`marginal_path` steps one vector from node to node and
-returns a :class:`Marginal` per node with the summed declared tail, and
-:func:`uniformized_marginal` is its one-panel path.  :func:`layer_stack` runs
-the expansion on rows split by genuine-jump count, which restores the exact
-per-state survival factors ``exp(-lambda(x) t)`` of the layers.
+the tolerance.  The Poisson weights are Fox & Glynn's (1988): a recursion
+from the mode over a window that holds all but far less than the smallest
+double of the mass, with the tails summed from the right.  Jump kernels are
+frozen CSR :class:`Kernel` objects whose products are ``np.bincount`` sums,
+so the module needs numpy only.  :func:`marginal_path` steps one vector from
+node to node and returns a :class:`Marginal` per node with the summed
+declared tail, and :func:`uniformized_marginal` is its one-panel path.
+:func:`layer_stack` runs the expansion on rows split by genuine-jump count,
+which restores the exact per-state survival factors ``exp(-lambda(x) t)`` of
+the layers.
 
 The module also evaluates the layer comparison inequalities (time equivalence
 and the factorial sandwich against the weighted-kernel chain), the kernel
@@ -22,13 +27,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import gammaln, pdtrc, xlogy
 
 from wflow.measures import DiscreteMeasure
 
 __all__ = [
     "NumericalError",
+    "Kernel",
     "JumpGeneratorSpec",
     "LayerStack",
     "LayerInequalityReport",
@@ -50,6 +54,128 @@ class NumericalError(RuntimeError):
     """A computed marginal broke its declared mass tolerance."""
 
 
+@dataclass(frozen=True, eq=False)
+class Kernel:
+    """An ``n x n`` matrix in canonical CSR form, with its two products.
+
+    ``indptr``, ``indices`` and ``data`` hold the rows in order, the columns
+    strictly increasing within a row and no stored zero; the constructor
+    copies them read-only and rejects any other layout, so build a kernel
+    from COO triplets with :meth:`from_coo`.  :meth:`apply` and
+    :meth:`apply_t` add each output entry's terms in stored order, the order
+    of a CSR matrix-vector product, starting from zero.  ``rows`` holds the
+    row of each stored entry.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        n = int(self.n)
+        fields = {"n": n}
+        for name, dtype in (("indptr", np.intp), ("indices", np.intp), ("data", float)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            fields[name] = arr
+        indptr, indices = fields["indptr"], fields["indices"]
+        if (
+            indptr.shape != (n + 1,)
+            or indptr[0] != 0
+            or np.any(np.diff(indptr) < 0)
+            or indices.shape != (indptr[-1],)
+            or fields["data"].shape != indices.shape
+        ):
+            raise ValueError(f"indptr, indices and data do not form an {n}x{n} CSR matrix")
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        rows.flags.writeable = False
+        key = rows * n + indices
+        if np.any(indices < 0) or np.any(indices >= n) or np.any(np.diff(key) <= 0):
+            raise ValueError("CSR columns must be in range and strictly increasing per row")
+        if np.any(fields["data"] == 0.0):
+            raise ValueError("canonical CSR stores no zeros")
+        # the transpose: entries grouped by column, in row order within a column
+        order = np.argsort(indices, kind="stable")
+        fields["rows"] = rows
+        fields["_t"] = (indices[order], rows[order], fields["data"][order])
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_coo(cls, rows, cols, vals, n):
+        """Canonical kernel from COO triplets.
+
+        Entries are sorted by row and column, duplicates are summed in their
+        given order and zero sums are dropped; non-finite values are kept.
+        """
+        rows = np.asarray(rows, dtype=np.intp).ravel()
+        cols = np.asarray(cols, dtype=np.intp).ravel()
+        vals = np.asarray(vals, dtype=float).ravel()
+        if not rows.shape == cols.shape == vals.shape:
+            raise ValueError("rows, cols and vals must have one length")
+        if np.any(rows < 0) or np.any(rows >= n) or np.any(cols < 0) or np.any(cols >= n):
+            raise ValueError(f"COO entries must lie in an {n}x{n} matrix")
+        key = rows * n + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        summed = np.bincount(np.cumsum(first) - 1, vals[order])
+        key = key[first]
+        stored = summed != 0.0
+        key, summed = key[stored], summed[stored]
+        counts = np.bincount(key // n, minlength=n)
+        return cls(np.concatenate([[0], np.cumsum(counts)]), key % n, summed, n)
+
+    def apply(self, f):
+        """``K f``: row ``x`` is ``sum_y k(x, y) f(y)``."""
+        return np.bincount(self.rows, self.data * f.take(self.indices), minlength=self.n)
+
+    def apply_t(self, v):
+        """``K^T v``, applied to each row of a 2-d ``v``."""
+        cols, rows, data = self._t
+        if v.ndim == 1:
+            return np.bincount(cols, data * v.take(rows), minlength=self.n)
+        bins = cols + self.n * np.arange(v.shape[0])[:, None]
+        out = np.bincount(bins.ravel(), (data * v.take(rows, axis=1)).ravel(), minlength=v.size)
+        return out.reshape(v.shape)
+
+    def diagonal(self):
+        out = np.zeros(self.n)
+        on = self.indices == self.rows
+        out[self.rows[on]] = self.data[on]
+        return out
+
+    def toarray(self):
+        out = np.zeros((self.n, self.n))
+        out[self.rows, self.indices] = self.data
+        return out
+
+    def tocsr(self):
+        """The kernel itself: it already exposes ``indptr``, ``indices`` and ``data``."""
+        return self
+
+
+def _as_kernel(kernel, n):
+    """A :class:`Kernel` from a kernel, a dense ``n x n`` array or anything with ``.tocsr()``."""
+    if isinstance(kernel, Kernel):
+        if kernel.n != n:
+            raise ValueError(f"kernel must be {n}x{n}")
+        return kernel
+    if hasattr(kernel, "tocsr"):
+        csr = kernel.tocsr()
+        if tuple(csr.shape) != (n, n):
+            raise ValueError(f"kernel must be {n}x{n}")
+        rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+        return Kernel.from_coo(rows, csr.indices, csr.data, n)
+    dense = np.asarray(kernel, dtype=float)
+    if dense.shape != (n, n):
+        raise ValueError(f"kernel must be {n}x{n}")
+    rows, cols = np.nonzero(dense)
+    return Kernel.from_coo(rows, cols, dense[rows, cols], n)
+
+
 class JumpGeneratorSpec:
     """Finite-state jump generator: per-state intensity and jump kernel.
 
@@ -59,9 +185,14 @@ class JumpGeneratorSpec:
         Strictly increasing real state values.
     lam : array_like
         Nonnegative jump intensity per state.
-    kernel : array_like or scipy.sparse matrix
-        Row-stochastic jump distribution ``k(x, .)``, stored as CSR; a state
-        with positive intensity must not jump to itself.
+    kernel : Kernel, array_like or object with ``.tocsr()``
+        Row-stochastic jump distribution ``k(x, .)``: a :class:`Kernel`, a
+        dense ``n x n`` array, or any sparse matrix whose ``.tocsr()`` has
+        ``indptr``, ``indices``, ``data`` and ``shape``, read without
+        importing its library.  It is stored as a canonical :class:`Kernel`.
+        Entries must be finite and nonnegative, rows must sum to 1 within
+        1e-12, and a state with positive intensity must not jump to itself;
+        any other kernel raises ``ValueError``.
     """
 
     def __init__(self, states, lam, kernel):
@@ -76,16 +207,12 @@ class JumpGeneratorSpec:
         if np.any(lam < 0):
             raise ValueError("intensities must be nonnegative")
         n = states.size
-        kernel = sparse.csr_array(kernel, dtype=float, copy=True)
-        if kernel.shape != (n, n):
-            raise ValueError(f"kernel must be {n}x{n}")
-        kernel.sum_duplicates()
-        kernel.eliminate_zeros()
+        kernel = _as_kernel(kernel, n)
         if not np.all(np.isfinite(kernel.data)):
             raise ValueError("kernel entries must be finite")
         if np.any(kernel.data < 0):
             raise ValueError("kernel entries must be nonnegative")
-        if np.any(np.abs(kernel.sum(axis=1) - 1.0) > 1e-12):
+        if np.any(np.abs(kernel.apply(np.ones(n)) - 1.0) > 1e-12):
             raise ValueError("kernel rows must sum to 1 within 1e-12")
         if np.any(lam * kernel.diagonal() != 0.0):
             raise ValueError("a state with positive intensity cannot jump to itself")
@@ -93,7 +220,6 @@ class JumpGeneratorSpec:
         self.lam = lam
         self.kernel = kernel
         self.lambda_bar = lb = float(lam.max())
-        self._kt = kernel.T.tocsr()
         self._keep = (lb - lam) / lb if lb > 0 else np.ones(n)  # mass a clock tick keeps
 
     @property
@@ -102,7 +228,7 @@ class JumpGeneratorSpec:
 
     def weighted_kernel_apply(self, v):
         """``(K^T diag(lam)) v``: one step of the weighted chain, per row of a 2-d v."""
-        return (self._kt @ (self.lam * v).T).T
+        return self.kernel.apply_t(self.lam * v)
 
 
 class Marginal(DiscreteMeasure):
@@ -152,38 +278,43 @@ def _state_vector(gen, p0):
     return v
 
 
-def _poisson_pmf(k, mu):
-    """Poisson(mu) probabilities at the integers ``k``."""
-    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+def _poisson_weights(mu, tol, top=0):
+    """Poisson(mu) weights by recursion from the mode (Fox & Glynn, CACM 31, 1988).
 
-
-def _poisson_cutoff(mu, tol):
-    """Smallest n with Poisson(mu) mass beyond n below tol, plus that tail."""
+    Returns ``(pmf, tails, m_max)`` on ``k = 0..K``: the probabilities, the
+    tails ``P(N > k)`` and the smallest ``m_max`` with ``tails[m_max] < tol``.
+    The window is ``mode +/- (40 sqrt(mu) + 60)``, reaching at least ``top``;
+    beyond it every probability is below ``exp(-800)``, which no double
+    holds, so the weights are divided by their window sum and the tails are
+    the reversed cumulative sum.  ``mu <= 0`` gives the point mass at 0.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if mu <= 0.0:
-        return 0, 0.0
-    hi = int(mu + 10.0 * math.sqrt(mu) + 20.0)
-    while True:
-        grid = np.arange(hi + 1)
-        tail = pdtrc(grid, mu)
-        below = np.nonzero(tail < tol)[0]
-        if below.size:
-            n = int(below[0])
-            return n, float(tail[n])
-        hi *= 2
+        pmf = np.zeros(top + 1)
+        pmf[0] = 1.0
+        return pmf, np.zeros(top + 1), 0
+    mode = int(mu)
+    width = int(40.0 * math.sqrt(mu) + 60.0)
+    lo = max(mode - width, 0)
+    hi = max(mode + width, top)
+    # pmf(k) / pmf(mode): products of mu / k above the mode, of k / mu below it
+    up = np.cumprod(mu / np.arange(mode + 1, hi + 1))
+    down = np.cumprod(np.arange(mode, lo, -1) / mu)[::-1]
+    ratio = np.concatenate([np.zeros(lo), down, [1.0], up])
+    pmf = ratio / ratio.sum()
+    tails = np.zeros(hi + 1)
+    tails[:-1] = np.cumsum(pmf[:0:-1])[::-1]
+    return pmf, tails, int(np.argmax(tails < tol))
 
 
-def _uniformize(step, v, mu, tol, m_min=0):
-    """``sum_{m <= m_max} pmf(m; mu) step^m(v)``, the declared tail and ``m_max``,
-    the Poisson cutoff for ``tol`` raised to ``m_min`` once the clock runs."""
-    m_max, tail = _poisson_cutoff(mu, tol)
-    if mu > 0:
-        m_max = max(m_max, m_min)
-    pmf = _poisson_pmf(np.arange(m_max + 1), mu)
+def _uniformize(step, v, pmf, m_max):
+    """``sum_{m <= m_max} pmf[m] step^m(v)``."""
     acc = pmf[0] * v
     for m in range(1, m_max + 1):
         v = step(v)
         acc = acc + pmf[m] * v
-    return acc, tail, m_max
+    return acc
 
 
 def marginal_path(gen, p0, times, tol=1e-12):
@@ -211,11 +342,12 @@ def marginal_path(gen, p0, times, tol=1e-12):
 
     v = _state_vector(gen, p0)
     mass_tol = max(2 * tol, 1e-12)
-    tails = 0.0
+    clock_tail = 0.0
     path = []
     for a, b in zip(np.concatenate([[0.0], times[:-1]]), times):
-        v, tail, m_max = _uniformize(tick, v, lb * (b - a), tol / times.size)
-        tails += tail
+        pmf, tails, m_max = _poisson_weights(lb * (b - a), tol / times.size)
+        v = _uniformize(tick, v, pmf, m_max)
+        clock_tail += float(tails[m_max])
         keep = v > 0.0
         if not np.any(keep):
             raise NumericalError(f"marginal at t={float(b)!r} has no positive mass")
@@ -224,7 +356,9 @@ def marginal_path(gen, p0, times, tol=1e-12):
             raise NumericalError(
                 f"marginal at t={float(b)!r} sums to {total!r}, outside 1 +/- {mass_tol!r}"
             )
-        path.append(Marginal(gen.states[keep], v[keep], tails, m_max, p0.total_mass, mass_tol))
+        path.append(
+            Marginal(gen.states[keep], v[keep], clock_tail, m_max, p0.total_mass, mass_tol)
+        )
     return path
 
 
@@ -266,10 +400,11 @@ def layer_stack(gen, p0, t, n_max, tol=1e-13):
     block = np.zeros((n_max + 1, gen.n_states))
     block[0] = v0
     mu = gen.lambda_bar * t
-    layers, m_tail, _ = _uniformize(tick, block, mu, tol, m_min=n_max)
+    pmf, tails, m_tol = _poisson_weights(mu, tol, top=n_max)
+    # a running clock ticks at least n_max times, so every listed layer fills
+    layers = _uniformize(tick, block, pmf, max(m_tol, n_max) if mu > 0 else 0)
     # mass in layers beyond n_max is at most the clock tail beyond n_max
-    layer_tail = float(pdtrc(n_max, mu)) if mu > 0 else 0.0
-    return LayerStack(gen.states, list(layers), q_chain, m_tail + layer_tail)
+    return LayerStack(gen.states, list(layers), q_chain, float(tails[m_tol] + tails[n_max]))
 
 
 @dataclass(frozen=True)
@@ -360,7 +495,7 @@ def kernel_moment_bound(gen, p0, t, f, eta):
         raise ValueError("f must be tabulated on the generator's states")
     p_t = _state_vector(gen, uniformized_marginal(gen, p0, t, tol=1e-13))
     abs_f = np.abs(f)
-    lhs = float(np.dot(p_t, gen.lam * (gen.kernel @ abs_f)))
+    lhs = float(np.dot(p_t, gen.lam * gen.kernel.apply(abs_f)))
     p0_vec = _state_vector(gen, p0)
     layer0 = np.exp(-gen.lam * t) * p0_vec
     higher = np.maximum(p_t - layer0, 0.0)
@@ -385,7 +520,7 @@ def moment_growth_bound(gen, p0, alpha, t):
     marg = uniformized_marginal(gen, p0, t, tol=1e-12)
     exact = float(np.sum(marg.weights * np.abs(marg.support) ** alpha))
     # integral |y - x|^alpha k(x, dy) per row, summed over the stored entries
-    rows = np.repeat(np.arange(gen.n_states), np.diff(gen.kernel.indptr))
+    rows = gen.kernel.rows
     gap = np.abs(gen.states[gen.kernel.indices] - gen.states[rows]) ** alpha
     kernel_moment = np.max(np.bincount(rows, gen.kernel.data * gap, gen.n_states))
     p0_vec = _state_vector(gen, p0)

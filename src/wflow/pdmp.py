@@ -19,12 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from wflow.evolution import apply_generator, verify_identity
 from wflow.jump_process import (
     JumpGeneratorSpec,
-    _poisson_cutoff,
+    Kernel,
+    _poisson_weights,
     _thinning,
     simulate_paths,
     uniformized_marginal,
@@ -390,23 +390,19 @@ def mu_generator(spec, mu, state_grid):
     jr, jc, jv = _jump_cells(spec.kernel, grid, jumping, spec.jump_bound)
     rows = np.arange(n)
     mass = [w_flow * (1.0 - theta), w_flow * theta, (lam / total)[jr] * jv]
-    summed = sparse.coo_matrix(
-        (
-            np.concatenate(mass),
-            (np.concatenate([rows, rows, jr]), np.concatenate([j, j + 1, jc])),
-        ),
-        shape=(n, n),
-    ).tocsr()  # sums the (at most two) terms of each entry
+    summed = Kernel.from_coo(
+        np.concatenate([rows, rows, jr]), np.concatenate([j, j + 1, jc]), np.concatenate(mass), n
+    )  # sums the (at most two) terms of each entry
     self_mass = summed.diagonal()
     keep = 1.0 - self_mass
     frozen = keep <= 1e-9  # everything returned to the start node
-    r = np.repeat(rows, np.diff(summed.indptr))
+    r = summed.rows
     on_diag = summed.indices == r
     live = ~on_diag & ~frozen[r]
     data = np.zeros_like(summed.data)
     data[live] = summed.data[live] / keep[r[live]]
     data[on_diag & frozen[r]] = 1.0
-    kernel = sparse.csr_matrix((data, summed.indices, summed.indptr), shape=(n, n))
+    kernel = Kernel.from_coo(r, summed.indices, data, n)
     leak = 0.0
     if jumping.size:
         edge = np.asarray(
@@ -625,7 +621,7 @@ def mu_convergence_study(
     if t <= 0.0:
         raise ValueError("t must be positive")
     lam_bar = max(specX.intensity_bound, specY.intensity_bound)
-    n_jump_bound = _poisson_cutoff(lam_bar * t, 1e-9)[0] + 2 if lam_bar > 0 else 0
+    n_jump_bound = _poisson_weights(lam_bar * t, 1e-9)[2] + 2 if lam_bar > 0 else 0
     reach = (
         max(specX.drift_bound, specY.drift_bound) * t
         + max(specX.jump_bound, specY.jump_bound) * n_jump_bound

@@ -1,6 +1,9 @@
 """The public surface: every export resolves, and the traced methods stay put."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -30,3 +33,22 @@ def test_potential_pair_defines_its_evaluators_on_the_class():
     for name in ("psi_at", "psi_tilde_at", "to_csv"):
         assert callable(vars(PotentialPair).get(name)), name
     assert {"x", "y"} <= set(PotentialPair.__dataclass_fields__)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test oracle only: a fresh interpreter that imports the CLI,
+    # and with it every library module, must not load any part of it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wflow.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys, wflow.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -160,23 +160,26 @@ class TestExitCodes:
         assert "'kernel'" in err
 
     def test_rounding_loss_is_numerical_failure(self, tmp_path, capsys):
-        # lambda_bar * horizon = 220 * 90.9090909 = 2e4 clock events in one
-        # panel: rounding moves the marginal's mass past its 2e-12 tolerance
+        # lambda_bar * horizon = 2e4 clock events in one panel, on rows that
+        # each gain 9e-13 (inside the generator's 1e-12 row check): the
+        # marginal's mass moves past its 2e-12 tolerance
         text = (
             "kind: bounds\n"
-            "family: bd-moment\n"
-            "chain:\n"
-            "  mm_infty: {birth: 20.0, death: 1.0, n_top: 200}\n"
+            "family: growth-moment\n"
+            "generator:\n"
+            "  states: [0.0, 1.0]\n"
+            "  lam: [1.0, 1.0]\n"
+            "  kernel: [[0.0, 1.0000000000009], [1.0000000000009, 0.0]]\n"
             "p0:\n"
-            "  dirac: 3.0\n"
-            "horizon: 90.9090909\n"
-            "rho_list: [2.0]\n"
+            "  dirac: 0.0\n"
+            "horizon: 20000.0\n"
+            "alpha_list: [2.0]\n"
         )
         cfg = write_config(tmp_path, text)
         code = cli.main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: marginal at t=90.9090909 sums to")
+        assert err.startswith("numerical failure: marginal at t=20000.0 sums to")
         assert "Traceback" not in err
 
     def test_tolerance_violation_exits_nonzero(self, tmp_path):

@@ -17,10 +17,10 @@ from wflow import pdmp
 from wflow.birth_death import mm_infty
 from wflow.jump_process import (
     JumpGeneratorSpec,
+    Kernel,
     Marginal,
     NumericalError,
-    _poisson_cutoff,
-    _poisson_pmf,
+    _poisson_weights,
     _state_vector,
     kernel_moment_bound,
     kernel_moment_constant,
@@ -135,7 +135,8 @@ class TestGeneratorSpec:
 
     def test_sparse_kernel_matches_dense(self):
         gen_d = three_state()
-        gen_s = JumpGeneratorSpec(gen_d.states, gen_d.lam, sparse.csr_matrix(gen_d.kernel))
+        dense = gen_d.kernel.toarray()
+        gen_s = JumpGeneratorSpec(gen_d.states, gen_d.lam, sparse.csr_matrix(dense))
         p0 = DiscreteMeasure([-1.0], [1.0])
         md = uniformized_marginal(gen_d, p0, 0.9)
         ms = uniformized_marginal(gen_s, p0, 0.9)
@@ -159,11 +160,15 @@ class TestGeneratorSpec:
         )
         lam = [1.3, 0.4, 2.1]
         ref = JumpGeneratorSpec([-1.0, 0.5, 2.0], lam, dense).kernel
-        assert isinstance(ref, sparse.csr_array)
-        assert ref.has_canonical_format and ref.nnz == 6
+        assert isinstance(ref, Kernel)
+        oracle = sparse.csr_array(dense)
+        assert oracle.has_canonical_format and oracle.nnz == 6
+        np.testing.assert_array_equal(ref.indptr, oracle.indptr)
+        np.testing.assert_array_equal(ref.indices, oracle.indices)
+        np.testing.assert_array_equal(ref.data, oracle.data)
         for kernel in (duplicates, zeros):
             got = JumpGeneratorSpec([-1.0, 0.5, 2.0], lam, kernel).kernel
-            assert isinstance(got, sparse.csr_array)
+            assert isinstance(got, Kernel)
             np.testing.assert_array_equal(got.indptr, ref.indptr)
             np.testing.assert_array_equal(got.indices, ref.indices)
             np.testing.assert_allclose(got.data, ref.data, rtol=0, atol=1e-16)
@@ -171,17 +176,55 @@ class TestGeneratorSpec:
 
 
 class TestPoissonHelpers:
-    """The closed-form Poisson pmf, tail and cutoff against scipy.stats."""
+    """Fox-Glynn Poisson weights against scipy.stats, pdtrc and mpmath."""
 
     @pytest.mark.parametrize("mu", [1e-9, 0.3, 1.0, 2.0, 5.5, 41.0, 208.0, 550.0, 1200.0])
     def test_pmf_and_tail_match_scipy_stats(self, mu):
+        # scipy's exp(k log mu - lgamma(k + 1) - mu) loses about k log(mu) ulps
+        # of its exponent, up to 1.4e-12 relative here; mpmath below is exact
         k = np.arange(int(mu + 12.0 * math.sqrt(mu) + 30.0))
-        assert np.array_equal(_poisson_pmf(k, mu), poisson.pmf(k, mu))
-        assert np.array_equal(pdtrc(k, mu), poisson.sf(k, mu))
+        pmf, tails, _ = _poisson_weights(mu, 1e-12)
+        np.testing.assert_allclose(pmf[k], poisson.pmf(k, mu), rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(tails[k], poisson.sf(k, mu), rtol=1e-12, atol=0.0)
 
     def test_cutoff_matches_isf(self):
         for mu in np.linspace(0.01, 60.0, 601):
-            assert _poisson_cutoff(mu, 1e-9)[0] == int(poisson.isf(1e-9, mu))
+            assert _poisson_weights(mu, 1e-9)[2] == int(poisson.isf(1e-9, mu))
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13, 1e-12 / 121])
+    def test_cutoff_and_tail_match_pdtrc(self, tol):
+        # pdtrc decreases in k, so pdtrc(m - 1) >= tol > pdtrc(m) makes m its cutoff
+        for mu in np.geomspace(1e-3, 2e4, 300):
+            _, tails, m = _poisson_weights(mu, tol)
+            assert m >= 1
+            above, below = pdtrc([m - 1, m], mu)
+            assert above >= tol > below, mu
+            assert tails[m] == pytest.approx(below, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("mu", [5.0, 550.0, 2e4])
+    def test_pmf_matches_mpmath(self, mu):
+        mpmath = pytest.importorskip("mpmath")
+        pmf, _, m = _poisson_weights(mu, 1e-13)
+        with mpmath.workdps(40):
+            m_mu = mpmath.mpf(mu)
+            ref = np.array(
+                [
+                    float(mpmath.exp(k * mpmath.log(m_mu) - m_mu - mpmath.loggamma(k + 1)))
+                    for k in range(m + 1)
+                ]
+            )
+        normal = ref > 1e-290  # below that the doubles lose relative precision
+        assert normal.sum() >= min(m + 1, 5000)
+        np.testing.assert_allclose(pmf[: m + 1][normal], ref[normal], rtol=1e-13, atol=0.0)
+
+    def test_window_reaches_top_and_zero_rate(self):
+        pmf, tails, m = _poisson_weights(0.5, 1e-12, top=400)
+        assert pmf.size == tails.size >= 401 and tails[-1] == 0.0
+        pmf, tails, m = _poisson_weights(0.0, 1e-12, top=3)
+        np.testing.assert_array_equal(pmf, [1.0, 0.0, 0.0, 0.0])
+        assert m == 0 and not np.any(tails)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            _poisson_weights(1.0, 0.0)
 
 
 class TestMarginal:
@@ -253,7 +296,8 @@ class TestMarginal:
 def transposed_generator(q):
     """Sparse transposed generator matrix ``Q^T`` with ``Q = diag(lam)(K - I)``."""
     n = q.n_states
-    return (sparse.diags_array(q.lam) @ (q.kernel - sparse.eye_array(n))).T.tocsc()
+    k = sparse.csr_array((q.kernel.data, q.kernel.indices, q.kernel.indptr), shape=(n, n))
+    return (sparse.diags_array(q.lam) @ (k - sparse.eye_array(n))).T.tocsc()
 
 
 class TestMarginalPath:
@@ -287,10 +331,19 @@ class TestMarginalPath:
             assert 1.0 - m.total_mass <= m.truncation_error + 1e-15
 
     def test_rounding_loss_is_numerical_error(self):
-        # 2e4 clock events in one panel: rounding moves the mass past 1 +/- 2e-12
+        # 2e4 clock events in one panel: the normalized Poisson weights keep
+        # the mass inside 1 +/- 2e-12, but rows that each gain 9e-13 (inside
+        # the generator's 1e-12 row check) move it past that band
         gen = mm_infty(20, 1, 200).to_generator()
+        p0, t = DiscreteMeasure([3.0], [1.0]), 20000.0 / 220.0
+        held = uniformized_marginal(gen, p0, t, tol=1e-12)
+        assert abs(held.total_mass - 1.0) <= 2e-12
+        k = gen.kernel
+        gaining = JumpGeneratorSpec(
+            gen.states, gen.lam, Kernel(k.indptr, k.indices, k.data * (1.0 + 9e-13), k.n)
+        )
         with pytest.raises(NumericalError, match="outside 1 \\+/- 2e-12"):
-            uniformized_marginal(gen, DiscreteMeasure([3.0], [1.0]), 20000.0 / 220.0, tol=1e-12)
+            uniformized_marginal(gaining, p0, t, tol=1e-12)
 
     def test_nodes_are_typed_marginals(self):
         gen = three_state()
@@ -303,7 +356,7 @@ class TestMarginalPath:
         # the one-panel path is uniformized_marginal
         one = uniformized_marginal(gen, p0, 1.3, tol=1e-12)
         assert isinstance(one, Marginal)
-        assert one.m_max == _poisson_cutoff(gen.lambda_bar * 1.3, 1e-12)[0]
+        assert one.m_max == _poisson_weights(gen.lambda_bar * 1.3, 1e-12)[2]
 
     def test_fields_set_by_the_constructor(self):
         m = Marginal([0.0, 1.0], [0.5, 0.5 - 3e-13], 1e-13, 7, 1.0)
