@@ -93,14 +93,8 @@ class ExperimentConfig:
                     key="tolerances",
                     text=text,
                 )
-        rho = self.options.get("rho")
-        if rho is not None:
-            try:
-                rho = float(rho)
-            except (TypeError, ValueError):
-                raise ConfigError("rho must be a number", key="rho", text=text)
-            if rho < 1.0:
-                raise ConfigError("rho must be at least 1", key="rho", text=text)
+        if self.options.get("rho") is not None:
+            _power(self.options["rho"], "rho", text)
 
     @property
     def tolerances(self):
@@ -110,6 +104,17 @@ class ExperimentConfig:
                 "tolerances must be a mapping", key="tolerances", text=self.source_text
             )
         return tol
+
+
+def _power(value, key, text=""):
+    """A configured power rho: a finite number, at least 1."""
+    try:
+        rho = float(value)
+    except (TypeError, ValueError):
+        rho = math.nan
+    if not (math.isfinite(rho) and rho >= 1.0):
+        raise ConfigError(f"{key}: {value!r} is not a finite number >= 1", key=key, text=text)
+    return rho
 
 
 def _key_line(text, key):
@@ -332,9 +337,13 @@ def _bounds_rows(config):
         bd = _bd_from(opts, "chain")
         p0 = _measure_from(opts, "p0")
         horizon = _positive(opts, "horizon")
-        for rho in _need(opts, "rho_list"):
-            exact, bound = moment_bound(bd, p0, float(rho), horizon)
-            rows.append((f"bd_moment_rho_{rho}", exact, bound))
+        rho_list = _need(opts, "rho_list")
+        if not isinstance(rho_list, list):
+            raise ConfigError("rho_list must be a list", key="rho_list")
+        rhos = [_power(rho, "rho_list") for rho in rho_list]
+        for name, rho in zip(rho_list, rhos):
+            exact, bound = moment_bound(bd, p0, rho, horizon)
+            rows.append((f"bd_moment_rho_{name}", exact, bound))
     elif family == "growth-moment":
         gen = _generator_from(opts, "generator")
         p0 = _measure_from(opts, "p0")

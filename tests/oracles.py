@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: linear programming over the full
 coupling polytope, dense quadrature, direct summation, the speed-mu chain
-built row by row over the whole grid, and drift flows integrated by RK4.  The
-package under test must agree with these to tight tolerances on small
-instances (the chain build exactly).
+built row by row over the whole grid, drift flows integrated by RK4, and the
+birth-death constants scanned over a million integers.  The package under
+test must agree with these to tight tolerances on small instances (the chain
+build and the constants exactly).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import numpy as np
 from scipy import integrate, optimize, sparse
 
+from wflow.birth_death import _cost_difference_ratio, _moment_rate_ratio
 from wflow.jump_process import JumpGeneratorSpec
 from wflow.measures import CoverageError
 from wflow.pdmp import MuApproximation, flow
@@ -189,3 +191,46 @@ def flow_rk4(spec, x, s):
             return float(cur[0]) if scalar else cur
         prev = cur
     raise IntegrationError("flow step controller failed to converge")
+
+
+_SCAN_CHUNK = 1 << 16
+
+
+def _scan_max(f, rho, lo, hi):
+    """Max of the elementwise ``f(x, rho)`` over the integers lo..hi, in fixed chunks.
+
+    The max is exact whatever the chunking (a NaN still propagates), and
+    memory stays at one chunk; an empty range gives -inf.
+    """
+    peaks = [
+        np.max(f(np.arange(s, min(s + _SCAN_CHUNK, hi + 1), dtype=float), rho))
+        for s in range(lo, hi + 1, _SCAN_CHUNK)
+    ]
+    return float(np.max(peaks, initial=-np.inf))
+
+
+def scan_moment_rate_constant(rho, scan_top=1_000_000):
+    """``birth_death.moment_rate_constant`` as a scan of x = 1..scan_top.
+
+    The scan is combined with the limit ``rho`` of the ratio; nothing bounds
+    the ratio beyond ``scan_top``.
+    """
+    if rho < 1:
+        raise ValueError("rho must be >= 1")
+    return float(max(_scan_max(_moment_rate_ratio, rho, 1, scan_top), rho))
+
+
+def scan_cost_difference_constant(rho, scan_top=1_000_000):
+    """``birth_death.cost_difference_constant`` as a scan of |z| <= scan_top.
+
+    0 at rho = 1 and 1 on (1, 2]; above 2 the scan is combined with the limit
+    ``rho (rho-1) / 2``, and nothing bounds the ratio beyond ``scan_top``.
+    """
+    if rho < 1:
+        raise ValueError("rho must be >= 1")
+    if rho == 1.0:
+        return 0.0
+    if rho <= 2.0:
+        return 1.0
+    scanned = _scan_max(_cost_difference_ratio, rho, -scan_top, scan_top)
+    return float(max(scanned, 0.5 * rho * (rho - 1.0)))

@@ -1,15 +1,16 @@
 """Tests for birth-death curvature, contraction envelopes, and moments."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import scan_cost_difference_constant, scan_moment_rate_constant
+from wflow import birth_death
 from wflow.birth_death import (
-    _SCAN_CHUNK,
     BirthDeathSpec,
-    _scan_max,
     contraction_report,
     cost_difference_constant,
     curvature,
@@ -130,6 +131,10 @@ class TestCurvature:
             truncated_curvature(bd, 11)
 
 
+MOMENT_RHOS = [1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0]
+COST_RHOS = [2.5, 3.0, 3.5, 4.0, 5.0]
+
+
 class TestScannedConstants:
     def test_moment_rate_values(self):
         assert moment_rate_constant(1.0) == pytest.approx(1.0, abs=1e-12)
@@ -161,31 +166,81 @@ class TestScannedConstants:
         # at rho=2.5 the supremum is the large-z limit rho(rho-1)/2
         assert cost_difference_constant(2.5) == pytest.approx(1.875, abs=1e-9)
 
-    def test_chunked_scan_matches_one_shot(self):
-        # a scan_top spanning several chunks gives the one-shot numpy maximum
-        top = 3 * _SCAN_CHUNK + 17
-        x = np.arange(top + 1, dtype=float)
-        z = np.arange(-top, top + 1, dtype=float)
-        az = np.abs(z)
-        for rho in (1.5, 2.0, 3.0):
-            gap = np.concatenate(([1.0], x[1:] ** rho * np.expm1(rho * np.log1p(1.0 / x[1:]))))
-            one_shot = max(np.max((1.0 + x) * gap / (1.0 + x**rho)), rho)
-            assert moment_rate_constant(rho, scan_top=top) == one_shot
-        for rho in (2.5, 3.0, 4.0):
-            with np.errstate(divide="ignore"):
-                log_term = rho * np.log1p(np.where(z == 0, 0.0, np.sign(z) / np.maximum(az, 1)))
-            gap = np.where(
-                z == 0,
-                1.0,
-                np.where(az == 1.0, np.abs(z + 1) ** rho - 1.0, az**rho * np.expm1(log_term)),
-            )
-            ratio = (gap - rho * z * az ** (rho - 2.0)) / (1.0 + az ** (rho - 2.0))
-            one_shot = max(np.max(ratio), 0.5 * rho * (rho - 1.0))
-            assert cost_difference_constant(rho, scan_top=top) == one_shot
-        # the peak may sit in any chunk; a NaN still propagates
-        assert _scan_max(lambda v, c: -((v - c) ** 2), 2 * _SCAN_CHUNK + 5, 0, top) == 0.0
-        assert np.isnan(_scan_max(lambda v, c: np.where(v == c, np.nan, v), top, 0, top))
-        assert _scan_max(lambda v, c: v, 0, 1, 0) == -np.inf
+    @pytest.mark.parametrize("rho", MOMENT_RHOS)
+    def test_moment_rate_matches_million_point_scan(self, rho):
+        assert moment_rate_constant(rho) == scan_moment_rate_constant(rho)
+
+    @pytest.mark.parametrize("rho", COST_RHOS)
+    def test_cost_difference_matches_two_million_point_scan(self, rho):
+        assert cost_difference_constant(rho) == scan_cost_difference_constant(rho)
+
+    def test_each_constant_scans_a_short_window(self, monkeypatch):
+        # a work count, not a timing: the million-point scans must not return
+        points = []
+
+        def counted(ratio):
+            def wrapped(x, rho):
+                points.append(np.size(x))
+                return ratio(x, rho)
+
+            return wrapped
+
+        for name in ("_moment_rate_ratio", "_cost_difference_ratio"):
+            monkeypatch.setattr(birth_death, name, counted(getattr(birth_death, name)))
+        for constant, rhos in (
+            (moment_rate_constant, MOMENT_RHOS),
+            (cost_difference_constant, COST_RHOS),
+        ):
+            for rho in rhos:
+                points.clear()
+                constant(rho)
+                assert 0 < sum(points) <= 1 << 18, (constant.__name__, rho, sum(points))
+
+    def test_window_fallback_returns_the_tail_bound(self):
+        # at rho = 3.01 the scanned ratio never reaches the Lagrange tail bound,
+        # which exceeds the limit: the constant falls back to the tail at 2**20,
+        # just above the old scan's value
+        rho = 3.01
+        limit = 0.5 * rho * (rho - 1.0)
+        a, w = rho - 2.0, float(1 << 20)
+        tail = limit * (1.0 + 1.0 / w) ** a / (1.0 + w**-a)
+        assert scan_cost_difference_constant(rho) == limit
+        assert cost_difference_constant(rho) == tail > limit
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5])
+    def test_non_finite_or_small_rho_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite number >= 1"):
+            moment_rate_constant(bad)
+        with pytest.raises(ValueError, match="finite number >= 1"):
+            cost_difference_constant(bad)
+
+    @given(
+        st.floats(1.0, 10.0, exclude_min=True),
+        st.integers(0, 10**15),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_moment_rate_bounds_the_exact_ratio(self, rho, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            r, v = mpmath.mpf(rho), mpmath.mpf(x)
+            ratio = (1 + v) * ((1 + v) ** r - v**r) / (1 + v**r)
+            assert ratio <= moment_rate_constant(rho) * (1 + 1e-13)
+
+    @given(
+        st.floats(1.0, 10.0, exclude_min=True),
+        st.integers(-(10**15), 10**15),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cost_difference_bounds_the_exact_ratio(self, rho, z):
+        # the weight |z|^(rho-2) applies above rho = 2 only; the slack covers
+        # the scan's rounding, which grows like |z| ulps where the ratio cancels
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            r, v = mpmath.mpf(rho), mpmath.mpf(z)
+            drift = r * v * abs(v) ** (r - 2) if z else 0
+            weight = 1 + abs(v) ** (r - 2) if rho > 2 else 1
+            ratio = (abs(v + 1) ** r - abs(v) ** r - drift) / weight
+            assert ratio <= cost_difference_constant(rho) * (1 + 1e-12)
 
     def test_cost_difference_dominates_every_integer(self):
         for rho in (2.5, 3.0, 4.0):
@@ -255,8 +310,9 @@ class TestContractionReport:
 
     def test_argument_validation(self):
         bd = mm_infty(1.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            contraction_report(bd, dirac(1.0), dirac(2.0), 0.5, 1.0, 10)
+        for rho in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite number >= 1"):
+                contraction_report(bd, dirac(1.0), dirac(2.0), rho, 1.0, 10)
         with pytest.raises(ValueError):
             contraction_report(bd, dirac(1.0), dirac(2.0), 2.0, 0.0, 10)
         with pytest.raises(ValueError):
@@ -299,10 +355,17 @@ class TestMomentBound:
 
     def test_rejects_bad_arguments(self):
         bd = mm_infty(1.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            moment_bound(bd, dirac(1.0), 0.5, 1.0)
+        for rho in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite number >= 1"):
+                moment_bound(bd, dirac(1.0), rho, 1.0)
         with pytest.raises(ValueError):
             moment_bound(bd, dirac(1.0), 2.0, -1.0)
+
+    def test_overflowing_bound_is_infinite(self):
+        # exp(3 * 20 * 90.9) overflows a double; the exact moment still holds
+        exact, bound = moment_bound(mm_infty(20.0, 1.0, 200), dirac(3.0), 2.0, 90.9090909)
+        assert math.isfinite(exact) and exact > 0.0
+        assert bound == math.inf
 
 
 class TestFamiliesAndStability:

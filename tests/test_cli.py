@@ -98,6 +98,12 @@ horizon: 1.0
 alpha_list: [1, 2, 3]
 """
 
+BOUNDS_BD_MOMENT = (
+    BOUNDS_GROWTH.replace("growth-moment", "bd-moment")
+    .replace("generator:", "chain:")
+    .replace("alpha_list: [1, 2, 3]", "rho_list: [1.5, 2.0]")
+)
+
 
 def write_config(tmp_path, text, name="exp.yaml"):
     path = tmp_path / name
@@ -293,6 +299,46 @@ class TestExitCodes:
         assert code == 2
         assert "rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_rho_is_config_error_with_line(self, tmp_path, capsys, value):
+        text = BD_CONTRACTION.replace("rho: 2.0", f"rho: {value}")
+        cfg = write_config(tmp_path, text)
+        code = cli.main(["bd-contraction", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        line = 1 + text.splitlines().index(f"rho: {value}")
+        assert err.startswith(f"{cfg}:{line}: rho:")
+        assert "finite" in err
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "0.5"])
+    def test_bad_rho_list_entry_is_config_error_with_line(self, tmp_path, capsys, value):
+        text = BOUNDS_BD_MOMENT.replace("[1.5, 2.0]", f"[1.5, {value}]")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        code = cli.main(["bounds", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        line = 1 + text.splitlines().index(f"rho_list: [1.5, {value}]")
+        assert err.startswith(f"{cfg}:{line}: rho_list:")
+        assert not (out / "bounds.csv").exists()
+
+    def test_overflowing_moment_bound_names_its_row(self, tmp_path, capsys):
+        # exp(C_2 * growth_c * horizon) = exp(3 * 20 * 90.9) overflows a double
+        text = (
+            BOUNDS_BD_MOMENT.replace("1.0, death: 0.5, n_top: 40", "20.0, death: 1.0, n_top: 200")
+            .replace("horizon: 1.0", "horizon: 90.9090909")
+            .replace("[1.5, 2.0]", "[2.0]")
+        )
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        code = cli.main(["bounds", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: bound bd_moment_rho_2.0 is not finite")
+        assert "rhs inf" in err
+        (row,) = read_rows(out / "bounds.csv")
+        assert row["name"] == "bd_moment_rho_2.0" and row["rhs"] == "inf"
+
     def test_missing_seed_for_sampling(self, tmp_path, capsys):
         text = SIMULATE.replace("seed: 11\n", "")
         cfg = write_config(tmp_path, text)
@@ -423,10 +469,7 @@ class TestRunners:
             assert float(row["violation"]) == 0.0
 
     def test_bounds_bd_moment(self, tmp_path):
-        text = BOUNDS_GROWTH.replace("growth-moment", "bd-moment").replace(
-            "generator:", "chain:"
-        ).replace("alpha_list: [1, 2, 3]", "rho_list: [1.5, 2.0]")
-        cfg = write_config(tmp_path, text)
+        cfg = write_config(tmp_path, BOUNDS_BD_MOMENT)
         out = tmp_path / "out"
         code = cli.main(["bounds", "--config", str(cfg), "--out", str(out)])
         assert code == 0
