@@ -11,27 +11,26 @@ import numpy as np
 
 from wflow import (
     DiscreteMeasure,
+    Drift,
+    Intensity,
     ShiftJump,
     embed_on_grid,
     flow,
     mu_convergence_study,
     mu_generator,
-    named_drift,
     uniformized_marginal,
     wasserstein,
 )
 from wflow.pdmp import PdmpSpec
 
-drift, bound = named_drift("neg_tanh")
-
-
-def no_jumps(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
+# the drift -tanh(x) carries its closed-form flow and its bound 1; an
+# intensity is a table, linear between nodes and constant beyond, and a
+# constant rate is the one-node table
+drift = Drift("neg_tanh")
 
 # without jumps the process is the pure flow; the chain marginal approaches
 # the flow-pushforward of the initial law at rate O(1/mu)
-spec0 = PdmpSpec(drift, bound, no_jumps, 0.0, ShiftJump(0.5))
+spec0 = PdmpSpec(drift, Intensity([0.0], [0.0]), ShiftJump(0.5))
 atoms = np.linspace(0.5, 1.5, 21)
 p0 = DiscreteMeasure(atoms, np.full(21, 1.0 / 21.0))
 push = DiscreteMeasure(flow(spec0, atoms, 1.0), np.full(21, 1.0 / 21.0))
@@ -44,11 +43,7 @@ for mu in (8.0, 16.0, 32.0):
 
 # with jumps on, the study tracks the identity residual per mu and the
 # distance of each chain law to a doubled-resolution reference
-def at_rate(level):
-    return lambda x: np.full_like(np.asarray(x, dtype=float), level)
-
-
-spec = PdmpSpec(drift, bound, at_rate(0.3), 0.3, ShiftJump(0.5))
+spec = PdmpSpec(drift, Intensity([0.0], [0.3]), ShiftJump(0.5))
 p0y = DiscreteMeasure(np.linspace(-1.0, -0.4, 7), np.full(7, 1.0 / 7.0))
 study = mu_convergence_study(
     spec, spec, p0, p0y, rho=2.0, t=1.0, mu_list=[4.0, 8.0, 16.0],

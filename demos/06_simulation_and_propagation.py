@@ -14,8 +14,9 @@ import numpy as np
 
 from wflow import (
     DiscreteMeasure,
+    Drift,
+    Intensity,
     ShiftJump,
-    named_drift,
     propagation_check,
     propagation_constants,
     simulate_paths,
@@ -41,14 +42,8 @@ print("rerun identical:", bool(np.array_equal(emp.weights, again.weights)))
 
 # closed-form constants for the flow-with-jumps process: the displacement
 # moment bound and the tail-comparison constant of the smoothed marginal
-drift, bound = named_drift("neg_tanh")
-spec = PdmpSpec(
-    drift,
-    bound,
-    lambda x: np.full_like(np.asarray(x, dtype=float), 0.3),
-    0.3,
-    ShiftJump(0.5),
-)
+# drift -tanh(x), jumps at the constant rate 0.3, each a shift by 0.5
+spec = PdmpSpec(Drift("neg_tanh"), Intensity([0.0], [0.3]), ShiftJump(0.5))
 moment_cap, c_t = propagation_constants(spec, c0=1.0, C0=1.0, t=1.0, q=2.0, mu=16.0)
 print(f"displacement moment bound (q=2): {moment_cap:.3f}")
 print(f"tail comparison constant c_t:    {c_t:.3f}")

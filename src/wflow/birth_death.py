@@ -141,8 +141,8 @@ def _windowed_sup(ratio, rho, limit, tail, signed):
     ``signed``), and ``tail(w)`` bounds the ratio on the rest.  Each tail
     bound falls in ``w``, so the window doubles from 8, scanning only the new
     points, until the tail is at most ``max(scan, limit)``; at ``w = 2**20``
-    the scan stops and the tail itself enters the maximum.  A NaN ratio
-    stops the scan and propagates.  The ratio is evaluated in floating
+    the scan stops and the tail itself enters the maximum.  An overflowing
+    scan or tail raises ``OverflowError``.  The ratio is evaluated in floating
     point, so the result holds up to its rounding: a few ulps, and about
     ``|z|`` ulps where the cost ratio cancels at large ``|z|``.
     """
@@ -151,9 +151,12 @@ def _windowed_sup(ratio, rho, limit, tail, signed):
         x = np.arange(lo, hi, dtype=float)
         if signed:
             x = np.concatenate((-x, x))
-        peak = float(np.max(ratio(x, rho), initial=peak))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf or nan
+            peak = float(np.max(ratio(x, rho), initial=peak))
+            bound = float(tail(np.float64(hi)))
         best = float(np.max([peak, limit]))
-        bound = tail(float(hi))
+        if not (math.isfinite(peak) and math.isfinite(bound)):
+            raise OverflowError(f"the constant at rho = {rho!r} overflows a double")
         if not bound > best or hi >= _LAST_WINDOW:
             return float(np.max([best, bound]))
         lo, hi = hi, 2 * hi

@@ -106,15 +106,37 @@ class ExperimentConfig:
         return tol
 
 
+def _number(value, key, rule, ok, text=""):
+    """``value`` as a float; a ``ConfigError`` at ``key`` naming ``rule`` unless ``ok``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not ok(number):
+        raise ConfigError(f"{key}: {value!r} is not {rule}", key=key, text=text)
+    return number
+
+
 def _power(value, key, text=""):
     """A configured power rho: a finite number, at least 1."""
-    try:
-        rho = float(value)
-    except (TypeError, ValueError):
-        rho = math.nan
-    if not (math.isfinite(rho) and rho >= 1.0):
-        raise ConfigError(f"{key}: {value!r} is not a finite number >= 1", key=key, text=text)
-    return rho
+    return _number(value, key, "a finite number >= 1", lambda v: math.isfinite(v) and v >= 1, text)
+
+
+def _finite_positive(value, key):
+    return _number(value, key, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
+
+
+def _entries(options, key, read):
+    """``(raw, value)`` per entry of the list ``options[key]``, each read by ``read``."""
+    values = _need(options, key)
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list", key=key)
+    return [(raw, read(raw, key)) for raw in values]
+
+
+def _speed(options):
+    """``mu``: ``inf`` (the default: the process itself) or a chain speed >= 1."""
+    return _number(options.get("mu", "inf"), "mu", "inf or a finite number >= 1", lambda v: v >= 1)
 
 
 def _key_line(text, key):
@@ -134,13 +156,7 @@ def _need(options, key):
 
 
 def _positive(options, key):
-    try:
-        value = float(_need(options, key))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number", key=key)
-    if value <= 0:
-        raise ConfigError(f"{key} must be positive", key=key)
-    return value
+    return _finite_positive(_need(options, key), key)
 
 
 def _tolerance(config, name):
@@ -305,8 +321,7 @@ def _run_simulate(config, out_dir, started):
     if "pdmp" in opts:
         spec = _pdmp_from(opts, "pdmp")
         p0 = _measure_from(opts, "p0")
-        mu = opts.get("mu", "inf")
-        mu = math.inf if mu == "inf" else float(mu)
+        mu = _speed(opts)
         if math.isinf(mu):
             empirical = simulate_pdmp(spec, p0, horizon, n_paths, seed)
         else:
@@ -337,36 +352,31 @@ def _bounds_rows(config):
         bd = _bd_from(opts, "chain")
         p0 = _measure_from(opts, "p0")
         horizon = _positive(opts, "horizon")
-        rho_list = _need(opts, "rho_list")
-        if not isinstance(rho_list, list):
-            raise ConfigError("rho_list must be a list", key="rho_list")
-        rhos = [_power(rho, "rho_list") for rho in rho_list]
-        for name, rho in zip(rho_list, rhos):
+        for name, rho in _entries(opts, "rho_list", _power):
             exact, bound = moment_bound(bd, p0, rho, horizon)
             rows.append((f"bd_moment_rho_{name}", exact, bound))
     elif family == "growth-moment":
         gen = _generator_from(opts, "generator")
         p0 = _measure_from(opts, "p0")
         horizon = _positive(opts, "horizon")
-        for alpha in _need(opts, "alpha_list"):
-            exact, bound = moment_growth_bound(gen, p0, float(alpha), horizon)
-            rows.append((f"growth_moment_alpha_{alpha}", exact, bound))
+        for name, alpha in _entries(opts, "alpha_list", _power):
+            exact, bound = moment_growth_bound(gen, p0, alpha, horizon)
+            rows.append((f"growth_moment_alpha_{name}", exact, bound))
     elif family == "propagation":
         spec = _pdmp_from(opts, "pdmp")
         horizon = _positive(opts, "horizon")
         c0 = float(opts.get("c0", 1.0))
         eta = opts.get("smoothing_eta")
         big_c0 = float(opts.get("C0", 1.0 / float(eta) if eta else 1.0))
-        mu = opts.get("mu", "inf")
-        mu = math.inf if mu == "inf" else float(mu)
+        mu = _speed(opts)
         n_paths = int(_need(opts, "n_paths"))
         seed = _seed_of(config)
-        for q in _need(opts, "q_list"):
-            audit = propagation_check(spec, c0, big_c0, horizon, float(q), mu, n_paths, seed)
+        for name, q in _entries(opts, "q_list", _finite_positive):
+            audit = propagation_check(spec, c0, big_c0, horizon, q, mu, n_paths, seed)
             rows.append(
-                (f"displacement_moment_q_{q}", audit.moment_estimate, audit.moment_envelope)
+                (f"displacement_moment_q_{name}", audit.moment_estimate, audit.moment_envelope)
             )
-            rows.append((f"tail_ratio_q_{q}", audit.worst_tail_ratio, 1.0))
+            rows.append((f"tail_ratio_q_{name}", audit.worst_tail_ratio, 1.0))
     else:
         raise ConfigError(f"unknown bounds family {family!r}", key="family")
     return rows

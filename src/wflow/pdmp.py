@@ -9,8 +9,10 @@ marginals converge to the process marginals, which transfers the transport
 evolution identity of the pure jump theory to the limit; the module solves
 the chains exactly on a state grid, simulates the limit process by thinning,
 and evaluates the closed-form moment and tail constants that are uniform in
-``mu``.  The vector fields are the named drifts of :func:`named_drift`, each
-a :class:`Drift` whose flow is closed form, so no ODE is integrated.
+``mu``.  A :class:`PdmpSpec` is built from typed parts that each carry
+their exact supremum: a :class:`Drift` with a closed-form flow (so no ODE is
+integrated), an :class:`Intensity` table and a :class:`UniformJump` or
+:class:`ShiftJump` law.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ __all__ = [
     "UniformJump",
     "ShiftJump",
     "Drift",
-    "named_drift",
+    "Intensity",
     "flow",
     "mu_generator",
     "simulate_pdmp",
@@ -88,9 +90,9 @@ class Drift:
     """A named bounded drift field that carries its exact flow.
 
     ``zero`` is the field 0, ``const`` the constant ``c`` and ``neg_tanh``
-    the field ``-tanh(x)``.  Calling a drift evaluates the field;
-    :meth:`flow` moves states along it in closed form.  Build drifts with
-    :func:`named_drift`, which pairs each with its sup bound.
+    the field ``-tanh(x)``; ``c`` must be finite, and nonzero only on
+    ``const``.  Calling a drift evaluates the field; :meth:`flow` moves
+    states along it in closed form, and :attr:`bound` is its supremum.
     """
 
     name: str
@@ -99,17 +101,21 @@ class Drift:
     def __post_init__(self):
         if self.name not in _DRIFT_NAMES:
             raise ValueError(f"unknown drift name {self.name!r}")
+        c = float(self.c)
+        if not math.isfinite(c):
+            raise ValueError(f"drift c must be finite, got {c!r}")
+        if c != 0.0 and self.name != "const":
+            raise ValueError(f"drift {self.name!r} takes no c, got {c!r}")
+        object.__setattr__(self, "c", c)
 
     @property
     def bound(self):
         """Supremum of ``|v(x)|`` over the real line."""
-        return {"zero": 0.0, "const": abs(self.c), "neg_tanh": 1.0}[self.name]
+        return 1.0 if self.name == "neg_tanh" else abs(self.c)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.name == "neg_tanh":
-            return -np.tanh(x)
-        return np.full_like(x, self.c if self.name == "const" else 0.0)
+        return -np.tanh(x) if self.name == "neg_tanh" else np.full_like(x, self.c)
 
     def flow(self, x, s):
         """States ``x`` after signed time ``s`` (shared, or one per state).
@@ -126,24 +132,37 @@ class Drift:
         return _neg_tanh_flow(x, s)
 
 
-def named_drift(name, c=0.0):
-    """Named drift fields: ``zero``, ``const`` (value c), ``neg_tanh``.
+class Intensity:
+    """A read-only table of finite nonnegative rates ``val`` at strictly
+    increasing nodes ``x``: linear between the nodes, constant beyond them,
+    bounded by ``max(val)``.  A constant rate is the one-node table."""
 
-    Returns ``(drift, sup_bound)``: a frozen :class:`Drift` with its exact
-    flow, and the supremum of its field.  ``c`` is read only by ``const``.
-    """
-    drift = Drift(name, float(c) if name == "const" else 0.0)
-    return drift, drift.bound
+    def __init__(self, x, val):
+        x = np.array(x, dtype=float)
+        val = np.array(val, dtype=float)
+        if x.ndim != 1 or x.size == 0 or x.shape != val.shape:
+            raise ValueError("intensity x and val must be equal-length, nonempty lists")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(val))):
+            raise ValueError("intensity x and val must be finite")
+        if np.any(np.diff(x) <= 0.0):
+            raise ValueError("intensity x must be strictly increasing")
+        if np.any(val < 0.0):
+            raise ValueError("intensity values must be nonnegative")
+        x.flags.writeable = val.flags.writeable = False
+        self.x, self.val, self.bound = x, val, float(val.max())
+
+    def __call__(self, x):
+        return np.interp(x, self.x, self.val)
 
 
 class UniformJump:
-    """Jump law uniform on [x - half_width, x + half_width]."""
+    """Jump law uniform on [x - half_width, x + half_width]; the finite,
+    positive ``half_width`` is its bound."""
 
     def __init__(self, half_width):
-        if half_width <= 0:
-            raise ValueError("half_width must be positive")
-        self.half_width = float(half_width)
-        self.bound = self.half_width
+        self.half_width = self.bound = float(half_width)
+        if not (math.isfinite(self.bound) and self.bound > 0.0):
+            raise ValueError(f"half_width must be finite and positive, got {half_width!r}")
 
     def cdf(self, x, y):
         y = np.asarray(y, dtype=float)
@@ -154,13 +173,14 @@ class UniformJump:
 
 
 class ShiftJump:
-    """Deterministic jump law: from x move to x + offset."""
+    """Deterministic jump law: from x move to x + offset; the offset is
+    finite and nonzero, and ``|offset|`` is its bound."""
 
-    def __init__(self, offset, bound=None):
+    def __init__(self, offset):
         self.offset = float(offset)
-        self.bound = abs(self.offset) if bound is None else float(bound)
-        if self.bound < abs(self.offset):
-            raise ValueError("declared jump bound below the offset size")
+        if not (math.isfinite(self.offset) and self.offset != 0.0):
+            raise ValueError(f"shift offset must be finite and nonzero, got {offset!r}")
+        self.bound = abs(self.offset)
 
     def cdf(self, x, y):
         y = np.asarray(y, dtype=float)
@@ -170,89 +190,57 @@ class ShiftJump:
         return x + self.offset
 
 
-_CHECK_WINDOW = (-20.0, 20.0)  # PdmpSpec checks its declared bounds here,
-_CHECK_POINTS = 2001  # on this many equispaced points
+_JUMP_LAWS = {"uniform_pm": (UniformJump, "m"), "shift": (ShiftJump, "d")}  # config name: law, key
+
+
+def _only(section, what, *keys):
+    """The config mapping ``section``, which may hold no key beyond ``keys``."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{what} must be a mapping")
+    extra = sorted(map(str, set(section) - set(keys)))
+    if extra:
+        raise ValueError(f"{what}: unknown key {', '.join(extra)}")
+    return section
 
 
 class PdmpSpec:
-    """Drift, jump intensity, and jump law with their declared bounds.
-
-    ``drift`` must be a :class:`Drift` (from :func:`named_drift`), so that
-    every flow is closed form; anything else raises a ``TypeError``.  The
-    declared bounds must be finite, and are verified at construction on
-    2001 equispaced points of ``[-20, 20]``: drift values against
-    ``drift_bound``, intensity values against ``[0, intensity_bound]``, and
-    jump sizes sampled from every 50th point against ``jump_bound``.
+    """A :class:`Drift`, an :class:`Intensity` and a :class:`UniformJump` or
+    :class:`ShiftJump` (else a ``TypeError``), with the exact suprema they
+    carry as ``drift_bound``, ``intensity_bound`` and ``jump_bound``.
     ``mu_generator`` evaluates jump laws only within ``jump_bound`` of each
     node and fails closed on a CDF that reaches beyond.
     """
 
-    def __init__(self, drift, drift_bound, intensity, intensity_bound, kernel, jump_bound=None):
+    def __init__(self, drift, intensity, kernel):
         if not isinstance(drift, Drift):
-            raise TypeError(
-                f"drift must be a Drift built by named_drift, got {type(drift).__name__}"
-            )
+            raise TypeError(f"drift must be a Drift, not {type(drift).__name__}")
+        if not isinstance(intensity, Intensity):
+            raise TypeError(f"intensity must be an Intensity, not {type(intensity).__name__}")
+        if not isinstance(kernel, (UniformJump, ShiftJump)):
+            raise TypeError(f"kernel must be UniformJump or ShiftJump, not {type(kernel).__name__}")
         self.drift = drift
-        self.drift_bound = float(drift_bound)
         self.intensity = intensity
-        self.intensity_bound = float(intensity_bound)
         self.kernel = kernel
-        self.jump_bound = float(
-            kernel.bound if jump_bound is None else jump_bound
-        )
-        bounds = (self.drift_bound, self.intensity_bound, self.jump_bound)
-        if not all(map(math.isfinite, bounds)):
-            raise ValueError("declared bounds must be finite")
-        if self.drift_bound < 0 or self.intensity_bound < 0:
-            raise ValueError("declared bounds must be nonnegative")
-        if self.jump_bound <= 0:
-            raise ValueError("jump bound must be positive")
-        xs = np.linspace(*_CHECK_WINDOW, _CHECK_POINTS)
-        v = np.asarray(self.drift(xs), dtype=float)
-        if np.any(np.abs(v) > self.drift_bound + 1e-12):
-            raise ValueError("drift exceeds its declared bound on the sample grid")
-        lam = np.asarray(self.intensity(xs), dtype=float)
-        if np.any(lam < 0) or np.any(lam > self.intensity_bound + 1e-12):
-            raise ValueError("intensity leaves [0, bound] on the sample grid")
-        for x in xs[:: _CHECK_POINTS // 40]:
-            for u in np.linspace(0.02, 0.98, 13):
-                if abs(self.kernel.quantile(float(x), float(u)) - x) > (
-                    self.jump_bound + 1e-12
-                ):
-                    raise ValueError("sampled jump exceeds the declared bound")
+        self.drift_bound = drift.bound
+        self.intensity_bound = intensity.bound
+        self.jump_bound = kernel.bound
 
     @classmethod
     def from_dict(cls, cfg):
-        """Build from a config mapping with named drift/intensity/kernel."""
-        drift_cfg = cfg["drift"]
-        drift, vbound = named_drift(
-            drift_cfg["name"], c=drift_cfg.get("c", 0.0)
-        )
+        """Build from a config mapping: ``drift: {name, c}``, ``intensity:
+        {const}`` or ``{x, val}``, and ``kernel: {name: uniform_pm, m}`` or
+        ``{name: shift, d}``; a key that a section does not read is an error."""
+        drift = Drift(**_only(cfg["drift"], "drift", "name", "c"))
         lam_cfg = cfg["intensity"]
-        if "const" in lam_cfg:
-            level = float(lam_cfg["const"])
-            if level < 0:
-                raise ValueError("constant intensity must be nonnegative")
-            intensity = lambda x: np.full_like(np.asarray(x, dtype=float), level)
-            lbound = level
-        elif "x" in lam_cfg and "val" in lam_cfg:
-            xk = np.asarray(lam_cfg["x"], dtype=float)
-            vk = np.asarray(lam_cfg["val"], dtype=float)
-            if np.any(vk < 0):
-                raise ValueError("tabulated intensity must be nonnegative")
-            intensity = lambda x: np.interp(np.asarray(x, dtype=float), xk, vk)
-            lbound = float(np.max(vk))
+        if isinstance(lam_cfg, dict) and "const" in lam_cfg:
+            intensity = Intensity([0.0], [_only(lam_cfg, "intensity", "const")["const"]])
         else:
-            raise ValueError("intensity config needs 'const' or 'x'/'val'")
-        ker_cfg = cfg["kernel"]
-        name = ker_cfg["name"]
-        if name == "uniform_pm":
-            ker = UniformJump(float(ker_cfg["m"]))
-        elif name == "shift":
-            ker = ShiftJump(float(ker_cfg["d"]), bound=ker_cfg.get("m"))
-        else:
+            intensity = Intensity(**_only(lam_cfg, "intensity", "x", "val"))
+        name = cfg["kernel"]["name"]
+        if name not in _JUMP_LAWS:
             raise ValueError(f"unknown kernel name {name!r}")
-        return cls(drift, vbound, intensity, lbound, ker)
+        law, key = _JUMP_LAWS[name]
+        return cls(drift, intensity, law(_only(cfg["kernel"], "kernel", "name", key)[key]))
 
 
 def flow(spec, x, s):
@@ -332,7 +320,7 @@ def _jump_cells(kernel, grid, nodes, bound):
             i = int(nodes[part][np.argmax(bad)])
             raise ValueError(
                 f"jump law of node {i} (x = {float(grid[i])!r}) puts mass "
-                f"beyond the declared jump bound {bound!r}"
+                f"beyond its jump bound {bound!r}"
             )
         cell = np.diff(g, axis=1).ravel()
         hit = np.flatnonzero(cell)
@@ -359,7 +347,7 @@ def mu_generator(spec, mu, state_grid):
     exactly 0 at the lower band edge and exactly 1 at the upper one, so
     every cell outside the band has mass exactly 0, as a full-grid
     evaluation would give.  A CDF that fails the check puts mass beyond the
-    declared bound and raises a ``ValueError`` naming the node.  Flow and
+    jump bound and raises a ``ValueError`` naming the node.  Flow and
     jump masses are summed per entry, the self mass is struck out and each
     row is divided by what remains; a row that keeps at most ``1e-9`` is
     frozen (intensity 0, kernel ``(i, i) = 1``).
@@ -381,9 +369,7 @@ def mu_generator(spec, mu, state_grid):
     clipped = np.clip(targets, grid[0], grid[-1])
     j = np.clip(np.searchsorted(grid, clipped, side="right") - 1, 0, n - 2)
     theta = (clipped - grid[j]) / (grid[j + 1] - grid[j])
-    lam = np.asarray(spec.intensity(grid), dtype=float)
-    if np.any(lam < 0) or np.any(lam > spec.intensity_bound + 1e-12):
-        raise ValueError("intensity leaves [0, bound] on the state grid")
+    lam = spec.intensity(grid)
     total = mu + lam
     w_flow = mu / total
     jumping = np.flatnonzero(lam > 0.0)
@@ -421,7 +407,7 @@ def mu_generator(spec, mu, state_grid):
 def simulate_pdmp(spec, p0, t, n_paths, seed):
     """Thinning simulation of the process itself; empirical endpoint law.
 
-    Candidate events arrive at the declared intensity bound; each candidate
+    Candidate events arrive at the intensity bound; each candidate
     is accepted with probability intensity/bound evaluated just before the
     event, with the drift's closed-form flow between candidates.  Every path
     is checked against the displacement bound
@@ -438,7 +424,7 @@ def simulate_pdmp(spec, p0, t, n_paths, seed):
     lb = spec.intensity_bound
 
     def event(x, u):
-        return x, np.asarray(spec.intensity(x), dtype=float) >= lb * (1.0 - u)
+        return x, spec.intensity(x) >= lb * (1.0 - u)
 
     x_start, x, n_jumps = _thinning(
         p0.support,
@@ -484,8 +470,7 @@ def simulate_chain(spec, p0, t, mu, n_paths, seed):
             x[move] = flow(spec, x[move], 1.0 / mu)
         jumps = ~move
         if np.any(jumps):
-            lam_here = np.asarray(spec.intensity(x[jumps]), dtype=float)
-            jumps[jumps] = v[jumps] <= mu + lam_here
+            jumps[jumps] = v[jumps] <= mu + spec.intensity(x[jumps])
         return x, jumps
 
     _, x, _ = _thinning(
@@ -703,11 +688,11 @@ def propagation_constants(spec, c0, C0, t, q, mu):
     same exponential rate.  :func:`propagation_check` audits both against a
     seeded simulation.
     """
-    if c0 < 1.0:
+    if not c0 >= 1.0:  # NaN fails every comparison
         raise ValueError("c0 must be at least 1")
-    if C0 <= 0.0 or t <= 0.0 or q <= 0.0:
+    if not (C0 > 0.0 and t > 0.0 and q > 0.0):
         raise ValueError("C0, t, q must be positive")
-    if mu < 1.0 / t:
+    if not mu >= 1.0 / t:
         raise ValueError("mu below 1/t is outside the certified range")
     vb = spec.drift_bound
     m = spec.jump_bound

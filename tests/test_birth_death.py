@@ -214,6 +214,26 @@ class TestScannedConstants:
         with pytest.raises(ValueError, match="finite number >= 1"):
             cost_difference_constant(bad)
 
+    @pytest.mark.parametrize("rho", [1000.0, 5000.0])
+    def test_overflowing_constants_raise(self, rho):
+        # x**rho overflows a double from x = 3 at rho = 1000: a typed error,
+        # not a nan
+        with pytest.raises(OverflowError, match=f"rho = {rho!r}"):
+            moment_rate_constant(rho)
+        with pytest.raises(OverflowError, match=f"rho = {rho!r}"):
+            cost_difference_constant(rho)
+
+    @pytest.mark.parametrize(
+        "rho, moment, cost",
+        [
+            (3.0, 6.999999999999998, 3.0),
+            (300.0, 2.0370359763344673e90, 1.018517988167243e90),
+        ],
+    )
+    def test_large_finite_constants_unchanged(self, rho, moment, cost):
+        assert moment_rate_constant(rho) == moment
+        assert cost_difference_constant(rho) == cost
+
     @given(
         st.floats(1.0, 10.0, exclude_min=True),
         st.integers(0, 10**15),

@@ -98,6 +98,21 @@ horizon: 1.0
 alpha_list: [1, 2, 3]
 """
 
+BOUNDS_PROPAGATION = """\
+kind: bounds
+family: propagation
+pdmp:
+  drift: {name: neg_tanh}
+  intensity: {const: 1.0}
+  kernel: {name: shift, d: 0.5}
+horizon: 1.0
+mu: inf
+n_paths: 200
+seed: 3
+q_list: [1.0, 2.0]
+smoothing_eta: 1.0
+"""
+
 BOUNDS_BD_MOMENT = (
     BOUNDS_GROWTH.replace("growth-moment", "bd-moment")
     .replace("generator:", "chain:")
@@ -282,7 +297,7 @@ class TestExitCodes:
         assert "finite" in err
 
     def test_nan_jump_bound_is_config_error_with_line(self, tmp_path, capsys):
-        text = PDMP_APPROX.replace("{name: shift, d: 0.5}", "{name: shift, d: 0.5, m: .nan}")
+        text = PDMP_APPROX.replace("{name: shift, d: 0.5}", "{name: shift, d: .nan}")
         assert ".nan" in text
         cfg = write_config(tmp_path, text)
         code = cli.main(["pdmp-approx", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -291,6 +306,68 @@ class TestExitCodes:
         line = 1 + text.splitlines().index("x:")
         assert err.startswith(f"{cfg}:{line}:")
         assert "finite" in err
+
+    def test_shift_bound_key_is_config_error_with_line(self, tmp_path, capsys):
+        # the shift law's bound is |d|: a bound key would not be read, so it
+        # is an error rather than a silent change of meaning
+        text = PDMP_APPROX.replace("{name: shift, d: 0.5}", "{name: shift, d: 0.5, m: 0.8}")
+        cfg = write_config(tmp_path, text)
+        code = cli.main(["pdmp-approx", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        line = 1 + text.splitlines().index("x:")
+        assert err.startswith(f"{cfg}:{line}:")
+        assert "unknown key m" in err
+
+    def test_overflowing_constant_is_numerical_failure(self, tmp_path, capsys):
+        text = BD_CONTRACTION.replace("rho: 2.0", "rho: 1000")
+        cfg = write_config(tmp_path, text)
+        code = cli.main(["bd-contraction", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "rho = 1000" in err
+
+    @pytest.mark.parametrize(
+        "key, text, value",
+        [
+            ("alpha_list", BOUNDS_GROWTH, "2.0"),
+            ("alpha_list", BOUNDS_GROWTH, "[1, 0.5]"),
+            ("alpha_list", BOUNDS_GROWTH, "[1, .nan]"),
+            ("q_list", BOUNDS_PROPAGATION, "2.0"),
+            ("q_list", BOUNDS_PROPAGATION, "[1.0, 0.0]"),
+            ("q_list", BOUNDS_PROPAGATION, "[1.0, .nan]"),
+        ],
+    )
+    def test_bad_bounds_list_is_config_error_with_line(self, tmp_path, capsys, key, text, value):
+        old = next(line for line in text.splitlines() if line.startswith(f"{key}:"))
+        text = text.replace(old, f"{key}: {value}")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        code = cli.main(["bounds", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        line = 1 + text.splitlines().index(f"{key}: {value}")
+        assert err.startswith(f"{cfg}:{line}: {key}")
+        assert not (out / "bounds.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["simulate", "bounds"])
+    @pytest.mark.parametrize("value", ["0.5", ".nan", "-.inf", "fast"])
+    def test_bad_mu_is_config_error_with_line(self, tmp_path, capsys, kind, value):
+        if kind == "simulate":
+            text = SIMULATE.replace("generator:", f"mu: {value}\npdmp:").replace(
+                "  mm_infty: {birth: 1.0, death: 0.5, n_top: 30}",
+                "  drift: {name: neg_tanh}\n  intensity: {const: 0.3}\n"
+                "  kernel: {name: shift, d: 0.5}",
+            )
+        else:
+            text = BOUNDS_PROPAGATION.replace("mu: inf", f"mu: {value}")
+        cfg = write_config(tmp_path, text)
+        code = cli.main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        line = 1 + text.splitlines().index(f"mu: {value}")
+        assert err.startswith(f"{cfg}:{line}: mu:")
 
     def test_rho_below_one_rejected(self, tmp_path, capsys):
         text = IDENTITY_EQUAL.replace("rho: 2.0", "rho: 0.5")
@@ -467,6 +544,19 @@ class TestRunners:
         for row in rows:
             assert float(row["lhs"]) <= float(row["rhs"])
             assert float(row["violation"]) == 0.0
+
+    def test_bounds_propagation(self, tmp_path):
+        cfg = write_config(tmp_path, BOUNDS_PROPAGATION)
+        out = tmp_path / "out"
+        code = cli.main(["bounds", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        names = [row["name"] for row in read_rows(out / "bounds.csv")]
+        assert names == [
+            "displacement_moment_q_1.0",
+            "tail_ratio_q_1.0",
+            "displacement_moment_q_2.0",
+            "tail_ratio_q_2.0",
+        ]
 
     def test_bounds_bd_moment(self, tmp_path):
         cfg = write_config(tmp_path, BOUNDS_BD_MOMENT)

@@ -16,6 +16,7 @@ from wflow.jump_process import JumpGeneratorSpec, simulate_paths, uniformized_ma
 from wflow.measures import CoverageError, DiscreteMeasure, TailConstants, laplace_smooth
 from wflow.pdmp import (
     Drift,
+    Intensity,
     PdmpSpec,
     PropagationAudit,
     ShiftJump,
@@ -26,7 +27,6 @@ from wflow.pdmp import (
     flow,
     mu_convergence_study,
     mu_generator,
-    named_drift,
     propagation_check,
     propagation_constants,
     simulate_chain,
@@ -44,70 +44,109 @@ EULER_RICHARDSON = 2.0 * EULER_2E6 - EULER_1E6
 TANH_FLOW_CLOSED = math.asinh(math.sinh(1.0) * math.exp(-1.0))
 
 
-def zero_intensity(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
 def const_intensity(level):
-    return lambda x: np.full_like(np.asarray(x, dtype=float), level)
+    return Intensity([0.0], [level])
 
 
 def tanh_spec(lam=0.0, kernel=None):
-    drift, bound = named_drift("neg_tanh")
-    kernel = kernel or UniformJump(1.0)
-    if lam == 0.0:
-        return PdmpSpec(drift, bound, zero_intensity, 0.0, kernel)
-    return PdmpSpec(drift, bound, const_intensity(lam), lam, kernel)
+    return PdmpSpec(Drift("neg_tanh"), const_intensity(lam), kernel or UniformJump(1.0))
+
+
+class TestParts:
+    def test_drift_bounds_and_validation(self):
+        assert Drift("zero").bound == 0.0
+        assert Drift("const", -0.7).bound == 0.7
+        assert Drift("neg_tanh").bound == 1.0
+        assert Drift("const", 2).c == 2.0
+        with pytest.raises(ValueError, match="takes no c"):
+            Drift("neg_tanh", 0.5)
+        with pytest.raises(ValueError, match="takes no c"):
+            Drift("zero", -1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Drift("const", bad)
+        with pytest.raises(ValueError, match="unknown drift"):
+            Drift("spiral")
+
+    def test_intensity_is_a_frozen_table(self):
+        lam = Intensity([-1.0, 1.0], [0.2, 0.6])
+        assert lam.bound == 0.6
+        xs = np.array([-5.0, -1.0, 0.0, 1.0, 5.0])
+        np.testing.assert_allclose(lam(xs), [0.2, 0.2, 0.4, 0.6, 0.6])
+        with pytest.raises(ValueError, match="read-only"):
+            lam.val[0] = 9.0
+        with pytest.raises(ValueError, match="read-only"):
+            lam.x[0] = -9.0
+        # a constant rate is the one-node table, bit for bit, out to +-inf
+        xs = np.array([-np.inf, -1e300, -2.5, 0.0, 1e-300, 3.0, np.inf])
+        one = Intensity([0.0], [0.3])
+        assert one.bound == 0.3
+        np.testing.assert_array_equal(one(xs), np.full_like(xs, 0.3))
+
+    @pytest.mark.parametrize(
+        "x, val, match",
+        [
+            ([1.0, -1.0], [0.2, 0.6], "increasing"),
+            ([0.0, 0.0], [0.2, 0.6], "increasing"),
+            ([0.0, math.nan], [0.2, 0.6], "finite"),
+            ([0.0, 1.0], [0.2, math.nan], "finite"),
+            ([0.0, 1.0], [0.2, math.inf], "finite"),
+            ([0.0, 1.0], [0.2, -0.1], "nonnegative"),
+            ([0.0, 1.0], [0.2], "equal-length"),
+            ([], [], "nonempty"),
+            (0.0, 0.5, "nonempty"),
+        ],
+    )
+    def test_intensity_rejects_bad_tables(self, x, val, match):
+        with pytest.raises(ValueError, match=match):
+            Intensity(x, val)
+
+    def test_jump_laws_carry_their_bound(self):
+        assert UniformJump(0.4).bound == 0.4
+        assert ShiftJump(-0.35).bound == 0.35
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                UniformJump(bad)
+            with pytest.raises(ValueError, match="finite"):
+                ShiftJump(bad)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                UniformJump(bad)
+        with pytest.raises(ValueError, match="nonzero"):
+            ShiftJump(0.0)
 
 
 class TestSpecValidation:
-    def test_drift_bound_enforced(self):
-        drift, _ = named_drift("neg_tanh")
-        with pytest.raises(ValueError):
-            PdmpSpec(drift, 0.5, zero_intensity, 0.0, UniformJump(1.0))
-
-    def test_intensity_range_enforced(self):
-        drift, bound = named_drift("zero")
-        dip = lambda x: np.asarray(x, dtype=float) * 0.0 - 0.1
-        with pytest.raises(ValueError):
-            PdmpSpec(drift, bound, dip, 1.0, UniformJump(1.0))
-        over = const_intensity(2.0)
-        with pytest.raises(ValueError):
-            PdmpSpec(drift, bound, over, 1.0, UniformJump(1.0))
-
-    def test_jump_bound_enforced(self):
-        drift, bound = named_drift("zero")
-        with pytest.raises(ValueError):
-            PdmpSpec(
-                drift, bound, zero_intensity, 0.0, UniformJump(1.0), jump_bound=0.5
-            )
-
     def test_drift_must_be_named(self):
         field = lambda x: -np.tanh(np.asarray(x, dtype=float))
-        with pytest.raises(TypeError, match="named_drift"):
-            PdmpSpec(field, 1.0, zero_intensity, 0.0, UniformJump(1.0))
-        drift, bound = named_drift("neg_tanh")
-        assert isinstance(drift, Drift)
-        assert PdmpSpec(drift, bound, zero_intensity, 0.0, UniformJump(1.0)).drift is drift
+        with pytest.raises(TypeError, match="drift must be a Drift"):
+            PdmpSpec(field, const_intensity(0.0), UniformJump(1.0))
+        drift = Drift("neg_tanh")
+        assert PdmpSpec(drift, const_intensity(0.0), UniformJump(1.0)).drift is drift
 
-    def test_shift_kernel_declared_bound(self):
-        with pytest.raises(ValueError):
-            ShiftJump(0.8, bound=0.5)
+    def test_parts_must_be_typed(self):
+        drift = Drift("zero")
+        with pytest.raises(TypeError, match="intensity must be an Intensity"):
+            PdmpSpec(drift, lambda x: np.full_like(np.asarray(x, float), 0.5), ShiftJump(0.5))
+        with pytest.raises(TypeError, match="kernel must be UniformJump or ShiftJump, not object"):
+            PdmpSpec(drift, const_intensity(0.5), object())
+
+    def test_bounds_come_from_the_parts(self):
+        spec = PdmpSpec(Drift("const", -0.3), Intensity([0.0, 1.0], [0.7, 0.1]), ShiftJump(-0.25))
+        assert (spec.drift_bound, spec.intensity_bound, spec.jump_bound) == (0.3, 0.7, 0.25)
 
     def test_declared_bounds_must_be_finite(self):
-        drift, bound = named_drift("zero")
-        lam = const_intensity(0.5)
+        # every part rejects a non-finite value, so no spec carries a
+        # non-finite bound
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
-                PdmpSpec(drift, bad, lam, 0.5, UniformJump(1.0))
+                Drift("const", bad)
             with pytest.raises(ValueError, match="finite"):
-                PdmpSpec(drift, bound, lam, bad, UniformJump(1.0))
+                Intensity([0.0], [bad])
             with pytest.raises(ValueError, match="finite"):
-                PdmpSpec(drift, bound, lam, 0.5, UniformJump(1.0), jump_bound=bad)
+                UniformJump(bad)
             with pytest.raises(ValueError, match="finite"):
-                PdmpSpec(drift, bound, lam, 0.5, ShiftJump(0.5, bound=bad))
-            with pytest.raises(ValueError, match="finite"):
-                PdmpSpec(drift, bound, lam, 0.5, UniformJump(bad))
+                ShiftJump(bad)
 
     def test_from_dict_named_forms(self):
         spec = PdmpSpec.from_dict(
@@ -132,10 +171,16 @@ class TestSpecValidation:
         )
         assert spec.intensity_bound == 0.6
         assert float(spec.intensity(0.0)) == pytest.approx(0.4)
+        with pytest.raises(ValueError, match="increasing"):
+            PdmpSpec.from_dict(
+                {
+                    "drift": {"name": "zero"},
+                    "intensity": {"x": [1.0, -1.0], "val": [0.2, 0.6]},
+                    "kernel": {"name": "uniform_pm", "m": 0.5},
+                }
+            )
 
     def test_from_dict_rejects_unknown_names(self):
-        with pytest.raises(ValueError):
-            named_drift("spiral")
         with pytest.raises(ValueError):
             PdmpSpec.from_dict(
                 {
@@ -153,18 +198,39 @@ class TestSpecValidation:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "section, value, match",
+        [
+            ("kernel", {"name": "shift", "d": 0.5, "m": 1.0}, "unknown key m"),
+            ("kernel", {"name": "uniform_pm", "m": 0.5, "d": 0.1}, "unknown key d"),
+            ("drift", {"name": "const", "c": 0.5, "v": 1.0}, "unknown key v"),
+            ("drift", {"name": "neg_tanh", "c": 0.5}, "takes no c"),
+            ("intensity", {"const": 0.5, "x": [0.0]}, "unknown key x"),
+            ("intensity", {"x": [0.0], "val": [0.5], "bound": 1.0}, "unknown key bound"),
+            ("intensity", {"level": 0.5}, "unknown key level"),
+            ("intensity", 0.5, "must be a mapping"),
+        ],
+    )
+    def test_from_dict_rejects_keys_it_does_not_read(self, section, value, match):
+        cfg = {
+            "drift": {"name": "zero"},
+            "intensity": {"const": 0.5},
+            "kernel": {"name": "shift", "d": 0.5},
+        }
+        cfg[section] = value
+        with pytest.raises(ValueError, match=match):
+            PdmpSpec.from_dict(cfg)
+
 
 class TestFlow:
     def test_zero_field_identity(self):
-        spec = PdmpSpec(*named_drift("zero"), zero_intensity, 0.0, UniformJump(1.0))
+        spec = PdmpSpec(Drift("zero"), const_intensity(0.0), UniformJump(1.0))
         assert flow(spec, 2.5, 3.0) == 2.5
         out = flow(spec, np.array([-1.0, 0.5]), 7.0)
         assert np.array_equal(out, [-1.0, 0.5])
 
     def test_constant_field_translation(self):
-        spec = PdmpSpec(
-            *named_drift("const", c=0.4), zero_intensity, 0.0, UniformJump(1.0)
-        )
+        spec = PdmpSpec(Drift("const", 0.4), const_intensity(0.0), UniformJump(1.0))
         assert flow(spec, 1.0, 2.0) == pytest.approx(1.8, abs=1e-12)
         assert flow(spec, 1.0, -2.0) == pytest.approx(0.2, abs=1e-12)
 
@@ -199,7 +265,9 @@ class TestFlow:
 
     @pytest.mark.parametrize("name", ["zero", "const", "neg_tanh"])
     def test_closed_forms_match_rk4_oracle(self, name):
-        spec = PdmpSpec(*named_drift(name, c=-0.7), zero_intensity, 0.0, UniformJump(1.0))
+        spec = PdmpSpec(
+            Drift(name, -0.7 if name == "const" else 0.0), const_intensity(0.0), UniformJump(1.0)
+        )
         xs = np.linspace(-5.0, 5.0, 41)
         for s in np.linspace(-1.0, 2.0, 7):
             assert np.max(np.abs(flow(spec, xs, s) - flow_rk4(spec, xs, s))) <= 1e-9
@@ -262,8 +330,7 @@ class TestMuGenerator:
         assert np.allclose(drift_vec, expected, atol=1e-9)
 
     def test_zero_drift_reduces_to_pure_jump_chain(self):
-        drift, bound = named_drift("zero")
-        spec = PdmpSpec(drift, bound, const_intensity(0.5), 0.5, ShiftJump(0.5))
+        spec = PdmpSpec(Drift("zero"), const_intensity(0.5), ShiftJump(0.5))
         grid = np.linspace(-2.0, 2.0, 81)
         appr = mu_generator(spec, 16.0, grid)
         # fake flow moves to x itself are struck out by the normalization
@@ -274,17 +341,13 @@ class TestMuGenerator:
         assert row[target] == pytest.approx(1.0, abs=1e-9)
 
     def test_flow_target_coverage_error(self):
-        spec = PdmpSpec(
-            *named_drift("const", c=1.0), zero_intensity, 0.0, UniformJump(1.0)
-        )
+        spec = PdmpSpec(Drift("const", 1.0), const_intensity(0.0), UniformJump(1.0))
         grid = np.linspace(0.0, 1.0, 11)
         with pytest.raises(CoverageError):
             mu_generator(spec, 1.0, grid)
 
     def test_boundary_jump_mass_is_reported_not_fatal(self):
-        spec = PdmpSpec(
-            *named_drift("zero"), const_intensity(1.0), 1.0, UniformJump(1.0)
-        )
+        spec = PdmpSpec(Drift("zero"), const_intensity(1.0), UniformJump(1.0))
         grid = np.linspace(-1.0, 1.0, 41)
         appr = mu_generator(spec, 4.0, grid)
         assert appr.boundary_jump_leak > 0.1
@@ -305,7 +368,7 @@ class TestMuGenerator:
                 mu_generator(spec, bad, grid)
 
     def test_banded_build_matches_row_loop(self):
-        zero, _ = named_drift("zero")
+        zero = Drift("zero")
         tabulated = PdmpSpec.from_dict(
             {
                 "drift": {"name": "neg_tanh"},
@@ -328,10 +391,10 @@ class TestMuGenerator:
             ),
             "two nodes": (tanh_spec(0.5, UniformJump(1.0)), 8.0, np.array([-0.5, 0.5])),
             "all frozen": (
-                PdmpSpec(zero, 0.0, zero_intensity, 0.0, ShiftJump(0.5)), 4.0, uniform
+                PdmpSpec(zero, const_intensity(0.0), ShiftJump(0.5)), 4.0, uniform
             ),
             "boundary leak": (
-                PdmpSpec(zero, 0.0, const_intensity(1.0), 1.0, UniformJump(1.0)),
+                PdmpSpec(zero, const_intensity(1.0), UniformJump(1.0)),
                 4.0,
                 small,
             ),
@@ -358,19 +421,14 @@ class TestMuGenerator:
         assert np.all(frozen.generator.kernel.diagonal() == 1.0)
 
     def test_jump_mass_beyond_declared_bound_fails_closed(self):
-        class Overreaching:
-            """Samples within its bound, but its CDF moves the mass twice as far."""
-
-            bound = 0.5
+        class Overreaching(ShiftJump):
+            """Samples a shift of 0.5, but its CDF moves the mass twice as far."""
 
             def cdf(self, x, y):
                 return (np.asarray(y, dtype=float) >= x + 1.0).astype(float)
 
-            def quantile(self, x, u):
-                return x + 0.5
-
-        drift, bound = named_drift("zero")
-        spec = PdmpSpec(drift, bound, const_intensity(0.5), 0.5, Overreaching())
+        spec = PdmpSpec(Drift("zero"), const_intensity(0.5), Overreaching(0.5))
+        assert spec.jump_bound == 0.5
         grid = np.linspace(-2.0, 2.0, 81)
         # the full-grid row loop keeps the out-of-bound mass without a word
         mu_generator_rowloop(spec, 8.0, grid)
@@ -422,8 +480,7 @@ class TestSimulate:
     def test_zero_drift_shift_matches_lattice_chain(self):
         # V=0 with a fixed shift is a counting chain on a lattice; compare
         # the thinning endpoints with the exact uniformized law
-        drift, bound = named_drift("zero")
-        spec = PdmpSpec(drift, bound, const_intensity(0.5), 0.5, ShiftJump(0.5))
+        spec = PdmpSpec(Drift("zero"), const_intensity(0.5), ShiftJump(0.5))
         n_paths = 20000
         emp = simulate_pdmp(spec, DiscreteMeasure([0.0], [1.0]), 2.0, n_paths, 17)
         states = 0.5 * np.arange(26)
@@ -488,15 +545,13 @@ class TestSimulate:
 class TestPropagationConstants:
     def test_frozen_point_example(self):
         # V=0, M=1, intensity bound 1, q=1, t=1
-        drift, bound = named_drift("zero")
-        spec = PdmpSpec(drift, bound, const_intensity(1.0), 1.0, UniformJump(1.0))
+        spec = PdmpSpec(Drift("zero"), const_intensity(1.0), UniformJump(1.0))
         moment_bound, c_t = propagation_constants(spec, 1.0, 1.0, 1.0, 1.0, 2.0)
         assert moment_bound == pytest.approx(math.exp(math.e - 2.0), abs=1e-14)
         assert c_t == pytest.approx(math.exp(math.e - math.exp(-1.0)), rel=1e-12)
 
     def test_short_horizon_tail_constant_limit(self):
-        drift, bound = named_drift("zero")
-        spec = PdmpSpec(drift, bound, const_intensity(1.0), 1.0, UniformJump(1.0))
+        spec = PdmpSpec(Drift("zero"), const_intensity(1.0), UniformJump(1.0))
         _, c_t = propagation_constants(spec, 1.5, 2.0, 1e-9, 1.0, 1e9)
         assert c_t == pytest.approx(1.5**2, rel=1e-6)
 
@@ -519,6 +574,14 @@ class TestPropagationConstants:
             propagation_constants(spec, 1.0, -1.0, 1.0, 1.0, 2.0)
         with pytest.raises(ValueError):
             propagation_constants(spec, 1.0, 1.0, 1.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("slot", range(5))
+    def test_nan_arguments_rejected(self, slot):
+        # a NaN c0 would make c_t NaN, and every tail probe would pass against it
+        args = [1.0, 1.0, 1.0, 1.0, 2.0]
+        args[slot] = math.nan
+        with pytest.raises(ValueError):
+            propagation_constants(tanh_spec(lam=0.5), *args)
 
     def test_simulation_audit_passes(self):
         spec = tanh_spec(lam=1.0)
@@ -550,8 +613,7 @@ class TestPropagationConstants:
 
 @pytest.fixture(scope="module")
 def study():
-    drift, bound = named_drift("neg_tanh")
-    spec = PdmpSpec(drift, bound, const_intensity(0.3), 0.3, ShiftJump(0.5))
+    spec = tanh_spec(lam=0.3, kernel=ShiftJump(0.5))
     p0X = DiscreteMeasure(np.linspace(0.5, 1.5, 11), np.full(11, 1 / 11))
     p0Y = DiscreteMeasure(np.linspace(-1.0, -0.4, 7), np.full(7, 1 / 7))
     return mu_convergence_study(
