@@ -47,7 +47,7 @@ spec = PdmpSpec(drift, Intensity([0.0], [0.3]), ShiftJump(0.5))
 p0y = DiscreteMeasure(np.linspace(-1.0, -0.4, 7), np.full(7, 1.0 / 7.0))
 study = mu_convergence_study(
     spec, spec, p0, p0y, rho=2.0, t=1.0, mu_list=[4.0, 8.0, 16.0],
-    n_paths=0, seed=0, grid_nodes=513, identity_steps=80,
+    grid_nodes=513, identity_steps=80,
 )
 print("reference chain resolution:", study.reference_mu)
 for k, mu in enumerate(study.mu_list):

@@ -25,7 +25,7 @@ import numpy as np
 
 from wflow.jump_process import JumpGeneratorSpec, Kernel, marginal_path, uniformized_marginal
 from wflow.measures import write_table
-from wflow.transport import wasserstein_power
+from wflow.transport import _check_rho, wasserstein_power
 
 __all__ = [
     "BirthDeathSpec",
@@ -127,11 +127,6 @@ def truncated_curvature(bd, n_top=None):
 
 _FIRST_WINDOW = 8
 _LAST_WINDOW = 1 << 20
-
-
-def _check_rho(rho):
-    if not (math.isfinite(rho) and rho >= 1):
-        raise ValueError(f"rho must be a finite number >= 1, got {rho!r}")
 
 
 def _windowed_sup(ratio, rho, limit, tail, signed):

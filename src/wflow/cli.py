@@ -94,7 +94,7 @@ class ExperimentConfig:
                     text=text,
                 )
         if self.options.get("rho") is not None:
-            _power(self.options["rho"], "rho", text)
+            _at_least_one(self.options["rho"], "rho", text)
 
     @property
     def tolerances(self):
@@ -117,13 +117,19 @@ def _number(value, key, rule, ok, text=""):
     return number
 
 
-def _power(value, key, text=""):
-    """A configured power rho: a finite number, at least 1."""
+def _at_least_one(value, key, text=""):
+    """A finite number >= 1: a power rho or alpha, a chain speed, a tail constant c0."""
     return _number(value, key, "a finite number >= 1", lambda v: math.isfinite(v) and v >= 1, text)
 
 
 def _finite_positive(value, key):
     return _number(value, key, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
+
+
+def _count(value, key, least):
+    """A configured count: an integer (a bool is not one), at least ``least``."""
+    _number(value, key, f"an integer >= {least}", lambda v: type(value) is int and v >= least)
+    return value
 
 
 def _entries(options, key, read):
@@ -237,11 +243,11 @@ def _summary(out_dir, kind, max_residual, bounds_checked, violations, started, c
 
 def _run_identity(config, out_dir, started):
     opts = config.options
-    rho = float(_need(opts, "rho"))
+    rho = _at_least_one(_need(opts, "rho"), "rho")
     if rho <= 1.0:
         raise ConfigError("identity experiments need rho > 1", key="rho")
     horizon = _positive(opts, "horizon")
-    steps = int(_need(opts, "steps"))
+    steps = _count(_need(opts, "steps"), "steps", 2)
     gen_x = _generator_from(opts, "x")
     gen_y = _generator_from(opts, "y")
     p0_x = _measure_from(opts, "p0_x")
@@ -261,9 +267,9 @@ def _run_bd_contraction(config, out_dir, started):
     bd = _bd_from(opts, "chain")
     p0_x = _measure_from(opts, "p0_x")
     p0_y = _measure_from(opts, "p0_y")
-    rho = float(_need(opts, "rho"))
+    rho = _at_least_one(_need(opts, "rho"), "rho")
     horizon = _positive(opts, "horizon")
-    steps = int(_need(opts, "steps"))
+    steps = _count(_need(opts, "steps"), "steps", 1)
     report = contraction_report(bd, p0_x, p0_y, rho, horizon, steps)
     report.to_csv(os.path.join(out_dir, "bd-contraction.csv"))
     curves = 1 + int(rho > 1.0) + int(report.iterated_bound is not None)
@@ -281,11 +287,11 @@ def _run_pdmp_approx(config, out_dir, started):
     spec_y = _pdmp_from(opts, "y") if "y" in opts else spec_x
     p0_x = _measure_from(opts, "p0_x")
     p0_y = _measure_from(opts, "p0_y")
-    rho = float(_need(opts, "rho"))
+    rho = _at_least_one(_need(opts, "rho"), "rho")
+    if rho <= 1.0:
+        raise ConfigError("rho must exceed 1 for pdmp-approx experiments", key="rho")
     horizon = _positive(opts, "horizon")
-    mu_list = [float(v) for v in _need(opts, "mu_list")]
-    n_paths = int(opts.get("n_paths", 0))
-    seed = _seed_of(config) if n_paths > 0 else 0
+    mu_list = [mu for _, mu in _entries(opts, "mu_list", _at_least_one)]
     report = mu_convergence_study(
         spec_x,
         spec_y,
@@ -294,10 +300,8 @@ def _run_pdmp_approx(config, out_dir, started):
         rho,
         horizon,
         mu_list,
-        n_paths,
-        seed,
-        grid_nodes=int(opts.get("grid_nodes", 2049)),
-        identity_steps=int(opts.get("steps", 200)),
+        grid_nodes=_count(opts.get("grid_nodes", 2049), "grid_nodes", 2),
+        identity_steps=_count(opts.get("steps", 200), "steps", 2),
     )
     report.to_csv(os.path.join(out_dir, "pdmp-approx.csv"))
     violations = 0
@@ -316,7 +320,7 @@ def _run_pdmp_approx(config, out_dir, started):
 def _run_simulate(config, out_dir, started):
     opts = config.options
     horizon = _positive(opts, "horizon")
-    n_paths = int(_need(opts, "n_paths"))
+    n_paths = _count(_need(opts, "n_paths"), "n_paths", 1)
     seed = _seed_of(config)
     if "pdmp" in opts:
         spec = _pdmp_from(opts, "pdmp")
@@ -335,9 +339,9 @@ def _run_simulate(config, out_dir, started):
     measure_to_csv(empirical, os.path.join(out_dir, "simulate.csv"))
     exact = uniformized_marginal(gen, p0, horizon)
     gap = wasserstein(empirical, exact, 1.0)
-    confidence = float(opts.get("confidence", 0.99))
-    if not 0.0 < confidence < 1.0:
-        raise ConfigError("confidence must lie in (0, 1)", key="confidence")
+    confidence = _number(
+        opts.get("confidence", 0.99), "confidence", "a number in (0, 1)", lambda v: 0 < v < 1
+    )
     span = float(gen.states[-1] - gen.states[0])
     envelope = span * math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n_paths))
     violations = int(not gap <= envelope)
@@ -352,24 +356,28 @@ def _bounds_rows(config):
         bd = _bd_from(opts, "chain")
         p0 = _measure_from(opts, "p0")
         horizon = _positive(opts, "horizon")
-        for name, rho in _entries(opts, "rho_list", _power):
+        for name, rho in _entries(opts, "rho_list", _at_least_one):
             exact, bound = moment_bound(bd, p0, rho, horizon)
             rows.append((f"bd_moment_rho_{name}", exact, bound))
     elif family == "growth-moment":
         gen = _generator_from(opts, "generator")
         p0 = _measure_from(opts, "p0")
         horizon = _positive(opts, "horizon")
-        for name, alpha in _entries(opts, "alpha_list", _power):
+        for name, alpha in _entries(opts, "alpha_list", _at_least_one):
             exact, bound = moment_growth_bound(gen, p0, alpha, horizon)
             rows.append((f"growth_moment_alpha_{name}", exact, bound))
     elif family == "propagation":
         spec = _pdmp_from(opts, "pdmp")
         horizon = _positive(opts, "horizon")
-        c0 = float(opts.get("c0", 1.0))
-        eta = opts.get("smoothing_eta")
-        big_c0 = float(opts.get("C0", 1.0 / float(eta) if eta else 1.0))
+        c0 = _at_least_one(opts.get("c0", 1.0), "c0")
+        if "C0" in opts:
+            big_c0 = _positive(opts, "C0")
+        elif "smoothing_eta" in opts:
+            big_c0 = 1.0 / _positive(opts, "smoothing_eta")
+        else:
+            big_c0 = 1.0
         mu = _speed(opts)
-        n_paths = int(_need(opts, "n_paths"))
+        n_paths = _count(_need(opts, "n_paths"), "n_paths", 1)
         seed = _seed_of(config)
         for name, q in _entries(opts, "q_list", _finite_positive):
             audit = propagation_check(spec, c0, big_c0, horizon, q, mu, n_paths, seed)

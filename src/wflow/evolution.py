@@ -22,7 +22,7 @@ import numpy as np
 
 from wflow.jump_process import JumpGeneratorSpec, _state_vector, marginal_path, uniformized_marginal
 from wflow.measures import write_table
-from wflow.transport import potentials, wasserstein_power
+from wflow.transport import _check_rho, potentials, wasserstein_power
 
 __all__ = [
     "EvolutionReport",
@@ -143,7 +143,7 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps, marginal_tol=1e-1
     1-Lipschitz and far from unique), so first-order claims are certified by
     the contraction route in the birth-death module instead.
     """
-    if rho == 1.0:
+    if _check_rho(rho) == 1.0:
         raise ValueError(
             "rho = 1 is not supported here; use birth_death contraction reports"
         )

@@ -48,36 +48,27 @@ def _signed_power(z, p):
     return np.sign(z) * np.abs(z) ** p
 
 
-def _abs_power_segment_integral(a, b, lo, hi, q):
-    """Exact ``integral_lo^hi |a + b*x|^q dx`` for scalar/array coefficients.
+def _power_integral(z_lo, z_hi, width, q):
+    """Exact ``integral |z|^q`` over segments of ``width`` on which ``z`` runs
+    linearly from ``z_lo`` to ``z_hi`` (equal-shape 1-d arrays).
 
-    Uses the closed-form antiderivative ``sign(z)|z|^{q+1} / (b (q+1))`` which is
-    continuous through the sign change of ``a + b*x``, so no segment splitting
-    at the zero crossing is needed.  Segments whose integrand varies by less
-    than 1e-9 relative are integrated by the midpoint value, which avoids the
-    cancellation the quotient form would suffer there.
+    A steep segment takes the quotient of the antiderivative
+    ``sign(z)|z|^{q+1} / (q+1)``, which is continuous through a sign change of
+    ``z``, so a segment that crosses zero needs no split at the root.  A
+    segment whose ends differ by at most 1e-9 of ``|z_lo| + |z_hi|`` takes its
+    midpoint value times the width instead, which avoids the cancellation the
+    quotient would suffer there.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    out = np.empty(np.broadcast(a, b, lo, hi).shape, dtype=float)
-    a, b, lo, hi = np.broadcast_arrays(a, b, lo, hi)
-    z_lo = a + b * lo
-    z_hi = a + b * hi
-    spread = np.abs(z_hi - z_lo)
-    scale = np.abs(z_lo) + np.abs(z_hi)
-    flat = spread <= 1e-9 * scale
-    if np.any(flat):
-        out[flat] = np.abs(0.5 * (z_lo[flat] + z_hi[flat])) ** q * (hi[flat] - lo[flat])
-    steep = ~flat
-    if np.any(steep):
+    out = np.abs(0.5 * (z_lo + z_hi)) ** q * width
+    steep = np.abs(z_hi - z_lo) > 1e-9 * (np.abs(z_lo) + np.abs(z_hi))
+    if steep.any():
+        zl, zh = z_lo[steep], z_hi[steep]
         out[steep] = (
-            (_signed_power(z_hi[steep], q + 1.0) - _signed_power(z_lo[steep], q + 1.0))
-            * (hi[steep] - lo[steep])
-            / ((z_hi[steep] - z_lo[steep]) * (q + 1.0))
+            (_signed_power(zh, q + 1.0) - _signed_power(zl, q + 1.0))
+            * width[steep]
+            / ((zh - zl) * (q + 1.0))
         )
-    return out if out.ndim else float(out)
+    return out
 
 
 class DiscreteMeasure:
@@ -239,10 +230,9 @@ def moment(m, q):
     if isinstance(m, DiscreteMeasure):
         return float(np.sum(m.weights * np.abs(m.support) ** q))
     if isinstance(m, GridMeasure):
-        dens = m.densities()
-        parts = _abs_power_segment_integral(0.0, 1.0, m.grid[:-1], m.grid[1:], q)
         # integral of |x|^q over the cell times the constant density
-        return float(np.sum(dens * parts))
+        parts = _power_integral(m.grid[:-1], m.grid[1:], np.diff(m.grid), q)
+        return float(np.sum(m.densities() * parts))
     raise TypeError(f"unsupported measure type {type(m)!r}")
 
 
@@ -274,12 +264,8 @@ def generalized_variance(m, phi, q):
     mu = mean_of(m, phi)
     if isinstance(m, DiscreteMeasure):
         return float(np.sum(m.weights * np.abs(phi - mu) ** q))
-    dens = m.densities()
-    x_lo, x_hi = m.grid[:-1], m.grid[1:]
-    slope = (phi[1:] - phi[:-1]) / (x_hi - x_lo)
-    a = phi[:-1] - mu - slope * x_lo
-    parts = _abs_power_segment_integral(a, slope, x_lo, x_hi, q)
-    return float(np.sum(dens * parts))
+    parts = _power_integral(phi[:-1] - mu, phi[1:] - mu, np.diff(m.grid), q)
+    return float(np.sum(m.densities() * parts))
 
 
 _SMOOTH_PAD = 22.0  # pad in units of eta; leaves < 1e-9 mass outside the grid

@@ -28,7 +28,6 @@ from wflow.jump_process import (
     Kernel,
     _poisson_weights,
     _thinning,
-    simulate_paths,
     uniformized_marginal,
 )
 from wflow.measures import (
@@ -540,9 +539,6 @@ class MuConvergenceReport:
     time-``t`` marginal to the reference chain at twice the largest speed;
     ``potential_gap`` holds, per consecutive speed pair, the largest
     difference of generator-applied dual potentials over the bulk window.
-    ``mc_gap`` compares the coarsest chain's exact marginal with a thinning
-    simulation (with its crude concentration envelope) when paths were
-    requested.
     """
 
     mu_list: np.ndarray
@@ -558,8 +554,6 @@ class MuConvergenceReport:
     cauchy_decreasing_x: bool
     cauchy_decreasing_y: bool
     potential_gap_decreasing: bool
-    mc_gap: float | None = None
-    mc_envelope: float | None = None
 
     def to_csv(self, target):
         """Write `mu,identity_residual,cauchy_x,cauchy_y,potential_gap`."""
@@ -585,8 +579,6 @@ def mu_convergence_study(
     rho,
     t,
     mu_list,
-    n_paths,
-    seed,
     grid_nodes=2049,
     identity_steps=200,
 ):
@@ -636,8 +628,6 @@ def mu_convergence_study(
     cauchy_x = np.empty(mu_arr.size)
     cauchy_y = np.empty(mu_arr.size)
     applied = []
-    mc_gap = None
-    mc_env = None
     for k, mu in enumerate(mu_arr):
         apprX, apprY = chains(mu)
         rep = verify_identity(
@@ -646,10 +636,6 @@ def mu_convergence_study(
         residuals[k] = rep.max_residual
         mx = uniformized_marginal(apprX.generator, e0X, t)
         my = uniformized_marginal(apprY.generator, e0Y, t)
-        if k == 0 and n_paths >= 1:
-            emp = simulate_paths(apprX.generator, e0X, t, n_paths, seed)
-            mc_gap = wasserstein(emp, mx, 1.0)
-            mc_env = (hi - lo) * math.sqrt(math.log(2.0 / 0.01) / (2.0 * n_paths))
         cauchy_x[k] = wasserstein(mx, ref_x, rho)
         cauchy_y[k] = wasserstein(my, ref_y, rho)
         pair = potentials(mx, my, rho)
@@ -674,8 +660,6 @@ def mu_convergence_study(
         bool(np.all(np.diff(cauchy_x) < 0.0)),
         bool(np.all(np.diff(cauchy_y) < 0.0)),
         bool(gaps.size < 2 or np.all(np.diff(gaps) < 0.0)),
-        mc_gap,
-        mc_env,
     )
 
 

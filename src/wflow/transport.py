@@ -26,7 +26,7 @@ import numpy as np
 from wflow.measures import (
     DiscreteMeasure,
     GridMeasure,
-    _abs_power_segment_integral,
+    _power_integral,
     _signed_power,
     generalized_variance,
     moment,
@@ -70,9 +70,10 @@ class HypothesisError(ValueError):
 
 
 def _check_rho(rho, need_gt1=False):
+    """``rho`` as a float: finite and at least 1 (above 1 with ``need_gt1``)."""
     rho = float(rho)
-    if rho < 1.0:
-        raise ValueError(f"cost exponent rho must be >= 1, got {rho!r}")
+    if not (math.isfinite(rho) and rho >= 1.0):
+        raise ValueError(f"cost exponent rho must be a finite number >= 1, got {rho!r}")
     if need_gt1 and rho == 1.0:
         raise ValueError("dual potentials are only constructed for rho > 1")
     return rho
@@ -112,20 +113,7 @@ def wasserstein_power(m1, m2, rho):
     mid = 0.5 * (lo + hi)
     q1_lo, q1_hi = _quantile_on_segments(b1, k1, d1, lo, hi, mid)
     q2_lo, q2_hi = _quantile_on_segments(b2, k2, d2, lo, hi, mid)
-    d_lo = q1_lo - q2_lo
-    d_hi = q1_hi - q2_hi
-    length = hi - lo
-    spread = np.abs(d_hi - d_lo)
-    scale = np.abs(d_lo) + np.abs(d_hi)
-    const = spread <= 1e-12 * np.maximum(scale, 1e-300)
-    out = np.where(
-        const,
-        length * np.abs(0.5 * (d_lo + d_hi)) ** rho,
-        length
-        * (_signed_power(d_hi, rho + 1.0) - _signed_power(d_lo, rho + 1.0))
-        / ((rho + 1.0) * np.where(const, 1.0, d_hi - d_lo)),
-    )
-    return float(np.sum(out))
+    return float(np.sum(_power_integral(q1_lo - q2_lo, q1_hi - q2_hi, hi - lo, rho)))
 
 
 def wasserstein(m1, m2, rho):
@@ -260,7 +248,7 @@ class _GridDual:
         )
         lo, hi = self.xb[:-1], self.xb[1:]
         dxp = hi - lo
-        power_int = _abs_power_segment_integral(self.a, self.b, lo, hi, self.rho)
+        power_int = _power_integral(self.g_lo, self.g_hi, dxp, self.rho)
         glp = np.abs(self.g_lo) ** self.rho
         smooth = self.psi_b[:-1] * dxp + (power_int - glp * dxp) / np.where(self.flat, 1.0, self.b)
         s = self.rho * _signed_power(self.a, self.rho - 1.0)
@@ -281,8 +269,6 @@ class _GridDual:
             np.searchsorted(self.m2.grid, 0.5 * (lo + hi), side="right") - 1, 0, dens.size - 1
         )
         tb = self.map_back(yb)
-        delta = (tb[1:] - tb[:-1]) / dy
-        gamma = tb[:-1] - delta * lo
         k = self._piece_of(0.5 * (tb[:-1] + tb[1:]))
         a, b, flat = self.a[k], self.b[k], self.flat[k]
         # integral of psi(T~(y)) over the piece
@@ -291,11 +277,11 @@ class _GridDual:
         mean_tb = 0.5 * (tb[:-1] + tb[1:])
         int_flat = lin_base * dy + lin_slope * mean_tb * dy
         c0 = self.psi_b[k] - np.abs(self.g_lo[k]) ** self.rho / np.where(flat, 1.0, b)
-        int_pow = _abs_power_segment_integral(a + b * gamma, b * delta, lo, hi, self.rho)
+        int_pow = _power_integral(a + b * tb[:-1], a + b * tb[1:], dy, self.rho)
         int_smooth = c0 * dy + int_pow / np.where(flat, 1.0, b)
         int_psi_t = np.where(flat, int_flat, int_smooth)
         # integral of |T~(y) - y|^rho over the piece
-        int_disp = _abs_power_segment_integral(gamma, delta - 1.0, lo, hi, self.rho)
+        int_disp = _power_integral(tb[:-1] - lo, tb[1:] - hi, dy, self.rho)
         return float(np.sum(dens[cell] * (-int_psi_t - int_disp)))
 
 
@@ -375,7 +361,7 @@ def _staircase(m1, m2, rho):
     scale = 1.0 + float(np.max(np.abs(psit)))
     gap = np.abs(closed - psit)
     worst = int(np.argmax(gap))
-    if gap[worst] > 1e-9 * scale:
+    if not gap[worst] <= 1e-9 * scale:  # a NaN gap or scale fails closed
         raise PotentialConstructionError(
             "staircase propagation is dual-infeasible near "
             f"y={y[worst]!r} (transform correction {gap[worst]!r})"
@@ -599,11 +585,7 @@ def _phi_norm(u_nodes, phi_vals, p):
         return float(np.max(phi_vals))
     nodes = np.concatenate(([0.0], u_nodes, [1.0]))
     vals = np.concatenate(([phi_vals[0]], phi_vals, [phi_vals[-1]]))
-    lo, hi = nodes[:-1], nodes[1:]
-    width = hi - lo
-    slope = np.where(width > 0, (vals[1:] - vals[:-1]) / np.where(width > 0, width, 1.0), 0.0)
-    a = vals[:-1] - slope * lo
-    total = float(np.sum(_abs_power_segment_integral(a, slope, lo, hi, p)))
+    total = float(np.sum(_power_integral(vals[:-1], vals[1:], np.diff(nodes), p)))
     return total ** (1.0 / p)
 
 
@@ -680,10 +662,7 @@ def translated_map_bound(m1, m2, y, q, phi_y, delta):
     v_hi = t_at(hi - y)
     dens = m1.densities()
     cell = np.clip(np.searchsorted(m1.grid, 0.5 * (lo + hi), side="right") - 1, 0, dens.size - 1)
-    width = hi - lo
-    slope = np.where(width > 0, (v_hi - v_lo) / np.where(width > 0, width, 1.0), 0.0)
-    a = v_lo - slope * lo
-    lhs = float(np.sum(dens[cell] * _abs_power_segment_integral(a, slope, lo, hi, q)))
+    lhs = float(np.sum(dens[cell] * _power_integral(v_lo, v_hi, hi - lo, q)))
     # Holder bound
     m_q = moment(m2, q)
     delta = float(delta)

@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive: linear programming over the full
 coupling polytope, dense quadrature, direct summation, the speed-mu chain
-built row by row over the whole grid, drift flows integrated by RK4, and the
-birth-death constants scanned over a million integers.  The package under
-test must agree with these to tight tolerances on small instances (the chain
-build and the constants exactly).
+built row by row over the whole grid, drift flows integrated by RK4, the
+birth-death constants scanned over a million integers, and the quantile-merge
+transport cost with its own flatness rule for the segment integral.  The
+package under test must agree with these to tight tolerances on small
+instances (the chain build, the constants and the atomic transport cost
+exactly).
 """
 
 from __future__ import annotations
@@ -17,9 +19,14 @@ from scipy import integrate, optimize, sparse
 
 from wflow.birth_death import _cost_difference_ratio, _moment_rate_ratio
 from wflow.jump_process import JumpGeneratorSpec
-from wflow.measures import CoverageError
+from wflow.measures import CoverageError, _signed_power
 from wflow.pdmp import MuApproximation, flow
-from wflow.transport import IntegrationError
+from wflow.transport import (
+    IntegrationError,
+    _check_rho,
+    _quantile_breaks,
+    _quantile_on_segments,
+)
 
 
 def lp_coupling_cost(x, wx, y, wy, rho):
@@ -234,3 +241,34 @@ def scan_cost_difference_constant(rho, scan_top=1_000_000):
         return 1.0
     scanned = _scan_max(_cost_difference_ratio, rho, -scan_top, scan_top)
     return float(max(scanned, 0.5 * rho * (rho - 1.0)))
+
+
+def merged_wasserstein_power(m1, m2, rho):
+    """``transport.wasserstein_power`` with its own copy of the segment integral.
+
+    Both the midpoint and the quotient form are evaluated on every merged
+    segment, and ``np.where`` keeps the midpoint where the two ends differ by
+    at most 1e-12 of their summed magnitude.
+    """
+    rho = _check_rho(rho)
+    b1, k1, d1 = _quantile_breaks(m1)
+    b2, k2, d2 = _quantile_breaks(m2)
+    breaks = np.union1d(b1, b2)
+    lo, hi = breaks[:-1], breaks[1:]
+    mid = 0.5 * (lo + hi)
+    q1_lo, q1_hi = _quantile_on_segments(b1, k1, d1, lo, hi, mid)
+    q2_lo, q2_hi = _quantile_on_segments(b2, k2, d2, lo, hi, mid)
+    d_lo = q1_lo - q2_lo
+    d_hi = q1_hi - q2_hi
+    length = hi - lo
+    spread = np.abs(d_hi - d_lo)
+    scale = np.abs(d_lo) + np.abs(d_hi)
+    const = spread <= 1e-12 * np.maximum(scale, 1e-300)
+    out = np.where(
+        const,
+        length * np.abs(0.5 * (d_lo + d_hi)) ** rho,
+        length
+        * (_signed_power(d_hi, rho + 1.0) - _signed_power(d_lo, rho + 1.0))
+        / ((rho + 1.0) * np.where(const, 1.0, d_hi - d_lo)),
+    )
+    return float(np.sum(out))

@@ -302,8 +302,6 @@ def test_criterion_08_chain_approximation(capsys):
         2.0,
         1.0,
         list(mus),
-        n_paths=0,
-        seed=0,
         grid_nodes=2049,
         identity_steps=400,
     )

@@ -1,6 +1,7 @@
 """The public surface: every export resolves, and the traced methods stay put."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -33,6 +34,25 @@ def test_potential_pair_defines_its_evaluators_on_the_class():
     for name in ("psi_at", "psi_tilde_at", "to_csv"):
         assert callable(vars(PotentialPair).get(name)), name
     assert {"x", "y"} <= set(PotentialPair.__dataclass_fields__)
+
+
+@pytest.mark.parametrize(
+    "qualname, names",
+    [
+        ("transport.potentials", ("m1", "m2")),
+        ("jump_process.uniformized_marginal", ("gen", "t")),
+        ("jump_process.simulate_paths", ("n_paths",)),
+        ("pdmp.simulate_pdmp", ("n_paths",)),
+        ("pdmp.simulate_chain", ("n_paths",)),
+        ("pdmp.mu_generator", ("state_grid",)),
+        ("pdmp.flow", ("x",)),
+    ],
+)
+def test_traced_functions_keep_their_parameter_names(qualname, names):
+    # a benchmark tracer binds each call's arguments and reads these by name
+    short, attr = qualname.split(".")
+    params = inspect.signature(getattr(importlib.import_module(f"wflow.{short}"), attr)).parameters
+    assert set(names) <= set(params), qualname
 
 
 def test_cli_import_loads_no_scipy():

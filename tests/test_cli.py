@@ -399,6 +399,55 @@ class TestExitCodes:
         assert err.startswith(f"{cfg}:{line}: rho_list:")
         assert not (out / "bounds.csv").exists()
 
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("identity", "steps", "1"),
+            ("identity", "steps", "100.0"),
+            ("bd-contraction", "steps", "0"),
+            ("bd-contraction", "steps", "true"),
+            ("pdmp-approx", "rho", "1.0"),
+            ("pdmp-approx", "steps", "1"),
+            ("pdmp-approx", "grid_nodes", "257.9"),
+            ("pdmp-approx", "grid_nodes", "1"),
+            ("pdmp-approx", "mu_list", "[4, .nan]"),
+            ("pdmp-approx", "mu_list", "[0.5, 8]"),
+            ("pdmp-approx", "mu_list", "4"),
+            ("simulate", "n_paths", "0"),
+            ("simulate", "n_paths", "100.5"),
+            ("simulate", "confidence", "high"),
+            ("bounds", "n_paths", "true"),
+            ("bounds", "c0", ".nan"),
+            ("bounds", "c0", "0.5"),
+            ("bounds", "C0", "0"),
+            ("bounds", "C0", ".inf"),
+            ("bounds", "smoothing_eta", "0"),
+            ("bounds", "smoothing_eta", ".nan"),
+        ],
+    )
+    def test_bad_count_or_constant_is_config_error_with_line(
+        self, tmp_path, capsys, kind, key, value
+    ):
+        # counts are integers (not bools) with a floor; constants are finite
+        # numbers in range; each failure names its own line
+        text = {
+            "identity": IDENTITY_EQUAL,
+            "bd-contraction": BD_CONTRACTION,
+            "pdmp-approx": PDMP_APPROX,
+            "simulate": SIMULATE,
+            "bounds": BOUNDS_PROPAGATION,
+        }[kind]
+        old = next((line for line in text.splitlines() if line.startswith(f"{key}:")), None)
+        text = text.replace(old, f"{key}: {value}") if old else text + f"{key}: {value}\n"
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        code = cli.main([kind, "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        line = 1 + text.splitlines().index(f"{key}: {value}")
+        assert err.startswith(f"{cfg}:{line}: {key}")
+        assert not (out / "summary.json").exists()
+
     def test_overflowing_moment_bound_names_its_row(self, tmp_path, capsys):
         # exp(C_2 * growth_c * horizon) = exp(3 * 20 * 90.9) overflows a double
         text = (
@@ -533,6 +582,13 @@ class TestRunners:
         rows = read_rows(out / "pdmp-approx.csv")
         assert [float(r["mu"]) for r in rows] == [4.0, 8.0]
         assert all(float(r["identity_residual"]) <= 1e-2 for r in rows)
+
+    def test_pdmp_approx_reads_no_sampling_keys(self, tmp_path):
+        # the study runs no Monte Carlo: path and seed keys are not read, so
+        # paths without a seed do not make the run demand one
+        cfg = write_config(tmp_path, PDMP_APPROX + "n_paths: 300\n")
+        code = cli.main(["pdmp-approx", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 0
 
     def test_bounds_growth_moment(self, tmp_path):
         cfg = write_config(tmp_path, BOUNDS_GROWTH)

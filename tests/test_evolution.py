@@ -1,6 +1,7 @@
 """Tests for the transport-cost evolution identity."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -236,3 +237,9 @@ class TestVerifyIdentity:
             verify_identity(gen, gen, p0X, p0Y, 2.0, 0.0, 10)
         with pytest.raises(TypeError):
             verify_identity("gen", gen, p0X, p0Y, 2.0, 1.0, 10)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_non_finite_rho_rejected(self, rho):
+        gen, p0X, p0Y = reference_instance()
+        with pytest.raises(ValueError, match="finite number >= 1"):
+            verify_identity(gen, gen, p0X, p0Y, rho, 1.0, 10)

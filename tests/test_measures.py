@@ -28,6 +28,7 @@ from wflow import (
     tail_ratio_constants,
     wasserstein,
 )
+from wflow.measures import _power_integral
 
 
 def atoms(points, weights):
@@ -178,6 +179,36 @@ class TestMoment:
             m = DiscreteMeasure(pts, w, mass_tol=1e-9)
             vals = [moment(m, q) for q in (1.0, 1.5, 2.0, 3.0)]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+class TestPowerIntegral:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(1e-3, 50.0),
+        st.floats(1e-3, 50.0),
+        st.floats(1e-3, 10.0),
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.7]),
+        st.booleans(),
+    )
+    def test_zero_crossing_equals_halves_split_at_root(self, neg, pos, width, q, rising):
+        # z runs linearly from -neg to pos (or back): the root splits the
+        # width in proportion to the two magnitudes
+        z_lo, z_hi = (-neg, pos) if rising else (pos, -neg)
+        w_lo = width * abs(z_lo) / (neg + pos)
+        w_hi = width * abs(z_hi) / (neg + pos)
+        whole = _power_integral(np.array([z_lo]), np.array([z_hi]), np.array([width]), q)
+        halves = _power_integral(
+            np.array([z_lo, 0.0]), np.array([0.0, z_hi]), np.array([w_lo, w_hi]), q
+        )
+        assert whole[0] == pytest.approx(halves.sum(), rel=1e-13)
+
+    def test_flat_segment_takes_the_midpoint(self):
+        # ends 1e-10 apart, relative: no quotient, whose difference would cancel
+        z_lo = np.array([2.0, -3.0])
+        z_hi = z_lo * (1.0 + 1e-10)
+        width = np.array([0.5, 2.0])
+        out = _power_integral(z_lo, z_hi, width, 2.5)
+        assert np.array_equal(out, np.abs(0.5 * (z_lo + z_hi)) ** 2.5 * width)
 
 
 class TestGeneralizedVariance:

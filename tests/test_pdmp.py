@@ -624,8 +624,6 @@ def study():
         2.0,
         1.0,
         [4.0, 8.0, 16.0],
-        2000,
-        42,
         grid_nodes=513,
         identity_steps=80,
     )
@@ -648,10 +646,6 @@ class TestConvergenceStudy:
     def test_embedding_error_below_grid_step(self, study):
         assert study.embed_error_x <= study.grid_step
         assert study.embed_error_y <= study.grid_step
-
-    def test_monte_carlo_cross_check(self, study):
-        assert study.mc_gap is not None
-        assert study.mc_gap <= study.mc_envelope
 
     def test_csv_layout(self, study):
         buf = io.StringIO()
@@ -680,7 +674,7 @@ class TestConvergenceStudy:
         def run(specX, specY):
             built.clear()
             return mu_convergence_study(
-                specX, specY, p0X, p0Y, 2.0, 1.0, [4.0, 8.0], 200, 42,
+                specX, specY, p0X, p0Y, 2.0, 1.0, [4.0, 8.0],
                 grid_nodes=257, identity_steps=20,
             )
 
@@ -692,7 +686,6 @@ class TestConvergenceStudy:
         assert built == [16.0, 4.0, 8.0]
         two = run(spec(), spec())
         assert built == [16.0, 16.0, 4.0, 4.0, 8.0, 8.0]
-        assert one.mc_gap is not None
         for f in dataclasses.fields(one):
             a, b = getattr(one, f.name), getattr(two, f.name)
             if isinstance(a, np.ndarray):
@@ -704,11 +697,11 @@ class TestConvergenceStudy:
         spec = tanh_spec(lam=0.3, kernel=ShiftJump(0.5))
         p0 = DiscreteMeasure([0.0], [1.0])
         with pytest.raises(ValueError):
-            mu_convergence_study(spec, spec, p0, p0, 1.0, 1.0, [4.0], 0, 0)
+            mu_convergence_study(spec, spec, p0, p0, 1.0, 1.0, [4.0])
         with pytest.raises(ValueError):
-            mu_convergence_study(spec, spec, p0, p0, 2.0, 0.0, [4.0], 0, 0)
+            mu_convergence_study(spec, spec, p0, p0, 2.0, 0.0, [4.0])
         with pytest.raises(ValueError):
-            mu_convergence_study(spec, spec, p0, p0, 2.0, 1.0, [8.0, 4.0], 0, 0)
+            mu_convergence_study(spec, spec, p0, p0, 2.0, 1.0, [8.0, 4.0])
 
 
 class TestFlowPushforwardDecay:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from oracles import lp_coupling_cost, quantile_riemann_cost
+from oracles import lp_coupling_cost, merged_wasserstein_power, quantile_riemann_cost
 from wflow import (
     DiscreteMeasure,
     GridMeasure,
@@ -26,7 +28,9 @@ from wflow import (
     wasserstein,
     wasserstein_power,
 )
-from wflow.transport import _cost_transform, dual_value
+from wflow.birth_death import mm_infty
+from wflow.jump_process import marginal_path
+from wflow.transport import PotentialConstructionError, _cost_transform, dual_value
 
 
 def atoms(points, weights):
@@ -126,6 +130,41 @@ class TestWasserstein:
     def test_rejects_rho_below_one(self):
         with pytest.raises(ValueError):
             wasserstein(HALF_HALF, HALF_HALF, 0.5)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_non_finite_rho_rejected(self, rho):
+        for fn in (wasserstein, wasserstein_power, potentials):
+            with pytest.raises(ValueError, match="finite number >= 1"):
+                fn(HALF_HALF, atoms([1.0, 2.0], [0.5, 0.5]), rho)
+
+    def test_atomic_pairs_match_merged_oracle_bitwise(self):
+        # every merged segment of two atomic laws is flat: the midpoint form
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            m1 = random_atoms(rng, max_atoms=12)
+            m2 = random_atoms(rng, max_atoms=12)
+            rho = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.5]))
+            assert wasserstein_power(m1, m2, rho) == merged_wasserstein_power(m1, m2, rho)
+
+    def test_birth_death_marginals_match_merged_oracle_bitwise(self):
+        gen = mm_infty(20.0, 1.0, 200).to_generator()
+        times = np.linspace(0.25, 2.5, 10)
+        path_x = marginal_path(gen, atoms([3.0], [1.0]), times)
+        path_y = marginal_path(gen, atoms([40.0], [1.0]), times)
+        for mx, my in zip(path_x, path_y):
+            for rho in (1.0, 2.0, 3.0):
+                assert wasserstein_power(mx, my, rho) == merged_wasserstein_power(mx, my, rho)
+
+    def test_grid_and_mixed_pairs_match_merged_oracle(self):
+        rng = np.random.default_rng(73)
+        for _ in range(100):
+            g1 = random_grid_measure(rng, n_cells=int(rng.integers(2, 12)))
+            g2 = random_grid_measure(rng, n_cells=int(rng.integers(2, 12)))
+            a = random_atoms(rng, max_atoms=8)
+            rho = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.5]))
+            for m1, m2 in ((g1, g2), (a, g2), (g1, a)):
+                ref = merged_wasserstein_power(m1, m2, rho)
+                assert wasserstein_power(m1, m2, rho) == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(17)
@@ -235,6 +274,14 @@ class TestPotentials:
     def test_rejects_rho_one(self):
         with pytest.raises(ValueError):
             potentials(HALF_HALF, HALF_HALF, 1.0)
+
+    def test_overflowing_cost_fails_closed(self):
+        # |1e200 - 1|^2 overflows: the staircase turns NaN and its closure
+        # check must reject it rather than return a NaN pair
+        m1 = atoms([0.0, 1e200], [0.5, 0.5])
+        m2 = atoms([1.0, 2.0], [0.5, 0.5])
+        with np.errstate(all="ignore"), pytest.raises(PotentialConstructionError):
+            potentials(m1, m2, 2.0)
 
     def test_normalization_at_leftmost_point(self):
         rng = np.random.default_rng(47)
