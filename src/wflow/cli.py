@@ -6,8 +6,9 @@ a ``simulate`` run also writes ``certified``, false for a flow-with-jumps
 process, whose paths are not checked against an exact law.  The exit code is
 0 exactly when no configured tolerance was violated, 1 when a configured
 tolerance was violated, including a NaN residual (a check passes only if
-``value <= limit`` holds), 2 on an invalid config (message anchored to the
-offending line), and 3 when the numerics themselves fail, including a
+``value <= limit`` holds), 2 on an invalid config, including a key or a
+tolerance that the kind does not read (message anchored to the offending
+line), and 3 when the numerics themselves fail, including a
 ``bounds`` row with a non-finite side (its ``bounds.csv`` is still
 written).  All randomness comes from explicit seeds, so identical config and
 seed reproduce the CSV byte for byte.
@@ -55,6 +56,39 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run", "main"]
 
 KINDS = ("identity", "bd-contraction", "pdmp-approx", "simulate", "bounds")
 
+# per kind (per branch of simulate, per family of bounds): the keys its runner
+# reads besides kind, seed and out, and the tolerances it checks
+_READS = {
+    "identity": (
+        {"x", "y", "p0_x", "p0_y", "rho", "horizon", "steps", "tolerances"},
+        {"residual"},
+    ),
+    "bd-contraction": (
+        {"chain", "p0_x", "p0_y", "rho", "horizon", "steps", "tolerances"},
+        {"violation"},
+    ),
+    "pdmp-approx": (
+        {"x", "y", "p0_x", "p0_y", "rho", "horizon", "mu_list", "grid_nodes", "steps",
+         "tolerances"},
+        {"identity_residual"},
+    ),
+    "simulate with pdmp": ({"pdmp", "p0", "horizon", "mu", "n_paths", "confidence"}, set()),
+    "simulate with generator": ({"generator", "p0", "horizon", "n_paths", "confidence"}, set()),
+    "bounds family bd-moment": (
+        {"family", "chain", "p0", "horizon", "rho_list", "tolerances"},
+        {"violation"},
+    ),
+    "bounds family growth-moment": (
+        {"family", "generator", "p0", "horizon", "alpha_list", "tolerances"},
+        {"violation"},
+    ),
+    "bounds family propagation": (
+        {"family", "pdmp", "horizon", "c0", "C0", "smoothing_eta", "mu", "n_paths", "q_list",
+         "tolerances"},
+        {"violation"},
+    ),
+}
+
 
 class ConfigError(ValueError):
     """Invalid experiment config; ``key`` anchors the message to a line."""
@@ -82,6 +116,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment kind {self.kind!r}", key="kind", text=text
             )
+        _check_reads(self.kind, self.options, text)
         for name, value in self.tolerances.items():
             try:
                 ok = float(value) > 0
@@ -104,6 +139,38 @@ class ExperimentConfig:
                 "tolerances must be a mapping", key="tolerances", text=self.source_text
             )
         return tol
+
+
+def _check_reads(kind, options, text):
+    """A ``ConfigError`` at the first key, or tolerance name, that ``kind`` does not read."""
+    if kind == "simulate":
+        reader = "simulate with pdmp" if "pdmp" in options else "simulate with generator"
+    elif kind == "bounds":
+        family = options.get("family")
+        reader = f"bounds family {family}"
+        if family is None:
+            raise ConfigError("missing required key 'family'", key="family", text=text)
+        if reader not in _READS:
+            raise ConfigError(f"unknown bounds family {family!r}", key="family", text=text)
+    else:
+        reader = kind
+    keys, tolerances = _READS[reader]
+    for key in options:
+        if key not in keys and key not in ("kind", "seed", "out"):
+            raise ConfigError(
+                f"{key}: not a key that {reader} reads ({', '.join(sorted(keys))})",
+                key=str(key),
+                text=text,
+            )
+    checked = options.get("tolerances", {})
+    for name in checked if isinstance(checked, dict) else ():
+        if name not in tolerances:
+            raise ConfigError(
+                f"tolerances: {reader} checks no tolerance {name!r}"
+                f" ({', '.join(sorted(tolerances))})",
+                key=("tolerances", str(name)),
+                text=text,
+            )
 
 
 def _number(value, key, rule, ok, text=""):
@@ -146,13 +213,20 @@ def _speed(options):
 
 
 def _key_line(text, key):
-    """1-based line of the first occurrence of a top-level-ish config key."""
-    if key:
-        pattern = re.compile(rf"^\s*{re.escape(key)}\s*:")
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if pattern.match(line):
-                return lineno
-    return 1
+    """1-based line of the first occurrence of a top-level-ish config key.
+
+    ``key`` may be a ``(section, name)`` pair: the first line opening
+    ``name`` from its section's line on, else the section's line.
+    """
+    lineno = 1
+    lines = text.splitlines()
+    for name in key if isinstance(key, tuple) else (key,) if key else ():
+        pattern = re.compile(rf"^\s*{re.escape(name)}\s*:")
+        found = next((k for k in range(lineno, len(lines) + 1) if pattern.match(lines[k - 1])), 0)
+        if not found:
+            break
+        lineno = found
+    return lineno
 
 
 def _need(options, key):
@@ -322,6 +396,9 @@ def _run_simulate(config, out_dir, started):
     horizon = _positive(opts, "horizon")
     n_paths = _count(_need(opts, "n_paths"), "n_paths", 1)
     seed = _seed_of(config)
+    confidence = _number(
+        opts.get("confidence", 0.99), "confidence", "a number in (0, 1)", lambda v: 0 < v < 1
+    )
     if "pdmp" in opts:
         spec = _pdmp_from(opts, "pdmp")
         p0 = _measure_from(opts, "p0")
@@ -339,9 +416,6 @@ def _run_simulate(config, out_dir, started):
     measure_to_csv(empirical, os.path.join(out_dir, "simulate.csv"))
     exact = uniformized_marginal(gen, p0, horizon)
     gap = wasserstein(empirical, exact, 1.0)
-    confidence = _number(
-        opts.get("confidence", 0.99), "confidence", "a number in (0, 1)", lambda v: 0 < v < 1
-    )
     span = float(gen.states[-1] - gen.states[0])
     envelope = span * math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n_paths))
     violations = int(not gap <= envelope)
@@ -350,7 +424,7 @@ def _run_simulate(config, out_dir, started):
 
 def _bounds_rows(config):
     opts = config.options
-    family = _need(opts, "family")
+    family = opts["family"]
     rows = []
     if family == "bd-moment":
         bd = _bd_from(opts, "chain")
@@ -366,7 +440,7 @@ def _bounds_rows(config):
         for name, alpha in _entries(opts, "alpha_list", _at_least_one):
             exact, bound = moment_growth_bound(gen, p0, alpha, horizon)
             rows.append((f"growth_moment_alpha_{name}", exact, bound))
-    elif family == "propagation":
+    else:  # propagation: the config admits no other family
         spec = _pdmp_from(opts, "pdmp")
         horizon = _positive(opts, "horizon")
         c0 = _at_least_one(opts.get("c0", 1.0), "c0")
@@ -385,8 +459,6 @@ def _bounds_rows(config):
                 (f"displacement_moment_q_{name}", audit.moment_estimate, audit.moment_envelope)
             )
             rows.append((f"tail_ratio_q_{name}", audit.worst_tail_ratio, 1.0))
-    else:
-        raise ConfigError(f"unknown bounds family {family!r}", key="family")
     return rows
 
 

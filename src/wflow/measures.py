@@ -55,12 +55,14 @@ def _power_integral(z_lo, z_hi, width, q):
     A steep segment takes the quotient of the antiderivative
     ``sign(z)|z|^{q+1} / (q+1)``, which is continuous through a sign change of
     ``z``, so a segment that crosses zero needs no split at the root.  A
-    segment whose ends differ by at most 1e-9 of ``|z_lo| + |z_hi|`` takes its
-    midpoint value times the width instead, which avoids the cancellation the
-    quotient would suffer there.
+    segment whose ends differ by at most 1e-5 of ``|z_lo| + |z_hi|`` takes its
+    midpoint value times the width instead: there the midpoint rule's
+    relative error, about ``q(q-1)/6`` times the squared relative spread, is
+    at most ``q(q-1)/6 * 1e-10``, while the quotient's cancellation would cost
+    up to 2e-8.
     """
     out = np.abs(0.5 * (z_lo + z_hi)) ** q * width
-    steep = np.abs(z_hi - z_lo) > 1e-9 * (np.abs(z_lo) + np.abs(z_hi))
+    steep = np.abs(z_hi - z_lo) > 1e-5 * (np.abs(z_lo) + np.abs(z_hi))
     if steep.any():
         zl, zh = z_lo[steep], z_hi[steep]
         out[steep] = (

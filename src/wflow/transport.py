@@ -9,8 +9,9 @@ integrals of power functions which are evaluated in closed form:
 * ``optimal_map`` composes the target quantile function with the source CDF.
 * ``potentials`` produces a dual pair achieving the primal value, either by
   integrating the signed-power displacement along the source axis (continuous
-  CDFs) or by propagating the dual equality along the monotone coupling's
-  staircase (atomic laws), closed by the cost transform.
+  CDFs) or along the monotone coupling's staircase (atomic laws): one merge of
+  the two laws' cumulative levels and one running sum of the dual equality's
+  increments, closed by the cost transform.
 
 The dual pair is normalized so the potential vanishes at the leftmost
 tabulation point of the source law.
@@ -289,22 +290,6 @@ class _GridDual:
 # dual potentials, atomic route
 
 
-def _clip_path_increment(x_lo, x_hi, y_lo, y_hi, rho):
-    """Potential increment across a zero-mass gap at a tied cumulative level.
-
-    Crossing the gap (x_lo, x_hi) while the target level jumps from y_lo to
-    y_hi, the displacement follows the limit map clip(x, y_lo, y_hi): constant
-    y_lo, then the identity, then constant y_hi.  Integrating the signed-power
-    displacement derivative over the three parts gives the increment; the
-    identity part contributes nothing.
-    """
-    t1 = min(max(y_lo, x_lo), x_hi)
-    t2 = min(max(y_hi, x_lo), x_hi)
-    lead = abs(y_lo - x_lo) ** rho - abs(y_lo - t1) ** rho
-    trail = abs(y_hi - t2) ** rho - abs(y_hi - x_hi) ** rho
-    return lead + trail
-
-
 def _cost_transform(xs, vals, ys, rho):
     """min_i |xs_i - ys_j|^rho + vals_i for every j (exact), ``xs`` sorted.
 
@@ -332,31 +317,65 @@ def _cost_transform(xs, vals, ys, rho):
 
 def _staircase(m1, m2, rho):
     """``(psi, psi_tilde)`` on the atoms: the staircase along the monotone
-    coupling, ``psi_tilde`` closed by the cost transform within 1e-9 relative."""
+    coupling, ``psi_tilde`` closed by the cost transform within 1e-9 relative.
+
+    The path from atom pair (0, 0) steps past every inner cumulative level of
+    either law in increasing order: an x-step advances the source atom, a
+    y-step the target atom, and a level both laws share (matched occurrence
+    by occurrence) advances both at once.  The path is one lexsort of the
+    levels; ``psi`` along it is one running sum of increments.  Holding
+    ``psi(x_i) + psi_tilde(y_j) = -|x_i - y_j|^rho`` at every corner gives
+    ``c(i-1, j) - c(i, j)`` per x-step and nothing per y-step.  A shared level
+    crosses the zero-mass gaps (x_{i-1}, x_i) and (y_{j-1}, y_j) together, and
+    its increment integrates the signed-power displacement of the limit map
+    ``clip(x, y_{j-1}, y_j)``: constant, then the identity, which adds
+    nothing, then constant again.
+    """
     x, y = m1.support, m2.support
-    n1, n2 = x.size, y.size
-    cum1 = np.cumsum(m1.weights) / m1.total_mass
-    cum2 = np.cumsum(m2.weights) / m2.total_mass
-    psi = np.zeros(n1)
-    psit = np.zeros(n2)
-    psit[0] = -np.abs(x[0] - y[0]) ** rho
-    i = j = 0
-    while i < n1 - 1 or j < n2 - 1:
-        at_x_end = i == n1 - 1
-        at_y_end = j == n2 - 1
-        if not at_x_end and (at_y_end or cum1[i] < cum2[j]):
-            i += 1
-            psi[i] = -psit[j] - np.abs(x[i] - y[j]) ** rho
-        elif not at_y_end and (at_x_end or cum2[j] < cum1[i]):
-            j += 1
-            psit[j] = -psi[i] - np.abs(x[i] - y[j]) ** rho
-        else:
-            # tied cumulative masses: both sides jump at the same level
-            inc = _clip_path_increment(x[i], x[i + 1], y[j], y[j + 1], rho)
-            i += 1
-            j += 1
-            psi[i] = psi[i - 1] + inc
-            psit[j] = -psi[i] - np.abs(x[i] - y[j]) ** rho
+    n1 = x.size
+    lev1 = (np.cumsum(m1.weights) / m1.total_mass)[:-1]
+    lev2 = (np.cumsum(m2.weights) / m2.total_mass)[:-1]
+    level = np.concatenate((lev1, lev2))
+    # equal levels on one side (a weight below the cumsum's rounding) pair up
+    # with the other side's equal levels in turn, so each carries its rank in
+    # its run; lexsort is stable, so a source entry precedes its target twin
+    rank = np.arange(level.size)
+    rank[: n1 - 1] -= np.searchsorted(lev1, lev1)
+    rank[n1 - 1 :] -= np.searchsorted(lev2, lev2) + (n1 - 1)
+    order = np.lexsort((rank, level))
+    on_y = order >= n1 - 1
+    level = level[order]
+    # a source level directly followed by an equal target level is one
+    # shared step, and the target entry takes no step of its own
+    tie = np.zeros_like(on_y)
+    tie[:-1] = (on_y[1:] > on_y[:-1]) & (level[1:] == level[:-1])
+    shared = tie.any()
+    if shared:
+        own = np.ones_like(tie)
+        own[1:] = ~tie[:-1]
+        tie, on_y = tie[own], on_y[own]
+    moves_y = on_y | tie
+    # corner 0 is atom pair (0, 0); corner s follows step s
+    i = np.zeros(on_y.size + 1, dtype=np.intp)
+    j = np.zeros_like(i)
+    np.cumsum(~on_y, out=i[1:])
+    np.cumsum(moves_y, out=j[1:])
+    c = np.abs(x[i] - y[j]) ** rho
+    inc = np.where(on_y, 0.0, c[:-1] - c[1:])
+    if shared:
+        s = np.flatnonzero(tie) + 1
+        x_lo, x_hi, y_lo, y_hi = x[i[s] - 1], x[i[s]], y[j[s] - 1], y[j[s]]
+        t1 = np.minimum(np.maximum(y_lo, x_lo), x_hi)
+        t2 = np.minimum(np.maximum(y_hi, x_lo), x_hi)
+        inc[s - 1] = (c[s - 1] - np.abs(y_lo - t1) ** rho) + (np.abs(y_hi - t2) ** rho - c[s])
+    run = np.zeros(i.size)
+    np.cumsum(inc, out=run[1:])
+    at_x = np.ones_like(i, dtype=bool)
+    at_x[1:] = ~on_y
+    at_y = np.ones_like(at_x)
+    at_y[1:] = moves_y
+    psi = run[at_x]
+    psit = -run[at_y] - c[at_y]
     closed = -_cost_transform(x, psi, y, rho)
     scale = 1.0 + float(np.max(np.abs(psit)))
     gap = np.abs(closed - psit)

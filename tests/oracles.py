@@ -3,8 +3,9 @@
 Everything here is deliberately naive: linear programming over the full
 coupling polytope, dense quadrature, direct summation, the speed-mu chain
 built row by row over the whole grid, drift flows integrated by RK4, the
-birth-death constants scanned over a million integers, and the quantile-merge
-transport cost with its own flatness rule for the segment integral.  The
+birth-death constants scanned over a million integers, the quantile-merge
+transport cost with its own flatness rule for the segment integral, and the
+atomic dual staircase walked one atom at a time.  The
 package under test must agree with these to tight tolerances on small
 instances (the chain build, the constants and the atomic transport cost
 exactly).
@@ -23,7 +24,9 @@ from wflow.measures import CoverageError, _signed_power
 from wflow.pdmp import MuApproximation, flow
 from wflow.transport import (
     IntegrationError,
+    PotentialConstructionError,
     _check_rho,
+    _cost_transform,
     _quantile_breaks,
     _quantile_on_segments,
 )
@@ -272,3 +275,61 @@ def merged_wasserstein_power(m1, m2, rho):
         / ((rho + 1.0) * np.where(const, 1.0, d_hi - d_lo)),
     )
     return float(np.sum(out))
+
+
+def _clip_path_increment(x_lo, x_hi, y_lo, y_hi, rho):
+    """Potential increment across a zero-mass gap at a tied cumulative level.
+
+    Crossing the gap (x_lo, x_hi) while the target level jumps from y_lo to
+    y_hi, the displacement follows the limit map clip(x, y_lo, y_hi): constant
+    y_lo, then the identity, then constant y_hi.  Integrating the signed-power
+    displacement derivative over the three parts gives the increment; the
+    identity part contributes nothing.
+    """
+    t1 = min(max(y_lo, x_lo), x_hi)
+    t2 = min(max(y_hi, x_lo), x_hi)
+    lead = abs(y_lo - x_lo) ** rho - abs(y_lo - t1) ** rho
+    trail = abs(y_hi - t2) ** rho - abs(y_hi - x_hi) ** rho
+    return lead + trail
+
+
+def staircase_loop(m1, m2, rho):
+    """``transport._staircase`` as the per-atom walk it replaced.
+
+    One Python step per atom along the monotone coupling, with the same
+    1e-9 closure check by the cost transform; returns ``(psi, psi_tilde)``.
+    """
+    x, y = m1.support, m2.support
+    n1, n2 = x.size, y.size
+    cum1 = np.cumsum(m1.weights) / m1.total_mass
+    cum2 = np.cumsum(m2.weights) / m2.total_mass
+    psi = np.zeros(n1)
+    psit = np.zeros(n2)
+    psit[0] = -np.abs(x[0] - y[0]) ** rho
+    i = j = 0
+    while i < n1 - 1 or j < n2 - 1:
+        at_x_end = i == n1 - 1
+        at_y_end = j == n2 - 1
+        if not at_x_end and (at_y_end or cum1[i] < cum2[j]):
+            i += 1
+            psi[i] = -psit[j] - np.abs(x[i] - y[j]) ** rho
+        elif not at_y_end and (at_x_end or cum2[j] < cum1[i]):
+            j += 1
+            psit[j] = -psi[i] - np.abs(x[i] - y[j]) ** rho
+        else:
+            # tied cumulative masses: both sides jump at the same level
+            inc = _clip_path_increment(x[i], x[i + 1], y[j], y[j + 1], rho)
+            i += 1
+            j += 1
+            psi[i] = psi[i - 1] + inc
+            psit[j] = -psi[i] - np.abs(x[i] - y[j]) ** rho
+    closed = -_cost_transform(x, psi, y, rho)
+    scale = 1.0 + float(np.max(np.abs(psit)))
+    gap = np.abs(closed - psit)
+    worst = int(np.argmax(gap))
+    if not gap[worst] <= 1e-9 * scale:  # a NaN gap or scale fails closed
+        raise PotentialConstructionError(
+            "staircase propagation is dual-infeasible near "
+            f"y={y[worst]!r} (transform correction {gap[worst]!r})"
+        )
+    return psi, closed

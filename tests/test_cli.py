@@ -113,6 +113,11 @@ q_list: [1.0, 2.0]
 smoothing_eta: 1.0
 """
 
+PDMP_SIMULATE = SIMULATE.replace("generator:", "mu: inf\npdmp:").replace(
+    "  mm_infty: {birth: 1.0, death: 0.5, n_top: 30}",
+    "  drift: {name: const, c: 0.5}\n  intensity: {const: 2.0}\n  kernel: {name: shift, d: 0.25}",
+).replace("n_paths: 20000", "n_paths: 2000")
+
 BOUNDS_BD_MOMENT = (
     BOUNDS_GROWTH.replace("growth-moment", "bd-moment")
     .replace("generator:", "chain:")
@@ -495,6 +500,85 @@ class TestExitCodes:
         assert "seed must be an integer" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, text, extra",
+        [
+            # a misspelled tolerances section would otherwise check nothing
+            ("identity", IDENTITY_EQUAL.replace("tolerances:\n  residual: 1.0e-10\n", ""),
+             "tolerance: {residual: 1.0e-30}"),
+            ("bd-contraction", BD_CONTRACTION, "mu: 4.0"),
+            # the study runs no Monte Carlo, so it reads no path count
+            ("pdmp-approx", PDMP_APPROX, "n_paths: 300"),
+            # mu is read only with a pdmp section, tolerances by no simulate run
+            ("simulate", SIMULATE, "mu: 8.0"),
+            ("simulate", PDMP_SIMULATE, "tolerances: {residual: 0.1}"),
+            ("simulate", PDMP_SIMULATE, "generator: {mm_infty: {birth: 1, death: 1, n_top: 9}}"),
+            ("bounds", BOUNDS_BD_MOMENT, "alpha_list: [1.0]"),
+            ("bounds", BOUNDS_GROWTH, "chain: {mm_infty: {birth: 1.0, death: 0.5, n_top: 40}}"),
+            ("bounds", BOUNDS_PROPAGATION, "p0: {dirac: 1.0}"),
+        ],
+        ids=["identity", "bd-contraction", "pdmp-approx", "simulate-generator",
+             "simulate-pdmp", "simulate-both", "bd-moment", "growth-moment", "propagation"],
+    )
+    def test_unread_key_is_config_error_with_line(self, tmp_path, capsys, kind, text, extra):
+        # each kind (and bounds family) lists the keys it reads; any other
+        # key fails closed at its own line, before anything runs
+        text = text + extra + "\n"
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        code = cli.main([kind, "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        key = extra.split(":")[0]
+        line = 1 + text.splitlines().index(extra)
+        assert err.startswith(f"{cfg}:{line}: {key}: not a key that {kind}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, text, old, new, anchor",
+        [
+            ("identity", IDENTITY_EQUAL, "  residual: 1.0e-10", "  violation: 1.0e-10",
+             "  violation: 1.0e-10"),
+            ("bd-contraction", BD_CONTRACTION, "tolerances:\n  violation: 1.0e-8",
+             "tolerances: {residual: 1.0e-8}", "tolerances: {residual: 1.0e-8}"),
+            ("pdmp-approx", PDMP_APPROX, "  identity_residual: 1.0e-2",
+             "  identity_residual: 1.0e-2\n  residual: 1.0e-2", "  residual: 1.0e-2"),
+            ("bounds", BOUNDS_GROWTH, "alpha_list: [1, 2, 3]",
+             "alpha_list: [1, 2, 3]\ntolerances:\n  residual: 0.1", "  residual: 0.1"),
+        ],
+    )
+    def test_unchecked_tolerance_is_config_error_with_line(
+        self, tmp_path, capsys, kind, text, old, new, anchor
+    ):
+        # a tolerance the kind does not check is an error at its own line, or
+        # at the tolerances line when the section is written on one line
+        text = text.replace(old, new)
+        cfg = write_config(tmp_path, text)
+        code = cli.main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        line = 1 + text.splitlines().index(anchor)
+        assert err.startswith(f"{cfg}:{line}: tolerances: {kind}")
+        assert "checks no tolerance" in err
+
+    def test_missing_bounds_family(self, tmp_path, capsys):
+        text = BOUNDS_GROWTH.replace("family: growth-moment\n", "")
+        cfg = write_config(tmp_path, text)
+        code = cli.main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "missing required key 'family'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", "0", "high"])
+    def test_pdmp_simulate_range_checks_confidence(self, tmp_path, capsys, value):
+        # no law is checked on this branch yet, but its confidence is read
+        text = PDMP_SIMULATE.replace("confidence: 0.99", f"confidence: {value}")
+        cfg = write_config(tmp_path, text)
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        line = 1 + text.splitlines().index(f"confidence: {value}")
+        assert err.startswith(f"{cfg}:{line}: confidence:")
+
     def test_unknown_bounds_family(self, tmp_path, capsys):
         text = BOUNDS_GROWTH.replace("growth-moment", "mystery")
         cfg = write_config(tmp_path, text)
@@ -561,12 +645,7 @@ class TestRunners:
 
     def test_simulate_flow_with_jumps_is_uncertified(self, tmp_path):
         # no exact law is checked against the paths: the summary says so
-        text = SIMULATE.replace("generator:", "mu: inf\npdmp:").replace(
-            "  mm_infty: {birth: 1.0, death: 0.5, n_top: 30}",
-            "  drift: {name: const, c: 0.5}\n  intensity: {const: 2.0}\n"
-            "  kernel: {name: shift, d: 0.25}",
-        ).replace("n_paths: 20000", "n_paths: 2000")
-        cfg = write_config(tmp_path, text)
+        cfg = write_config(tmp_path, PDMP_SIMULATE)
         out = tmp_path / "out"
         code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == 0
@@ -582,13 +661,6 @@ class TestRunners:
         rows = read_rows(out / "pdmp-approx.csv")
         assert [float(r["mu"]) for r in rows] == [4.0, 8.0]
         assert all(float(r["identity_residual"]) <= 1e-2 for r in rows)
-
-    def test_pdmp_approx_reads_no_sampling_keys(self, tmp_path):
-        # the study runs no Monte Carlo: path and seed keys are not read, so
-        # paths without a seed do not make the run demand one
-        cfg = write_config(tmp_path, PDMP_APPROX + "n_paths: 300\n")
-        code = cli.main(["pdmp-approx", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 0
 
     def test_bounds_growth_moment(self, tmp_path):
         cfg = write_config(tmp_path, BOUNDS_GROWTH)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,6 +202,24 @@ class TestPowerIntegral:
             np.array([z_lo, 0.0]), np.array([0.0, z_hi]), np.array([w_lo, w_hi]), q
         )
         assert whole[0] == pytest.approx(halves.sum(), rel=1e-13)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_near_flat_segments_match_exact_rationals(self, q):
+        # at every relative spread of the ends, from 1e-12 to 1e-3, the form
+        # taken (midpoint below the switch, quotient above) stays within
+        # 2e-10 relative of the integral in exact rational arithmetic
+        rng = np.random.default_rng(17 + q)
+        worst = 0.0
+        for spread in np.geomspace(1e-12, 1e-3, 10):
+            z_lo = rng.uniform(0.1, 10.0, 200) * rng.choice([-1.0, 1.0], 200)
+            z_hi = z_lo * (1.0 + spread * rng.uniform(0.5, 1.5, 200) * rng.choice([-1.0, 1.0], 200))
+            width = rng.uniform(0.1, 2.0, 200)
+            got = _power_integral(z_lo, z_hi, width, float(q))
+            for a, b, w, g in zip(z_lo, z_hi, width, got):
+                a, b = abs(Fraction(float(a))), abs(Fraction(float(b)))
+                exact = Fraction(float(w)) * (b ** (q + 1) - a ** (q + 1)) / ((q + 1) * (b - a))
+                worst = max(worst, abs(float((Fraction(float(g)) - exact) / exact)))
+        assert worst <= 2e-10
 
     def test_flat_segment_takes_the_midpoint(self):
         # ends 1e-10 apart, relative: no quotient, whose difference would cancel

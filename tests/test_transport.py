@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from oracles import lp_coupling_cost, merged_wasserstein_power, quantile_riemann_cost
+from oracles import (
+    lp_coupling_cost,
+    merged_wasserstein_power,
+    quantile_riemann_cost,
+    staircase_loop,
+)
 from wflow import (
     DiscreteMeasure,
     GridMeasure,
@@ -413,6 +418,45 @@ class TestPotentials:
             pair = potentials(m1, m2, rho)
             assert dual_value(pair, m1, m2) == pytest.approx(ref, abs=1e-9)
             assert feasibility_violation(pair) <= 1e-9
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
+    def test_staircase_matches_loop_oracle(self, rho):
+        # the merged levels and one running sum give the per-atom walk's
+        # pair: shared levels (weights over a common denominator), a level
+        # repeated within one side (a 1e-300 weight leaves the cumsum at
+        # 0.5), one-atom sides and unequal atom counts
+        rng = np.random.default_rng(int(10 * rho))
+
+        def weights(n, kind):
+            if kind == "shared":
+                w = rng.multinomial(12, np.ones(n) / n) / 12.0
+                return w[w > 0]
+            if kind == "repeated":
+                w = np.full(n, 1.0 / n)
+                return np.insert(w, rng.integers(1, n) if n > 1 else 1, 1e-300)
+            return rng.dirichlet(np.ones(n))
+
+        cases = [
+            (np.array([0.5, 1e-300, 0.5]), np.array([0.5, 0.5])),
+            (np.array([0.5, 0.5]), np.array([0.25, 0.25, 1e-300, 0.5])),
+            (np.array([0.5, 1e-300, 0.5]), np.array([0.5, 1e-300, 1e-300, 0.5])),
+            (np.array([1.0]), np.array([0.2, 0.3, 0.5])),
+            (np.array([0.1, 0.9]), np.array([1.0])),
+            (np.array([1.0]), np.array([1.0])),
+        ]
+        for _ in range(60):
+            n1, n2 = rng.integers(1, 9, size=2)
+            kinds = rng.choice(["shared", "repeated", "random"], size=2)
+            cases.append((weights(n1, kinds[0]), weights(n2, kinds[1])))
+        cases.append((rng.dirichlet(np.ones(300)), rng.dirichlet(np.ones(170))))
+        for w1, w2 in cases:
+            m1 = DiscreteMeasure(np.sort(rng.choice(400, w1.size, replace=False)) * 0.025 - 5, w1)
+            m2 = DiscreteMeasure(np.sort(rng.choice(400, w2.size, replace=False)) * 0.025 - 4, w2)
+            want_psi, want_psi_tilde = staircase_loop(m1, m2, rho)
+            pair = potentials(m1, m2, rho)
+            scale = 1.0 + max(np.max(np.abs(want_psi)), np.max(np.abs(want_psi_tilde)))
+            assert np.max(np.abs(pair.psi - want_psi)) <= 1e-12 * scale
+            assert np.max(np.abs(pair.psi_tilde - want_psi_tilde)) <= 1e-12 * scale
 
     def test_monotone_argmin_matches_dense_scan(self):
         # the bracketed scan equals the dense minimum bit for bit, for tables
