@@ -49,7 +49,7 @@ class BirthDeathSpec:
     artifact does not inflate them.
     """
 
-    def __init__(self, eta, nu, growth_c=None):
+    def __init__(self, eta, nu):
         eta = np.asarray(eta, dtype=float)
         nu = np.asarray(nu, dtype=float)
         if eta.ndim != 1 or eta.shape != nu.shape or eta.size < 2:
@@ -68,13 +68,7 @@ class BirthDeathSpec:
         self.lip_eta = float(np.max(np.abs(np.diff(eta)))) if eta.size > 1 else 0.0
         self.lip_nu = float(np.max(np.abs(np.diff(nu)))) if nu.size > 1 else 0.0
         states = np.arange(eta.size, dtype=float)
-        minimal_c = float(np.max(eta / (1.0 + states)))
-        if growth_c is None:
-            self.growth_c = minimal_c
-        else:
-            if growth_c < minimal_c:
-                raise ValueError("growth_c does not dominate eta(x)/(1+x)")
-            self.growth_c = float(growth_c)
+        self.growth_c = float(np.max(eta / (1.0 + states)))
 
     def to_generator(self):
         """The jump generator of the truncated chain."""
@@ -106,20 +100,15 @@ def curvature(bd):
     return float(np.min(eta[:-1] + nu[1:] - eta[1:] - nu[:-1]))
 
 
-def truncated_curvature(bd, n_top=None):
+def truncated_curvature(bd):
     """Curvature of the truncated chain: the top birth term is dropped.
 
     Satisfies the bracketing between the raw infimum over {0..N-1} and the
     one over {0..N-2}.
     """
-    if n_top is None:
-        n_top = bd.n_top
-    if n_top < 2:
+    if bd.n_top < 2:
         raise ValueError("need n_top >= 2")
-    if n_top > bd.n_top:
-        raise ValueError("n_top exceeds the stored truncation")
-    eta = bd.eta_raw[: n_top + 1].copy()
-    nu = bd.nu[: n_top + 1]
+    eta, nu = bd.eta_raw, bd.nu
     eta_up = eta[1:].copy()
     eta_up[-1] = 0.0
     return float(np.min(eta[:-1] + nu[1:] - eta_up - nu[:-1]))

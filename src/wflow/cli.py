@@ -3,15 +3,17 @@
 One experiment per config file.  Every run writes the module report as CSV
 next to a ``summary.json`` carrying ``schema: 1`` and the headline numbers;
 a ``simulate`` run also writes ``certified``, false for a flow-with-jumps
-process, whose paths are not checked against an exact law.  The exit code is
-0 exactly when no configured tolerance was violated, 1 when a configured
-tolerance was violated, including a NaN residual (a check passes only if
-``value <= limit`` holds), 2 on an invalid config, including a key or a
-tolerance that the kind does not read (message anchored to the offending
-line), and 3 when the numerics themselves fail, including a
-``bounds`` row with a non-finite side (its ``bounds.csv`` is still
-written).  All randomness comes from explicit seeds, so identical config and
-seed reproduce the CSV byte for byte.
+process, whose paths are not checked against an exact law.  The
+``max_residual`` of ``identity`` and ``pdmp-approx`` is the worst pointwise
+residual of the evolution identity at ``t > 0``, over ``bounds_checked``
+nodes for ``identity``.  The exit code is 0 exactly when no configured tolerance
+was violated, 1 when a configured tolerance was violated, including a NaN
+residual (a check passes only if ``value <= limit`` holds), 2 on an invalid
+config, including a key or a tolerance that the kind does not read (message
+anchored to the offending line), and 3 when the numerics themselves fail,
+including a ``bounds`` row with a non-finite side (its ``bounds.csv`` is
+still written).  All randomness comes from explicit seeds, so identical
+config and seed reproduce the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -329,7 +331,7 @@ def _run_identity(config, out_dir, started):
     report = verify_identity(gen_x, gen_y, p0_x, p0_y, rho, horizon, steps)
     report.to_csv(os.path.join(out_dir, "identity.csv"))
     tol = _tolerance(config, "residual")
-    checked = int(report.residual.size - report.flagged_count)
+    checked = int(report.time_grid.size - 1)
     violations = int(tol is not None and not report.max_residual <= tol)
     return _summary(
         out_dir, config.kind, report.max_residual, checked, violations, started

@@ -535,6 +535,7 @@ def cell_law(grid, masses):
 class MuConvergenceReport:
     """Convergence diagnostics of the chain family toward the process.
 
+    ``identity_residuals`` holds each chain pair's ``EvolutionReport.max_residual``;
     ``cauchy_x``/``cauchy_y`` hold the transport distance from each chain's
     time-``t`` marginal to the reference chain at twice the largest speed;
     ``potential_gap`` holds, per consecutive speed pair, the largest

@@ -184,49 +184,71 @@ def optimal_map(m1, m2):
 # dual potentials, continuous-CDF route
 
 
+def _growth(r, p):
+    """``((1 + r)^p - 1) / r`` for ``r > -1``, to rounding at every ``r``."""
+    safe = np.where(r == 0.0, 1.0, r)
+    return np.where(r == 0.0, p, np.expm1(p * np.log1p(r)) / safe)
+
+
+def _mean_growth(r, p):
+    """Mean of ``((1 + r v)^p - 1) / r`` over ``v`` in [0, 1]: the difference
+    below, or where it would lose ``eps / |r|``, six Taylor terms
+    ``p (p-1)...(p-m) r^m / (m+2)!``."""
+    m = np.arange(1.0, 6.0)
+    series = np.polynomial.polynomial.polyval(r, np.cumprod(np.r_[p / 2.0, (p - m) / (m + 2.0)]))
+    big = np.abs(r) >= 1e-3
+    safe = np.where(big, r, 1.0)
+    return np.where(big, (_growth(safe, p + 1.0) - (p + 1.0)) / ((p + 1.0) * safe), series)
+
+
 class _GridDual:
-    """Exact evaluator for the dual pair of two grid measures."""
+    """Exact evaluator for the dual pair of two grid measures.
+
+    ``psi' = rho sgn(g)|g|^(rho-1)`` for the displacement ``g = T(x) - x``,
+    linear on each piece.  The closed forms in ``g`` divide by its slope, so a
+    piece whose ends differ by at most half of ``|g_lo| + |g_hi|`` (one sign)
+    takes them in the ratio of its end displacements instead.
+    """
 
     def __init__(self, m1, m2, rho):
-        self.rho = rho
-        self.m1 = m1
-        self.m2 = m2
-        xb, t = _refined_source_breaks(m1, m2)
-        self.xb = xb
-        self.t = t
-        g_lo = t[:-1] - xb[:-1]
-        g_hi = t[1:] - xb[1:]
+        self.rho, self.m1, self.m2 = rho, m1, m2
+        self.xb, self.t = xb, t = _refined_source_breaks(m1, m2)
+        self.g_lo = g_lo = t[:-1] - xb[:-1]
+        self.g_hi = g_hi = t[1:] - xb[1:]
         dx = np.diff(xb)
-        b = (g_hi - g_lo) / dx
-        a = g_lo - b * xb[:-1]
-        flat = np.abs(g_hi - g_lo) <= 1e-12 * np.maximum(np.abs(g_lo) + np.abs(g_hi), 1e-300)
-        b = np.where(flat, 0.0, b)
-        a = np.where(flat, 0.5 * (g_lo + g_hi), a)
-        self.a, self.b, self.flat = a, b, flat
-        inc = np.where(
-            flat,
-            rho * _signed_power(0.5 * (g_lo + g_hi), rho - 1.0) * dx,
-            (np.abs(g_hi) ** rho - np.abs(g_lo) ** rho) / np.where(flat, 1.0, b),
-        )
+        self.b = b = (g_hi - g_lo) / dx
+        self.a = g_lo - b * xb[:-1]
+        self.near = np.abs(g_hi - g_lo) <= 0.5 * (np.abs(g_lo) + np.abs(g_hi))
+        self.b_safe = np.where(self.near, 1.0, b)
+        inc = self._rise(slice(None), g_lo, g_hi, dx)
         self.psi_b = np.concatenate(([0.0], np.cumsum(inc)))
-        self.g_lo, self.g_hi = g_lo, g_hi
+
+    def _rise(self, k, z0, z1, width, mean=False):
+        """Gain of ``psi`` across ``width`` of piece ``k`` while ``g`` runs from
+        ``z0`` to ``z1``; with ``mean``, its mean over that stretch."""
+        rho, near = self.rho, self.near[k]
+        ok = near & (z0 != 0.0)
+        r = np.where(ok, (z1 - z0) / np.where(ok, z0, 1.0), 0.0)
+        if mean:
+            flat = _mean_growth(r, rho)
+            steep = _power_integral(z0, z1, np.ones_like(z0), rho) - np.abs(z0) ** rho
+        else:
+            flat = _growth(r, rho)
+            steep = np.abs(z1) ** rho - np.abs(z0) ** rho
+        return np.where(near, width * _signed_power(z0, rho - 1.0) * flat, steep / self.b_safe[k])
 
     def _piece_of(self, x):
         return np.clip(np.searchsorted(self.xb, x, side="right") - 1, 0, self.xb.size - 2)
 
+    def _psi_on(self, k, x):
+        """``psi(x)`` for ``x`` on piece ``k``."""
+        z = self.a[k] + self.b[k] * x
+        return self.psi_b[k] + self._rise(k, self.g_lo[k], z, x - self.xb[k])
+
     def psi_at(self, x):
         x = np.asarray(x, dtype=float)
         xc = np.clip(x, self.xb[0], self.xb[-1])
-        k = self._piece_of(xc)
-        a, b, flat = self.a[k], self.b[k], self.flat[k]
-        gl = self.g_lo[k]
-        z = a + b * xc
-        out = np.where(
-            flat,
-            self.psi_b[k] + self.rho * _signed_power(a, self.rho - 1.0) * (xc - self.xb[k]),
-            self.psi_b[k]
-            + (np.abs(z) ** self.rho - np.abs(gl) ** self.rho) / np.where(flat, 1.0, b),
-        )
+        out = self._psi_on(self._piece_of(xc), xc)
         return out if out.ndim else float(out)
 
     def map_back(self, y):
@@ -242,20 +264,11 @@ class _GridDual:
     def integral_source(self):
         """Exact ``integral psi dm1``."""
         dens = self.m1.densities()
-        cell = np.clip(
-            np.searchsorted(self.m1.grid, 0.5 * (self.xb[:-1] + self.xb[1:]), side="right") - 1,
-            0,
-            dens.size - 1,
-        )
-        lo, hi = self.xb[:-1], self.xb[1:]
-        dxp = hi - lo
-        power_int = _power_integral(self.g_lo, self.g_hi, dxp, self.rho)
-        glp = np.abs(self.g_lo) ** self.rho
-        smooth = self.psi_b[:-1] * dxp + (power_int - glp * dxp) / np.where(self.flat, 1.0, self.b)
-        s = self.rho * _signed_power(self.a, self.rho - 1.0)
-        flatpart = self.psi_b[:-1] * dxp + s * 0.5 * dxp * dxp
-        parts = np.where(self.flat, flatpart, smooth)
-        return float(np.sum(dens[cell] * parts))
+        mid = 0.5 * (self.xb[:-1] + self.xb[1:])
+        cell = np.clip(np.searchsorted(self.m1.grid, mid, side="right") - 1, 0, dens.size - 1)
+        dx = np.diff(self.xb)
+        mean = self.psi_b[:-1] + self._rise(slice(None), self.g_lo, self.g_hi, dx, mean=True)
+        return float(np.sum(dens[cell] * dx * mean))
 
     def target_breaks(self):
         return np.union1d(self.m2.grid, self.t)
@@ -269,21 +282,14 @@ class _GridDual:
         cell = np.clip(
             np.searchsorted(self.m2.grid, 0.5 * (lo + hi), side="right") - 1, 0, dens.size - 1
         )
+        # T~ is linear on each piece, so psi(T~(y)) averages like psi on the
+        # stretch of its source piece that T~ covers
         tb = self.map_back(yb)
         k = self._piece_of(0.5 * (tb[:-1] + tb[1:]))
-        a, b, flat = self.a[k], self.b[k], self.flat[k]
-        # integral of psi(T~(y)) over the piece
-        lin_base = self.psi_b[k] - self.rho * _signed_power(a, self.rho - 1.0) * self.xb[k]
-        lin_slope = self.rho * _signed_power(a, self.rho - 1.0)
-        mean_tb = 0.5 * (tb[:-1] + tb[1:])
-        int_flat = lin_base * dy + lin_slope * mean_tb * dy
-        c0 = self.psi_b[k] - np.abs(self.g_lo[k]) ** self.rho / np.where(flat, 1.0, b)
-        int_pow = _power_integral(a + b * tb[:-1], a + b * tb[1:], dy, self.rho)
-        int_smooth = c0 * dy + int_pow / np.where(flat, 1.0, b)
-        int_psi_t = np.where(flat, int_flat, int_smooth)
-        # integral of |T~(y) - y|^rho over the piece
-        int_disp = _power_integral(tb[:-1] - lo, tb[1:] - hi, dy, self.rho)
-        return float(np.sum(dens[cell] * (-int_psi_t - int_disp)))
+        z0, z1 = self.a[k] + self.b[k] * tb[:-1], self.a[k] + self.b[k] * tb[1:]
+        mean_psi = self._psi_on(k, tb[:-1]) + self._rise(k, z0, z1, tb[1:] - tb[:-1], mean=True)
+        mean_disp = _power_integral(tb[:-1] - lo, tb[1:] - hi, np.ones_like(dy), self.rho)
+        return float(np.sum(dens[cell] * dy * (-mean_psi - mean_disp)))
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +525,8 @@ def feasibility_violation(pair):
     return worst
 
 
-def duality_gap(pair, m1, m2, rho=None):
+def duality_gap(pair, m1, m2):
     """Primal value minus dual value; nonnegative up to 1e-9 for a valid pair."""
-    if rho is not None and float(rho) != pair.rho:
-        raise ValueError(f"rho {rho!r} does not match the pair's exponent {pair.rho!r}")
     viol = feasibility_violation(pair)
     if viol > 1e-9:
         raise PotentialConstructionError(

@@ -90,15 +90,15 @@ def test_criterion_01_evolution_identity(capsys):
     fine = verify_identity(gen, gen, dirac(3), dirac(7), 2.0, 1.0, 400)
     coarse = verify_identity(gen, gen, dirac(3), dirac(7), 2.0, 1.0, 200)
     elapsed = time.perf_counter() - start
-    ratio = coarse.max_residual / fine.max_residual
-    ok = fine.max_residual <= 5e-6 and ratio >= 3.5 and elapsed < 30.0
+    ok = fine.max_residual <= 1e-9 and coarse.max_residual <= 1e-9 and elapsed < 30.0
     certify(
         capsys,
         1,
         "evolution identity",
         ok,
-        f"max residual {fine.max_residual:.3e} <= 5e-06, "
-        f"step ratio {ratio:.2f} >= 3.5, {elapsed:.1f}s < 30s",
+        f"pointwise residual {fine.max_residual:.3e} (400 steps), "
+        f"{coarse.max_residual:.3e} (200 steps) <= 1e-09 at t > 0, "
+        f"worst trapezoid panel {np.max(fine.residual):.3e}, {elapsed:.1f}s < 30s",
     )
 
 
@@ -309,7 +309,7 @@ def test_criterion_08_chain_approximation(capsys):
     max_resid = float(np.max(study.identity_residuals))
     ok = (
         push_ok
-        and max_resid <= 1e-5
+        and max_resid <= 1e-9
         and study.reference_mu == 128.0
         and study.cauchy_decreasing_x
         and study.cauchy_decreasing_y
@@ -321,7 +321,7 @@ def test_criterion_08_chain_approximation(capsys):
         "chain approximation of the flow-and-jump process",
         ok,
         f"pushforward error over budget {worst_push:.2f} <= 1.0, "
-        f"identity residual {max_resid:.2e} <= 1e-05, distances to the mu=128 "
+        f"pointwise identity residual {max_resid:.2e} <= 1e-09, distances to the mu=128 "
         f"reference strictly decreasing, {elapsed:.0f}s < 120s",
     )
 

@@ -54,10 +54,6 @@ class TestSpecValidation:
         bd2 = BirthDeathSpec(np.array([0.0, 4.0, 3.0]), np.array([0.0, 1.0, 1.0]))
         assert bd2.growth_c == 2.0
 
-    def test_rejects_undersized_growth_constant(self):
-        with pytest.raises(ValueError):
-            BirthDeathSpec(np.full(5, 3.0), np.zeros(5), growth_c=1.0)
-
     def test_top_birth_capped_but_raw_kept(self):
         bd = mm_infty(1.5, 1.0, 10)
         assert bd.eta[-1] == 0.0
@@ -107,7 +103,6 @@ class TestCurvature:
     def test_truncated_matches_example(self):
         bd = mm_infty(1.0, 1.0, 10)
         assert truncated_curvature(bd) == 1.0
-        assert truncated_curvature(bd, 5) == 1.0
 
     def test_truncated_bracketing(self):
         rng = np.random.default_rng(7)
@@ -122,13 +117,6 @@ class TestCurvature:
             hi = float(np.min(raw[:-1]))
             kn = truncated_curvature(bd)
             assert lo - 1e-12 <= kn <= hi + 1e-12
-
-    def test_truncation_argument_validated(self):
-        bd = mm_infty(1.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            truncated_curvature(bd, 1)
-        with pytest.raises(ValueError):
-            truncated_curvature(bd, 11)
 
 
 MOMENT_RHOS = [1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0]

@@ -152,6 +152,7 @@ class TestExitCodes:
         assert summary["schema"] == 1
         assert summary["kind"] == "identity"
         assert summary["max_residual"] <= 1e-10
+        assert summary["bounds_checked"] == 100  # every node with t > 0
         assert summary["violations"] == 0
         assert summary["runtime_seconds"] > 0
         assert (out / "identity.csv").exists()
