@@ -33,9 +33,11 @@ print(
     {float(x): round(float(w), 6) for x, w in zip(marg.support, marg.weights)},
 )
 
-# one state vector stepped node to node; every node declares what it dropped
+# one chain of clock ticks weighted into every node; each node declares the
+# clock tails it dropped and its window of ticks
 path = marginal_path(gen, p0, np.linspace(0.0, 1.0, 5))
 print("declared truncation per node:", [f"{m.truncation_error:.1e}" for m in path])
+print("clock window per node:", [(m.m_min, m.m_max) for m in path])
 
 # the layers P_{n,t} add up to the marginal; their masses decay factorially
 stack = layer_stack(gen, p0, t=1.0, n_max=8)

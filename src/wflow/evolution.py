@@ -141,13 +141,14 @@ _CSV_HEADER = "t,w_rho_rho,integrand,cumulative,residual,diag,derivative,derivat
 _DIAG_EXPONENT = 1.5  # order of the generator moment in ``diagnostics``
 
 
-def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps, marginal_tol=1e-12):
+def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
     """Evaluate both sides of the evolution identity on a uniform grid.
 
     At each of ``n_steps + 1`` nodes the forward marginals, the transport
     cost, its exact right derivative and the candidate derivative are
     computed; each panel's trapezoid contribution is also compared with the
-    increment of the cost over the panel.
+    increment of the cost over the panel.  The marginals come from
+    :func:`marginal_path` and the node-0 solves at clock tolerance 1e-12.
 
     ``rho = 1`` is rejected: the dual pair degenerates there (potentials are
     1-Lipschitz and far from unique), so first-order claims are certified by
@@ -170,15 +171,15 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps, marginal_tol=1e-1
     # the node-0 candidate is taken from an infinitesimally regularized time
     eps_reg = 1e-9 * t_end
     w_vals, integ, diag, deriv = np.empty((4, grid.size))
-    pathX = marginal_path(genX, p0X, grid, tol=marginal_tol)
-    pathY = marginal_path(genY, p0Y, grid, tol=marginal_tol)
+    pathX = marginal_path(genX, p0X, grid, tol=1e-12)
+    pathY = marginal_path(genY, p0Y, grid, tol=1e-12)
     for k, (mX, mY) in enumerate(zip(pathX, pathY)):
         w_vals[k] = wasserstein_power(mX, mY, rho)
         laws = _laws(genX, genY, mX, mY)
         deriv[k] = _merge_derivative(genX.states, genY.states, *laws, rho)
         if k == 0:
-            mX = uniformized_marginal(genX, p0X, eps_reg, tol=marginal_tol)
-            mY = uniformized_marginal(genY, p0Y, eps_reg, tol=marginal_tol)
+            mX = uniformized_marginal(genX, p0X, eps_reg, tol=1e-12)
+            mY = uniformized_marginal(genY, p0Y, eps_reg, tol=1e-12)
             laws = _laws(genX, genY, mX, mY)
         pair = potentials(mX, mY, rho)
         integ[k], l_psi = _integrand_from_pair(genX, genY, *laws, pair)

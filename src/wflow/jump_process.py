@@ -2,18 +2,19 @@
 
 One clock expansion gives every forward marginal: a Poisson clock of rate
 ``lambda_bar`` ticks, and at a tick state ``x`` jumps by the kernel with
-probability ``lambda(x)/lambda_bar``, so over a panel of length ``h`` the law
-is ``sum_m pmf(m; lambda_bar h) A^m P``, cut where the clock tail drops below
-the tolerance.  The Poisson weights are Fox & Glynn's (1988): a recursion
-from the mode over a window that holds all but far less than the smallest
-double of the mass, with the tails summed from the right.  Jump kernels are
-frozen CSR :class:`Kernel` objects whose products are ``np.bincount`` sums,
-so the module needs numpy only.  :func:`marginal_path` steps one vector from
-node to node and returns a :class:`Marginal` per node with the summed
-declared tail, and :func:`uniformized_marginal` is its one-panel path.
-:func:`layer_stack` runs the expansion on rows split by genuine-jump count,
-which restores the exact per-state survival factors ``exp(-lambda(x) t)`` of
-the layers.
+probability ``lambda(x)/lambda_bar``, so the law at time ``t`` is
+``sum_m pmf(m; lambda_bar t) A^m P``, cut below and above where the clock
+tails drop below the tolerance.  The Poisson weights are Fox & Glynn's
+(1988): a recursion from the mode over a window that holds all but far less
+than the smallest double of the mass, with the tails summed from the right.
+Jump kernels are frozen CSR :class:`Kernel` objects whose products are
+``np.bincount`` sums, so the module needs numpy only.  :func:`marginal_path`
+runs one chain of ticks ``A^m P`` from ``t = 0`` and weights it into every
+node over that node's own Poisson window, returning a :class:`Marginal` per
+node with its own declared tails, and :func:`uniformized_marginal` is its
+one-node path.  :func:`layer_stack` runs the expansion on rows split by
+genuine-jump count, which restores the exact per-state survival factors
+``exp(-lambda(x) t)`` of the layers.
 
 The module also evaluates the layer comparison inequalities (time equivalence
 and the factorial sandwich against the weighted-kernel chain), the kernel
@@ -234,14 +235,19 @@ class JumpGeneratorSpec:
 class Marginal(DiscreteMeasure):
     """Forward marginal, not renormalized, with its declared truncation.
 
-    ``truncation_error`` is the larger of the summed clock tails and the mass
-    rounding lost against ``initial_mass``; ``m_max`` is the clock cutoff of
-    the panel that ends here.
+    The node sums the clock ticks ``m_min..m_max`` of its own Poisson clock
+    from ``t = 0``.  ``truncation_error`` is the larger of the two clock tails
+    it cuts, ``P(N < m_min) + P(N > m_max)``, and the mass rounding lost
+    against ``initial_mass``; it is the node's own, not summed over earlier
+    nodes.
     """
 
-    def __init__(self, support, weights, clock_tail, m_max, initial_mass, mass_tol=1e-12):
+    def __init__(
+        self, support, weights, clock_tail, m_max, initial_mass, mass_tol=1e-12, m_min=0
+    ):
         super().__init__(support, weights, mass_tol=mass_tol)
         self.truncation_error = max(clock_tail, initial_mass - self.total_mass)
+        self.m_min = int(m_min)
         self.m_max = int(m_max)
 
 
@@ -278,22 +284,23 @@ def _state_vector(gen, p0):
     return v
 
 
-def _poisson_weights(mu, tol, top=0):
+def _poisson_window(mu, tol, top=0):
     """Poisson(mu) weights by recursion from the mode (Fox & Glynn, CACM 31, 1988).
 
-    Returns ``(pmf, tails, m_max)`` on ``k = 0..K``: the probabilities, the
-    tails ``P(N > k)`` and the smallest ``m_max`` with ``tails[m_max] < tol``.
-    The window is ``mode +/- (40 sqrt(mu) + 60)``, reaching at least ``top``;
-    beyond it every probability is below ``exp(-800)``, which no double
-    holds, so the weights are divided by their window sum and the tails are
-    the reversed cumulative sum.  ``mu <= 0`` gives the point mass at 0.
+    Returns ``(lo, pmf, tails, m_max)``: the probabilities and the tails
+    ``P(N > k)`` on the window ``k = lo..K``, and the smallest ``m_max`` with
+    ``P(N > m_max) < tol``.  The window is ``mode +/- (40 sqrt(mu) + 60)``,
+    cut at 0 and reaching at least ``top``; beyond it every probability is
+    below ``exp(-800)``, which no double holds, so the weights are divided by
+    their window sum and the tails are the reversed cumulative sum.
+    ``mu <= 0`` gives the point mass at 0.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if mu <= 0.0:
         pmf = np.zeros(top + 1)
         pmf[0] = 1.0
-        return pmf, np.zeros(top + 1), 0
+        return 0, pmf, np.zeros(top + 1), 0
     mode = int(mu)
     width = int(40.0 * math.sqrt(mu) + 60.0)
     lo = max(mode - width, 0)
@@ -301,15 +308,22 @@ def _poisson_weights(mu, tol, top=0):
     # pmf(k) / pmf(mode): products of mu / k above the mode, of k / mu below it
     up = np.cumprod(mu / np.arange(mode + 1, hi + 1))
     down = np.cumprod(np.arange(mode, lo, -1) / mu)[::-1]
-    ratio = np.concatenate([np.zeros(lo), down, [1.0], up])
+    ratio = np.concatenate([down, [1.0], up])
     pmf = ratio / ratio.sum()
-    tails = np.zeros(hi + 1)
+    tails = np.zeros(pmf.size)
     tails[:-1] = np.cumsum(pmf[:0:-1])[::-1]
-    return pmf, tails, int(np.argmax(tails < tol))
+    return lo, pmf, tails, lo + int(np.argmax(tails < tol))
+
+
+def _poisson_weights(mu, tol, top=0):
+    """:func:`_poisson_window` on ``k = 0..K``: ``(pmf, tails, m_max)``."""
+    lo, pmf, tails, m_max = _poisson_window(mu, tol, top)
+    whole = np.full(lo, tails[0] + pmf[0])  # P(N > k) below the window
+    return np.concatenate([np.zeros(lo), pmf]), np.concatenate([whole, tails]), m_max
 
 
 def _uniformize(step, v, pmf, m_max):
-    """``sum_{m <= m_max} pmf[m] step^m(v)``."""
+    """``sum_{m <= m_max} pmf[m] step^m(v)``, the clock expansion of :func:`layer_stack`."""
     acc = pmf[0] * v
     for m in range(1, m_max + 1):
         v = step(v)
@@ -317,16 +331,40 @@ def _uniformize(step, v, pmf, m_max):
     return acc
 
 
+def _clock_window(mu, budget):
+    """The ticks a node at clock mean ``mu`` sums, with their weights and cut tails.
+
+    ``m_max`` is the Fox-Glynn cutoff of :func:`_poisson_window` at
+    ``budget``; ``m_min`` is the largest lower cut whose tail ``P(N < m_min)``,
+    added to ``P(N > m_max)``, stays below ``budget``.  Returns
+    ``(pmf[m_min..m_max], m_min, m_max, tail)`` with ``tail`` the two tails'
+    sum, strictly below ``budget``.
+    """
+    lo, pmf, tails, m_max = _poisson_window(mu, budget)
+    top = m_max - lo
+    # below[i] = P(N <= lo + i) + P(N > m_max): the tail of a cut just above lo + i
+    below = np.cumsum(pmf[:top]) + tails[top]
+    cut = int(np.searchsorted(below, budget))
+    tail = below[cut - 1] if cut else tails[top]
+    return pmf[cut : top + 1], lo + cut, m_max, float(tail)
+
+
+_BLOCK = 256  # clock ticks held in memory at once by marginal_path
+
+
 def marginal_path(gen, p0, times, tol=1e-12):
     """Exact forward marginals at the nodes ``times``, one :class:`Marginal` each.
 
-    One state vector steps from panel to panel, ``[0, times[0]]`` first, each
-    uniformized at rate ``lambda_bar * (b - a)`` with tolerance
-    ``tol / len(times)``, so the summed clock tails stay below ``tol``.  Raises
-    ``ValueError`` on empty, non-finite, negative or decreasing times, on
-    ``tol <= 0``, or when ``p0`` leaves the generator's states, and
-    :class:`NumericalError` when a node keeps no positive mass or its mass
-    leaves ``1 +/- max(2 tol, 1e-12)`` (rounding loss beyond the tolerance).
+    One clock runs from ``t = 0``: the chain ``u_m = tick^m(v0)`` goes out to
+    the largest node cutoff, ``_BLOCK`` ticks at a time, and node ``k`` is
+    ``sum_m pmf(m; lambda_bar t_k) u_m`` over its own Poisson window, cut
+    above and below with tolerance ``tol / len(times)`` (see
+    :class:`Marginal`).  Each block is weighted into the nodes by one
+    single-threaded ``einsum``.  Raises ``ValueError`` on empty,
+    non-finite, negative or decreasing times, on ``tol <= 0``, or when
+    ``p0`` leaves the generator's states, and :class:`NumericalError` when a
+    node keeps no positive mass or its mass leaves ``1 +/- max(2 tol,
+    1e-12)`` (rounding loss beyond the tolerance).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
@@ -340,33 +378,50 @@ def marginal_path(gen, p0, times, tol=1e-12):
     def tick(u):
         return gen._keep * u + gen.weighted_kernel_apply(u) / lb
 
-    v = _state_vector(gen, p0)
+    windows = [_clock_window(lb * t, tol / times.size) for t in times]
+    first = np.array([w[1] for w in windows])
+    last = np.array([w[2] for w in windows])
+    n_ticks = int(last.max()) + 1
+    acc = np.zeros((times.size, gen.n_states))
+    block = np.empty((min(_BLOCK, n_ticks), gen.n_states))
+    u = _state_vector(gen, p0)
+    for start in range(0, n_ticks, _BLOCK):
+        stop = min(start + _BLOCK, n_ticks)
+        rows = block[: stop - start]
+        for i in range(rows.shape[0]):
+            if start + i:
+                u = tick(u)
+            rows[i] = u
+        hit = np.flatnonzero((first < stop) & (last >= start))
+        weights = np.zeros((hit.size, rows.shape[0]))
+        for j, k in enumerate(hit):
+            a, b = max(first[k], start), min(last[k] + 1, stop)
+            weights[j, a - start : b - start] = windows[k][0][a - first[k] : b - first[k]]
+        # einsum, not BLAS: a threaded matmul of these small blocks spins idle cores
+        acc[hit] += np.einsum("km,mn->kn", weights, rows)
     mass_tol = max(2 * tol, 1e-12)
-    clock_tail = 0.0
     path = []
-    for a, b in zip(np.concatenate([[0.0], times[:-1]]), times):
-        pmf, tails, m_max = _poisson_weights(lb * (b - a), tol / times.size)
-        v = _uniformize(tick, v, pmf, m_max)
-        clock_tail += float(tails[m_max])
+    for t, v, (_, m_min, m_max, tail) in zip(times, acc, windows):
         keep = v > 0.0
         if not np.any(keep):
-            raise NumericalError(f"marginal at t={float(b)!r} has no positive mass")
+            raise NumericalError(f"marginal at t={float(t)!r} has no positive mass")
         total = float(v[keep].sum())
         if abs(total - 1.0) > mass_tol:
             raise NumericalError(
-                f"marginal at t={float(b)!r} sums to {total!r}, outside 1 +/- {mass_tol!r}"
+                f"marginal at t={float(t)!r} sums to {total!r}, outside 1 +/- {mass_tol!r}"
             )
         path.append(
-            Marginal(gen.states[keep], v[keep], clock_tail, m_max, p0.total_mass, mass_tol)
+            Marginal(gen.states[keep], v[keep], tail, m_max, p0.total_mass, mass_tol, m_min)
         )
     return path
 
 
 def uniformized_marginal(gen, p0, t, tol=1e-10):
-    """Exact forward marginal at time ``t`` up to a declared Poisson tail.
+    """Exact forward marginal at time ``t`` up to declared Poisson tails.
 
-    The one-panel :func:`marginal_path`, not renormalized: ``truncation_error``
-    declares the Poisson clock tail (strictly below ``tol``) or the mass
+    The one-node :func:`marginal_path`, not renormalized: ``m_max`` is the
+    clock cutoff at ``tol``, and ``truncation_error`` declares the two clock
+    tails the window cuts (together strictly below ``tol``) or the mass
     missing against ``p0`` when rounding lost more.  Raises ``ValueError`` if
     ``t < 0``, ``tol <= 0``, or ``p0`` leaves the generator's states, and
     :class:`NumericalError` as :func:`marginal_path` does.

@@ -300,6 +300,16 @@ def transposed_generator(q):
     return (sparse.diags_array(q.lam) @ (k - sparse.eye_array(n))).T.tocsc()
 
 
+class CountingGenerator(JumpGeneratorSpec):
+    """A generator that counts its weighted-kernel products."""
+
+    calls = 0
+
+    def weighted_kernel_apply(self, v):
+        self.calls += 1
+        return super().weighted_kernel_apply(v)
+
+
 class TestMarginalPath:
     @pytest.mark.parametrize(
         "gen, p0, clock, nodes",
@@ -312,11 +322,14 @@ class TestMarginalPath:
             ),
             (three_state(), DiscreteMeasure([-1.0, 2.0], [0.4, 0.6]), 6.3, 31),
             (three_state(), DiscreteMeasure([0.5], [1.0]), 105.0, 7),
+            # a long clock: every node past t = 0 drops hundreds of early ticks
+            (three_state(), DiscreteMeasure([0.5], [1.0]), 2000.0, 5),
         ],
     )
     def test_matches_expm_multiply(self, gen, p0, clock, nodes):
         # every node against Al-Mohy & Higham's expm_multiply on the grid,
         # with declared truncation below tol and covering the missing mass
+        # and both clock tails the node's window cuts
         t_end = clock / gen.lambda_bar
         times = np.linspace(0.0, t_end, nodes)
         tol = 1e-12
@@ -325,13 +338,39 @@ class TestMarginalPath:
             transposed_generator(gen), _state_vector(gen, p0), start=0.0, stop=t_end, num=nodes
         )
         assert len(path) == nodes
-        for m, want in zip(path, ref):
+        for t, m, want in zip(times, path, ref):
             assert np.max(np.abs(_state_vector(gen, m) - want)) <= 1e-12
             assert m.truncation_error <= tol
             assert 1.0 - m.total_mass <= m.truncation_error + 1e-15
+            mu = gen.lambda_bar * t
+            cut = poisson.cdf(m.m_min - 1, mu) + poisson.sf(m.m_max, mu)
+            assert cut < tol / nodes
+            assert m.truncation_error >= cut * (1.0 - 1e-9)
+        if clock >= 2000.0:
+            assert all(m.m_min > 0 for m in path[1:])
+
+    def test_nodes_are_one_shot_solves_on_one_clock(self):
+        # 121 nodes out to clock mean 547.5: each node is the one-node solve at
+        # the path's per-node tolerance, with its full support, and the path
+        # ticks a single chain once out to the last node's cutoff (stepping
+        # panel to panel ticks 3480 times here)
+        base = mm_infty(20, 1, 200).to_generator()
+        gen = CountingGenerator(base.states, base.lam, base.kernel)
+        p0 = DiscreteMeasure([3.0], [1.0])
+        times = np.linspace(0.0, 2.5, 121)
+        path = marginal_path(gen, p0, times, tol=1e-12)
+        assert gen.calls == path[-1].m_max == max(m.m_max for m in path)
+        assert gen.calls < 1000
+        for t, m in zip(times, path):
+            one = uniformized_marginal(base, p0, t, tol=1e-12 / 121)
+            np.testing.assert_array_equal(m.support, one.support)
+            np.testing.assert_allclose(m.weights, one.weights, rtol=0.0, atol=1e-15)
+            assert (m.m_min, m.m_max) == (one.m_min, one.m_max)
+            mu = gen.lambda_bar * t
+            assert poisson.cdf(m.m_min - 1, mu) + poisson.sf(m.m_max, mu) < 1e-12 / 121
 
     def test_rounding_loss_is_numerical_error(self):
-        # 2e4 clock events in one panel: the normalized Poisson weights keep
+        # 2e4 clock events in one node: the normalized Poisson weights keep
         # the mass inside 1 +/- 2e-12, but rows that each gain 9e-13 (inside
         # the generator's 1e-12 row check) move it past that band
         gen = mm_infty(20, 1, 200).to_generator()
@@ -360,10 +399,10 @@ class TestMarginalPath:
 
     def test_fields_set_by_the_constructor(self):
         m = Marginal([0.0, 1.0], [0.5, 0.5 - 3e-13], 1e-13, 7, 1.0)
-        assert m.m_max == 7
+        assert (m.m_min, m.m_max) == (0, 7)
         assert m.truncation_error == pytest.approx(3e-13, rel=1e-3)
-        m = Marginal([0.0, 1.0], [0.5, 0.5], 2e-13, 4, 1.0)
-        assert m.truncation_error == 2e-13
+        m = Marginal([0.0, 1.0], [0.5, 0.5], 2e-13, 4, 1.0, m_min=2)
+        assert m.truncation_error == 2e-13 and m.m_min == 2
 
     @pytest.mark.parametrize(
         "times", [[], [0.5, 0.2], [-0.1, 0.3], [0.0, np.nan], [[0.1, 0.2]]]
