@@ -8,13 +8,13 @@ tails drop below the tolerance.  The Poisson weights are Fox & Glynn's
 (1988): a recursion from the mode over a window that holds all but far less
 than the smallest double of the mass, with the tails summed from the right.
 Jump kernels are frozen CSR :class:`Kernel` objects whose products are
-``np.bincount`` sums, so the module needs numpy only.  :func:`marginal_path`
-runs one chain of ticks ``A^m P`` from ``t = 0`` and weights it into every
-node over that node's own Poisson window, returning a :class:`Marginal` per
-node with its own declared tails, and :func:`uniformized_marginal` is its
-one-node path.  :func:`layer_stack` runs the expansion on rows split by
-genuine-jump count, which restores the exact per-state survival factors
-``exp(-lambda(x) t)`` of the layers.
+``np.bincount`` sums, so the module needs numpy only.  One loop ticks every
+clock: it runs a chain ``A^m P`` from ``t = 0`` and weights it into Poisson
+windows.  :func:`marginal_path` asks it for one window per node, each
+:class:`Marginal` with its own tails, and :func:`uniformized_marginal` is its
+one-node path.  :func:`layer_stack` asks for one window, of at least
+``n_max`` ticks, on rows split by genuine-jump count, which restores the exact
+per-state survival factors ``exp(-lambda(x) t)`` of the layers.
 
 The module also evaluates the layer comparison inequalities (time equivalence
 and the factorial sandwich against the weighted-kernel chain), the kernel
@@ -258,8 +258,8 @@ class LayerStack:
     ``layers[n]`` is the sub-probability vector of states reached with exactly
     ``n`` genuine jumps; ``q_chain[n]`` is the intensity-weighted kernel chain
     started from the initial law.  ``truncation_error`` bounds the total mass
-    missing from the listed layers (deeper layers plus the Poisson tail of the
-    dominating clock).
+    missing from the listed layers: the two tails the clock window cuts plus
+    its weight on ticks above ``n_max``, which bounds the deeper layers.
     """
 
     states: np.ndarray
@@ -315,52 +315,67 @@ def _poisson_window(mu, tol, top=0):
     return lo, pmf, tails, lo + int(np.argmax(tails < tol))
 
 
-def _poisson_weights(mu, tol, top=0):
-    """:func:`_poisson_window` on ``k = 0..K``: ``(pmf, tails, m_max)``."""
-    lo, pmf, tails, m_max = _poisson_window(mu, tol, top)
-    whole = np.full(lo, tails[0] + pmf[0])  # P(N > k) below the window
-    return np.concatenate([np.zeros(lo), pmf]), np.concatenate([whole, tails]), m_max
-
-
-def _uniformize(step, v, pmf, m_max):
-    """``sum_{m <= m_max} pmf[m] step^m(v)``, the clock expansion of :func:`layer_stack`."""
-    acc = pmf[0] * v
-    for m in range(1, m_max + 1):
-        v = step(v)
-        acc = acc + pmf[m] * v
-    return acc
-
-
-def _clock_window(mu, budget):
+def _clock_window(mu, budget, top=0):
     """The ticks a node at clock mean ``mu`` sums, with their weights and cut tails.
 
     ``m_max`` is the Fox-Glynn cutoff of :func:`_poisson_window` at
-    ``budget``; ``m_min`` is the largest lower cut whose tail ``P(N < m_min)``,
-    added to ``P(N > m_max)``, stays below ``budget``.  Returns
-    ``(pmf[m_min..m_max], m_min, m_max, tail)`` with ``tail`` the two tails'
-    sum, strictly below ``budget``.
+    ``budget``, raised to ``top`` on a running clock; ``m_min`` is the
+    largest lower cut whose tail ``P(N < m_min)``, added to ``P(N > m_max)``,
+    stays below ``budget``.  Returns ``(pmf[m_min..m_max], m_min, m_max,
+    tail)`` with ``tail`` the two tails' sum, strictly below ``budget``.
     """
-    lo, pmf, tails, m_max = _poisson_window(mu, budget)
-    top = m_max - lo
+    lo, pmf, tails, m_max = _poisson_window(mu, budget, top)
+    if mu > 0.0:
+        m_max = max(m_max, top)
+    end = m_max - lo
     # below[i] = P(N <= lo + i) + P(N > m_max): the tail of a cut just above lo + i
-    below = np.cumsum(pmf[:top]) + tails[top]
+    below = np.cumsum(pmf[:end]) + tails[end]
     cut = int(np.searchsorted(below, budget))
-    tail = below[cut - 1] if cut else tails[top]
-    return pmf[cut : top + 1], lo + cut, m_max, float(tail)
+    tail = below[cut - 1] if cut else tails[end]
+    return pmf[cut : end + 1], lo + cut, m_max, float(tail)
 
 
-_BLOCK = 256  # clock ticks held in memory at once by marginal_path
+_BLOCK = 256  # clock ticks held in memory at once, fewer when a tick is large
+
+
+def _clock_sums(tick, u, windows):
+    """``sum_m pmf[m] tick^m(u)`` for each window of :func:`_clock_window`.
+
+    One chain of ticks runs from ``u`` out to the largest ``m_max``, at most
+    ``_BLOCK`` ticks and about ``2**21`` doubles at a time, and each block is
+    weighted into the windows it meets by one single-threaded ``einsum``.
+    Returns one sum per window, each shaped like ``u``.
+    """
+    first = np.array([w[1] for w in windows])
+    last = np.array([w[2] for w in windows])
+    n_ticks = int(last.max()) + 1
+    size = max(1, min(_BLOCK, 2**21 // u.size))
+    acc = np.zeros((len(windows), u.size))
+    block = np.empty((min(size, n_ticks), u.size))
+    for start in range(0, n_ticks, size):
+        stop = min(start + size, n_ticks)
+        rows = block[: stop - start]
+        for i in range(rows.shape[0]):
+            if start + i:
+                u = tick(u)
+            rows[i] = u.ravel()
+        hit = np.flatnonzero((first < stop) & (last >= start))
+        weights = np.zeros((hit.size, rows.shape[0]))
+        for j, k in enumerate(hit):
+            a, b = max(first[k], start), min(last[k] + 1, stop)
+            weights[j, a - start : b - start] = windows[k][0][a - first[k] : b - first[k]]
+        # einsum, not BLAS: a threaded matmul of these small blocks spins idle cores
+        acc[hit] += np.einsum("km,mn->kn", weights, rows)
+    return acc.reshape((len(windows),) + u.shape)
 
 
 def marginal_path(gen, p0, times, tol=1e-12):
     """Exact forward marginals at the nodes ``times``, one :class:`Marginal` each.
 
     One clock runs from ``t = 0``: the chain ``u_m = tick^m(v0)`` goes out to
-    the largest node cutoff, ``_BLOCK`` ticks at a time, and node ``k`` is
-    ``sum_m pmf(m; lambda_bar t_k) u_m`` over its own Poisson window, cut
-    above and below with tolerance ``tol / len(times)`` (see
-    :class:`Marginal`).  Each block is weighted into the nodes by one
-    single-threaded ``einsum``.  Raises ``ValueError`` on empty,
+    the largest node cutoff, and node ``k`` is ``sum_m pmf(m; lambda_bar
+    t_k) u_m`` over its own Poisson window, cut above and below with
+    tolerance ``tol / len(times)`` (see :class:`Marginal`).  Raises ``ValueError`` on empty,
     non-finite, negative or decreasing times, on ``tol <= 0``, or when
     ``p0`` leaves the generator's states, and :class:`NumericalError` when a
     node keeps no positive mass or its mass leaves ``1 +/- max(2 tol,
@@ -379,26 +394,7 @@ def marginal_path(gen, p0, times, tol=1e-12):
         return gen._keep * u + gen.weighted_kernel_apply(u) / lb
 
     windows = [_clock_window(lb * t, tol / times.size) for t in times]
-    first = np.array([w[1] for w in windows])
-    last = np.array([w[2] for w in windows])
-    n_ticks = int(last.max()) + 1
-    acc = np.zeros((times.size, gen.n_states))
-    block = np.empty((min(_BLOCK, n_ticks), gen.n_states))
-    u = _state_vector(gen, p0)
-    for start in range(0, n_ticks, _BLOCK):
-        stop = min(start + _BLOCK, n_ticks)
-        rows = block[: stop - start]
-        for i in range(rows.shape[0]):
-            if start + i:
-                u = tick(u)
-            rows[i] = u
-        hit = np.flatnonzero((first < stop) & (last >= start))
-        weights = np.zeros((hit.size, rows.shape[0]))
-        for j, k in enumerate(hit):
-            a, b = max(first[k], start), min(last[k] + 1, stop)
-            weights[j, a - start : b - start] = windows[k][0][a - first[k] : b - first[k]]
-        # einsum, not BLAS: a threaded matmul of these small blocks spins idle cores
-        acc[hit] += np.einsum("km,mn->kn", weights, rows)
+    acc = _clock_sums(tick, _state_vector(gen, p0), windows)
     mass_tol = max(2 * tol, 1e-12)
     path = []
     for t, v, (_, m_min, m_max, tail) in zip(times, acc, windows):
@@ -432,14 +428,15 @@ def uniformized_marginal(gen, p0, t, tol=1e-10):
 def layer_stack(gen, p0, t, n_max, tol=1e-13):
     """Genuine-jump layers ``P_{n,t}`` for ``n <= n_max`` with the weighted chain.
 
-    The clock expansion runs on an ``(n_max + 1) x n_states`` block: a tick
-    keeps each layer with weight ``1 - lam(x)/lambda_bar`` and moves layer
-    ``n - 1`` into layer ``n`` through the kernel otherwise; Poisson weights
-    over the ticks restore the exact per-state survival factors.  ``tol``
-    controls only the clock-tail cutoff.
+    The clock of :func:`marginal_path` runs on an ``(n_max + 1) x n_states``
+    block: a tick keeps each layer with weight ``1 - lam(x)/lambda_bar`` and
+    moves layer ``n - 1`` into layer ``n`` through the kernel otherwise;
+    Poisson weights restore the exact per-state survival factors.  ``tol``
+    cuts both clock tails, and the window reaches ``n_max`` ticks, so every
+    listed layer fills.  ``t`` must be finite and nonnegative.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     v0 = _state_vector(gen, p0)
@@ -454,12 +451,12 @@ def layer_stack(gen, p0, t, n_max, tol=1e-13):
 
     block = np.zeros((n_max + 1, gen.n_states))
     block[0] = v0
-    mu = gen.lambda_bar * t
-    pmf, tails, m_tol = _poisson_weights(mu, tol, top=n_max)
-    # a running clock ticks at least n_max times, so every listed layer fills
-    layers = _uniformize(tick, block, pmf, max(m_tol, n_max) if mu > 0 else 0)
-    # mass in layers beyond n_max is at most the clock tail beyond n_max
-    return LayerStack(gen.states, list(layers), q_chain, float(tails[m_tol] + tails[n_max]))
+    window = _clock_window(gen.lambda_bar * t, tol, top=n_max)
+    pmf, m_min, _, tail = window
+    layers = _clock_sums(tick, block, [window])[0]
+    # mass in layers beyond n_max is at most the clock weight on ticks beyond n_max
+    deeper = float(pmf[max(n_max + 1 - m_min, 0) :].sum())
+    return LayerStack(gen.states, list(layers), q_chain, tail + deeper)
 
 
 @dataclass(frozen=True)
@@ -482,15 +479,17 @@ class LayerInequalityReport:
 def layer_inequality_report(gen, p0, s, t, n_max):
     """Check the time-equivalence and sandwich inequalities on the layers.
 
-    For ``0 <= s`` and ``t > 0``: each layer at time s is dominated by
+    For finite ``0 <= s`` and ``t > 0``: each layer at time s is dominated by
     ``exp(lambda_bar (t-s)^+) (s/t)^n`` times the layer at time t, and each
     layer at time t sits between ``exp(-lambda_bar t) t^n/n!`` and
     ``t^n/n!`` times the n-step weighted-kernel chain.  Returns the maximal
     componentwise violations (nonpositive values mean slack); the layers
     come from :func:`layer_stack` at its default clock tolerance.
     """
-    if s < 0 or t <= 0:
-        raise ValueError("need 0 <= s and 0 < t")
+    if not 0.0 <= s < math.inf:
+        raise ValueError("s must be finite and nonnegative")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be finite and positive")
     stack_t = layer_stack(gen, p0, t, n_max)
     stack_s = layer_stack(gen, p0, s, n_max)
     lb = gen.lambda_bar
@@ -604,8 +603,13 @@ def _thinning(start, cum0, t, rate, n_paths, seed, event, jump, advance=None):
       of those that jump, given each path's uniform ``u``;
     * ``jump(x, u)`` returns the jump targets of states ``x``.
 
-    Returns the start states, the end states and the jump count per path.
+    Returns the start states, the end states and the jump count per path;
+    ``t`` must be finite and nonnegative and ``n_paths`` positive.
     """
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
+    if n_paths < 1:
+        raise ValueError("need at least one path")
     rng = np.random.default_rng(seed)
     u0 = rng.random(n_paths)
     x = start[np.minimum(np.searchsorted(cum0, u0, side="right"), start.size - 1)]
@@ -642,10 +646,6 @@ def simulate_paths(gen, p0, t, n_paths, seed):
     an event at state x is accepted iff ``lam(x) >= lambda_bar * u`` with
     ``u`` uniform on (0, 1].
     """
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
     cum0 = np.cumsum(_state_vector(gen, p0))
     cum0[-1] = 1.0
     lb = gen.lambda_bar
@@ -669,7 +669,7 @@ def simulate_paths(gen, p0, t, n_paths, seed):
         return out
 
     # an event exactly at t still counts: candidates run while their time is <= t
-    horizon = float(np.nextafter(t, np.inf))
+    horizon = float(np.nextafter(t, np.inf)) if t > 0 else t
     _, end, _ = _thinning(
         np.arange(gen.n_states), cum0, horizon, lb, n_paths, seed, event, jump
     )

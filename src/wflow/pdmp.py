@@ -26,7 +26,7 @@ from wflow.evolution import apply_generator, verify_identity
 from wflow.jump_process import (
     JumpGeneratorSpec,
     Kernel,
-    _poisson_weights,
+    _clock_window,
     _thinning,
     uniformized_marginal,
 )
@@ -416,10 +416,6 @@ def simulate_pdmp(spec, p0, t, n_paths, seed):
     """
     if not isinstance(p0, DiscreteMeasure):
         raise TypeError("initial law must be a DiscreteMeasure")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if n_paths < 1:
-        raise ValueError("need at least one path")
     lb = spec.intensity_bound
 
     def event(x, u):
@@ -456,10 +452,6 @@ def simulate_chain(spec, p0, t, mu, n_paths, seed):
         raise TypeError("initial law must be a DiscreteMeasure")
     if mu < 1.0 or not math.isfinite(mu):
         raise ValueError("mu must be finite and at least 1")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if n_paths < 1:
-        raise ValueError("need at least one path")
     rate = mu + spec.intensity_bound
 
     def event(x, u):
@@ -596,10 +588,10 @@ def mu_convergence_study(
         raise ValueError("mu_list must be increasing with entries >= 1")
     if rho <= 1.0:
         raise ValueError("rho must exceed 1")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be finite and positive")
     lam_bar = max(specX.intensity_bound, specY.intensity_bound)
-    n_jump_bound = _poisson_weights(lam_bar * t, 1e-9)[2] + 2 if lam_bar > 0 else 0
+    n_jump_bound = _clock_window(lam_bar * t, 1e-9)[2] + 2 if lam_bar > 0 else 0
     reach = (
         max(specX.drift_bound, specY.drift_bound) * t
         + max(specX.jump_bound, specY.jump_bound) * n_jump_bound

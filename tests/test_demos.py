@@ -1,4 +1,4 @@
-"""Every demo runs to completion and leaves no temporary files behind."""
+"""Every demo runs to completion, raises no RuntimeWarning and leaves no temporary files."""
 
 import os
 import pathlib
@@ -18,7 +18,7 @@ def test_demo_runs_clean(demo, tmp_path):
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

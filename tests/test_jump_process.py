@@ -20,7 +20,7 @@ from wflow.jump_process import (
     Kernel,
     Marginal,
     NumericalError,
-    _poisson_weights,
+    _poisson_window,
     _state_vector,
     kernel_moment_bound,
     kernel_moment_constant,
@@ -182,49 +182,49 @@ class TestPoissonHelpers:
     def test_pmf_and_tail_match_scipy_stats(self, mu):
         # scipy's exp(k log mu - lgamma(k + 1) - mu) loses about k log(mu) ulps
         # of its exponent, up to 1.4e-12 relative here; mpmath below is exact
-        k = np.arange(int(mu + 12.0 * math.sqrt(mu) + 30.0))
-        pmf, tails, _ = _poisson_weights(mu, 1e-12)
-        np.testing.assert_allclose(pmf[k], poisson.pmf(k, mu), rtol=1e-11, atol=0.0)
-        np.testing.assert_allclose(tails[k], poisson.sf(k, mu), rtol=1e-12, atol=0.0)
+        lo, pmf, tails, _ = _poisson_window(mu, 1e-12)
+        k = np.arange(lo, int(mu + 12.0 * math.sqrt(mu) + 30.0))
+        np.testing.assert_allclose(pmf[k - lo], poisson.pmf(k, mu), rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(tails[k - lo], poisson.sf(k, mu), rtol=1e-12, atol=0.0)
 
     def test_cutoff_matches_isf(self):
         for mu in np.linspace(0.01, 60.0, 601):
-            assert _poisson_weights(mu, 1e-9)[2] == int(poisson.isf(1e-9, mu))
+            assert _poisson_window(mu, 1e-9)[3] == int(poisson.isf(1e-9, mu))
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13, 1e-12 / 121])
     def test_cutoff_and_tail_match_pdtrc(self, tol):
         # pdtrc decreases in k, so pdtrc(m - 1) >= tol > pdtrc(m) makes m its cutoff
         for mu in np.geomspace(1e-3, 2e4, 300):
-            _, tails, m = _poisson_weights(mu, tol)
+            lo, _, tails, m = _poisson_window(mu, tol)
             assert m >= 1
             above, below = pdtrc([m - 1, m], mu)
             assert above >= tol > below, mu
-            assert tails[m] == pytest.approx(below, rel=1e-12, abs=0.0)
+            assert tails[m - lo] == pytest.approx(below, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("mu", [5.0, 550.0, 2e4])
     def test_pmf_matches_mpmath(self, mu):
         mpmath = pytest.importorskip("mpmath")
-        pmf, _, m = _poisson_weights(mu, 1e-13)
+        lo, pmf, _, m = _poisson_window(mu, 1e-13)
         with mpmath.workdps(40):
             m_mu = mpmath.mpf(mu)
             ref = np.array(
                 [
                     float(mpmath.exp(k * mpmath.log(m_mu) - m_mu - mpmath.loggamma(k + 1)))
-                    for k in range(m + 1)
+                    for k in range(lo, m + 1)
                 ]
             )
         normal = ref > 1e-290  # below that the doubles lose relative precision
         assert normal.sum() >= min(m + 1, 5000)
-        np.testing.assert_allclose(pmf[: m + 1][normal], ref[normal], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(pmf[: m + 1 - lo][normal], ref[normal], rtol=1e-13, atol=0.0)
 
     def test_window_reaches_top_and_zero_rate(self):
-        pmf, tails, m = _poisson_weights(0.5, 1e-12, top=400)
-        assert pmf.size == tails.size >= 401 and tails[-1] == 0.0
-        pmf, tails, m = _poisson_weights(0.0, 1e-12, top=3)
+        lo, pmf, tails, m = _poisson_window(0.5, 1e-12, top=400)
+        assert lo + pmf.size == lo + tails.size >= 401 and tails[-1] == 0.0
+        lo, pmf, tails, m = _poisson_window(0.0, 1e-12, top=3)
         np.testing.assert_array_equal(pmf, [1.0, 0.0, 0.0, 0.0])
-        assert m == 0 and not np.any(tails)
+        assert lo == m == 0 and not np.any(tails)
         with pytest.raises(ValueError, match="tol must be positive"):
-            _poisson_weights(1.0, 0.0)
+            _poisson_window(1.0, 0.0)
 
 
 class TestMarginal:
@@ -395,7 +395,7 @@ class TestMarginalPath:
         # the one-panel path is uniformized_marginal
         one = uniformized_marginal(gen, p0, 1.3, tol=1e-12)
         assert isinstance(one, Marginal)
-        assert one.m_max == _poisson_weights(gen.lambda_bar * 1.3, 1e-12)[2]
+        assert one.m_max == _poisson_window(gen.lambda_bar * 1.3, 1e-12)[3]
 
     def test_fields_set_by_the_constructor(self):
         m = Marginal([0.0, 1.0], [0.5, 0.5 - 3e-13], 1e-13, 7, 1.0)
@@ -430,16 +430,50 @@ class TestLayerStack:
             np.testing.assert_allclose(got, want, rtol=0, atol=5e-12)
 
     def test_poisson_layers(self):
-        gen = poisson_counter(25)
         p0 = DiscreteMeasure([0.0], [1.0])
-        t = 2.0
-        stack = layer_stack(gen, p0, t, 12)
-        for n in range(13):
-            expect = math.exp(-t) * t**n / math.factorial(n)
-            assert stack.layers[n][n] == pytest.approx(expect, abs=1e-14)
-            off = stack.layers[n].copy()
-            off[n] = 0.0
-            assert np.all(off == 0.0)
+        # in the second case n_max lies above the clock cutoff (12 ticks at
+        # tol 1e-13); the window still reaches it, so every layer fills
+        for n_top, t, n_max, close in (
+            (25, 2.0, 12, {"abs": 1e-14}),
+            (40, 0.5, 30, {"rel": 1e-12, "abs": 0.0}),
+        ):
+            stack = layer_stack(poisson_counter(n_top), p0, t, n_max)
+            for n in range(n_max + 1):
+                expect = math.exp(-t) * t**n / math.factorial(n)
+                assert stack.layers[n][n] == pytest.approx(expect, **close)
+                off = stack.layers[n].copy()
+                off[n] = 0.0
+                assert np.all(off == 0.0)
+            # no lower cut here: the declared error is the clock tail above n_max
+            tail = poisson.sf(n_max, t)
+            assert stack.truncation_error == pytest.approx(tail, rel=1e-12, abs=0.0)
+
+    def test_long_clock_cuts_both_tails(self):
+        # at lambda_bar t = 2000 the window is ticks 1660..2337, all above
+        # n_max, so the declared error counts the whole window
+        gen = three_state()
+        p0 = DiscreteMeasure([0.5], [1.0])
+        t = 2000.0 / gen.lambda_bar
+        stack = layer_stack(gen, p0, t, 1500)
+        marg = uniformized_marginal(gen, p0, t, tol=1e-13)
+        full = np.zeros(3)
+        full[np.searchsorted(gen.states, marg.support)] = marg.weights
+        total = stack.total()
+        np.testing.assert_allclose(total, full, rtol=0, atol=1e-13)
+        assert stack.truncation_error >= 1.0 - total.sum()
+
+    def test_large_layer_block_memory(self):
+        # 61 layers of a 4097-node chain: a block of all 61 ticks would be 122 MiB
+        gen = mu_chain(4097)
+        p0 = pdmp.embed_on_grid(DiscreteMeasure([0.3], [1.0]), gen.states)
+        tracemalloc.start()
+        try:
+            stack = layer_stack(gen, p0, 0.5, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(stack.total().sum() - 1.0) <= stack.truncation_error + 1e-12
+        assert peak < 64 * 2**20
 
     def test_layers_sum_to_marginal(self):
         gen = three_state()
@@ -483,6 +517,11 @@ class TestLayerStack:
         gen = three_state()
         with pytest.raises(ValueError):
             layer_stack(gen, DiscreteMeasure([0.5], [1.0]), 1.0, -1)
+
+    @pytest.mark.parametrize("t", [-0.1, np.nan, np.inf])
+    def test_bad_time_rejected(self, t):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            layer_stack(three_state(), DiscreteMeasure([0.5], [1.0]), t, 3)
 
 
 class TestLayerInequalities:
@@ -531,6 +570,11 @@ class TestLayerInequalities:
             layer_inequality_report(gen, p0, -0.1, 1.0, 3)
         with pytest.raises(ValueError):
             layer_inequality_report(gen, p0, 0.1, 0.0, 3)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^s must be finite"):
+                layer_inequality_report(gen, p0, bad, 1.0, 3)
+            with pytest.raises(ValueError, match="^t must be finite"):
+                layer_inequality_report(gen, p0, 0.1, bad, 3)
 
 
 class TestKernelMomentBound:
@@ -715,6 +759,9 @@ class TestSimulatePaths:
             simulate_paths(gen, p0, -1.0, 10, seed=0)
         with pytest.raises(ValueError):
             simulate_paths(gen, p0, 1.0, 0, seed=0)
+        for bad in (np.nan, np.inf, -5e-324):
+            with pytest.raises(ValueError, match="^t must be finite"):
+                simulate_paths(gen, p0, bad, 10, seed=0)
 
 
 @st.composite

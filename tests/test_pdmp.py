@@ -540,6 +540,11 @@ class TestSimulate:
             simulate_chain(spec, p0, 1.0, 0.5, 10, 0)
         with pytest.raises(ValueError):
             simulate_chain(spec, p0, 1.0, math.inf, 10, 0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^t must be finite"):
+                simulate_pdmp(spec, p0, bad, 10, 0)
+            with pytest.raises(ValueError, match="^t must be finite"):
+                simulate_chain(spec, p0, bad, 4.0, 10, 0)
 
 
 class TestPropagationConstants:
@@ -700,6 +705,9 @@ class TestConvergenceStudy:
             mu_convergence_study(spec, spec, p0, p0, 1.0, 1.0, [4.0])
         with pytest.raises(ValueError):
             mu_convergence_study(spec, spec, p0, p0, 2.0, 0.0, [4.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^t must be finite"):
+                mu_convergence_study(spec, spec, p0, p0, 2.0, bad, [4.0])
         with pytest.raises(ValueError):
             mu_convergence_study(spec, spec, p0, p0, 2.0, 1.0, [8.0, 4.0])
 
