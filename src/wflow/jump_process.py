@@ -12,9 +12,10 @@ Jump kernels are frozen CSR :class:`Kernel` objects whose products are
 clock: it runs a chain ``A^m P`` from ``t = 0`` and weights it into Poisson
 windows.  :func:`marginal_path` asks it for one window per node, each
 :class:`Marginal` with its own tails, and :func:`uniformized_marginal` is its
-one-node path.  :func:`layer_stack` asks for one window, of at least
-``n_max`` ticks, on rows split by genuine-jump count, which restores the exact
-per-state survival factors ``exp(-lambda(x) t)`` of the layers.
+one-node path.  :func:`layer_stack` asks for one window, cut only above and
+reaching at least ``n_max`` ticks, on rows split by genuine-jump count, which
+restores the exact per-state survival factors ``exp(-lambda(x) t)`` of the
+layers.
 
 The module also evaluates the layer comparison inequalities (time equivalence
 and the factorial sandwich against the weighted-kernel chain), the kernel
@@ -258,8 +259,8 @@ class LayerStack:
     ``layers[n]`` is the sub-probability vector of states reached with exactly
     ``n`` genuine jumps; ``q_chain[n]`` is the intensity-weighted kernel chain
     started from the initial law.  ``truncation_error`` bounds the total mass
-    missing from the listed layers: the two tails the clock window cuts plus
-    its weight on ticks above ``n_max``, which bounds the deeper layers.
+    missing from the listed layers: the clock tail above the window plus its
+    weight on ticks above ``n_max``, which bounds the deeper layers.
     """
 
     states: np.ndarray
@@ -315,18 +316,16 @@ def _poisson_window(mu, tol, top=0):
     return lo, pmf, tails, lo + int(np.argmax(tails < tol))
 
 
-def _clock_window(mu, budget, top=0):
+def _clock_window(mu, budget):
     """The ticks a node at clock mean ``mu`` sums, with their weights and cut tails.
 
     ``m_max`` is the Fox-Glynn cutoff of :func:`_poisson_window` at
-    ``budget``, raised to ``top`` on a running clock; ``m_min`` is the
-    largest lower cut whose tail ``P(N < m_min)``, added to ``P(N > m_max)``,
-    stays below ``budget``.  Returns ``(pmf[m_min..m_max], m_min, m_max,
-    tail)`` with ``tail`` the two tails' sum, strictly below ``budget``.
+    ``budget``; ``m_min`` is the largest lower cut whose tail ``P(N < m_min)``,
+    added to ``P(N > m_max)``, stays below ``budget``.  Returns
+    ``(pmf[m_min..m_max], m_min, m_max, tail)`` with ``tail`` the two tails'
+    sum, strictly below ``budget``.
     """
-    lo, pmf, tails, m_max = _poisson_window(mu, budget, top)
-    if mu > 0.0:
-        m_max = max(m_max, top)
+    lo, pmf, tails, m_max = _poisson_window(mu, budget)
     end = m_max - lo
     # below[i] = P(N <= lo + i) + P(N > m_max): the tail of a cut just above lo + i
     below = np.cumsum(pmf[:end]) + tails[end]
@@ -339,17 +338,18 @@ _BLOCK = 256  # clock ticks held in memory at once, fewer when a tick is large
 
 
 def _clock_sums(tick, u, windows):
-    """``sum_m pmf[m] tick^m(u)`` for each window of :func:`_clock_window`.
+    """``sum_m pmf[m] tick^m(u)`` for each window ``(pmf, m_min, m_max, ...)``.
 
-    One chain of ticks runs from ``u`` out to the largest ``m_max``, at most
-    ``_BLOCK`` ticks and about ``2**21`` doubles at a time, and each block is
-    weighted into the windows it meets by one single-threaded ``einsum``.
-    Returns one sum per window, each shaped like ``u``.
+    A window weights ticks ``m_min..m_max``, as :func:`_clock_window` gives
+    it.  One chain of ticks runs from ``u`` out to the largest ``m_max``, at
+    most ``_BLOCK`` ticks and about ``2**19`` doubles (4 MiB) at a time, and
+    each block is weighted into the windows it meets by one single-threaded
+    ``einsum``.  Returns one sum per window, each shaped like ``u``.
     """
     first = np.array([w[1] for w in windows])
     last = np.array([w[2] for w in windows])
     n_ticks = int(last.max()) + 1
-    size = max(1, min(_BLOCK, 2**21 // u.size))
+    size = max(1, min(_BLOCK, 2**19 // u.size))
     acc = np.zeros((len(windows), u.size))
     block = np.empty((min(size, n_ticks), u.size))
     for start in range(0, n_ticks, size):
@@ -432,8 +432,10 @@ def layer_stack(gen, p0, t, n_max, tol=1e-13):
     block: a tick keeps each layer with weight ``1 - lam(x)/lambda_bar`` and
     moves layer ``n - 1`` into layer ``n`` through the kernel otherwise;
     Poisson weights restore the exact per-state survival factors.  ``tol``
-    cuts both clock tails, and the window reaches ``n_max`` ticks, so every
-    listed layer fills.  ``t`` must be finite and nonnegative.
+    cuts the upper clock tail only, since a lower cut would empty every layer
+    below it; the window starts where the Fox-Glynn weights do and reaches
+    ``n_max`` ticks, so every listed layer fills.  ``t`` must be finite and
+    nonnegative.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
@@ -451,12 +453,16 @@ def layer_stack(gen, p0, t, n_max, tol=1e-13):
 
     block = np.zeros((n_max + 1, gen.n_states))
     block[0] = v0
-    window = _clock_window(gen.lambda_bar * t, tol, top=n_max)
-    pmf, m_min, _, tail = window
-    layers = _clock_sums(tick, block, [window])[0]
+    mu = gen.lambda_bar * t
+    # no lower cut: a layer below it would lose all its low-tick mass
+    lo, pmf, tails, m_tol = _poisson_window(mu, tol, top=n_max)
+    # a running clock ticks at least n_max times, so every listed layer fills
+    m_max = max(m_tol, n_max) if mu > 0.0 else 0
+    pmf = pmf[: m_max - lo + 1]
+    layers = _clock_sums(tick, block, [(pmf, lo, m_max)])[0]
     # mass in layers beyond n_max is at most the clock weight on ticks beyond n_max
-    deeper = float(pmf[max(n_max + 1 - m_min, 0) :].sum())
-    return LayerStack(gen.states, list(layers), q_chain, tail + deeper)
+    deeper = float(pmf[max(n_max + 1 - lo, 0) :].sum())
+    return LayerStack(gen.states, list(layers), q_chain, float(tails[m_max - lo]) + deeper)
 
 
 @dataclass(frozen=True)

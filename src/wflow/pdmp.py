@@ -26,7 +26,7 @@ from wflow.evolution import apply_generator, verify_identity
 from wflow.jump_process import (
     JumpGeneratorSpec,
     Kernel,
-    _clock_window,
+    _poisson_window,
     _thinning,
     uniformized_marginal,
 )
@@ -591,7 +591,7 @@ def mu_convergence_study(
     if not 0.0 < t < math.inf:
         raise ValueError("t must be finite and positive")
     lam_bar = max(specX.intensity_bound, specY.intensity_bound)
-    n_jump_bound = _clock_window(lam_bar * t, 1e-9)[2] + 2 if lam_bar > 0 else 0
+    n_jump_bound = _poisson_window(lam_bar * t, 1e-9)[3] + 2 if lam_bar > 0 else 0
     reach = (
         max(specX.drift_bound, specY.drift_bound) * t
         + max(specX.jump_bound, specY.jump_bound) * n_jump_bound
