@@ -33,17 +33,23 @@ print(
     {float(x): round(float(w), 6) for x, w in zip(marg.support, marg.weights)},
 )
 
-# one chain of clock ticks weighted into every node; each node declares the
-# clock tails it dropped and its window of ticks
+# one chain of clock ticks weighted into every node; each node keeps its law
+# on every state and declares the clock tails it dropped and its window of ticks
 path = marginal_path(gen, p0, np.linspace(0.0, 1.0, 5))
+print("last node on every state:", np.round(path[-1].vector, 6))
 print("declared truncation per node:", [f"{m.truncation_error:.1e}" for m in path])
 print("clock window per node:", [(m.m_min, m.m_max) for m in path])
 
-# the layers P_{n,t} add up to the marginal; their masses decay factorially
+# the layers P_{n,t} add up to the marginal; their masses decay factorially,
+# and the stack declares the mass it leaves out: the layers above n_max plus
+# the cut clock tail
 stack = layer_stack(gen, p0, t=1.0, n_max=8)
 masses = [float(v.sum()) for v in stack.layers]
 print("layer masses:", np.round(masses, 6))
-print("unaccounted tail:", f"{1.0 - sum(masses):.2e}")
+print(
+    "missing mass:", f"{1.0 - sum(masses):.2e},",
+    "declared truncation:", f"{stack.truncation_error:.2e}",
+)
 
 # sandwich and time-equivalence inequalities hold with slack to spare
 report = layer_inequality_report(gen, p0, s=0.4, t=1.0, n_max=8)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wflow.jump_process import JumpGeneratorSpec, Kernel, marginal_path, uniformized_marginal
-from wflow.measures import write_table
+from wflow.measures import moment, write_table
 from wflow.transport import _check_rho, wasserstein_power
 
 __all__ = [
@@ -225,9 +225,8 @@ def moment_bound(bd, p0, rho, t):
     if t < 0:
         raise ValueError("time must be nonnegative")
     gen = bd.to_generator()
-    marg = uniformized_marginal(gen, p0, t, tol=1e-12)
-    exact = float(np.sum(marg.weights * marg.support**rho))
-    m0 = float(np.sum(p0.weights * p0.support**rho))
+    exact = moment(uniformized_marginal(gen, p0, t, tol=1e-12), rho)
+    m0 = moment(p0, rho)
     c_rho = moment_rate_constant(rho)
     try:
         growth = math.exp(c_rho * bd.growth_c * t)

@@ -16,11 +16,11 @@ which the dual pair stays feasible on the whole state space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from wflow.jump_process import JumpGeneratorSpec, _state_vector, marginal_path, uniformized_marginal
+from wflow.jump_process import JumpGeneratorSpec, Marginal, _state_vector, marginal_path
 from wflow.measures import write_table
 from wflow.transport import _check_rho, potentials, wasserstein_power
 
@@ -44,9 +44,8 @@ def apply_generator(gen, f):
     return gen.lam * (gen.kernel.apply(f) - f)
 
 
-def _laws(genX, genY, mX, mY):
-    """Both marginals as dense vectors ``v`` and their rates ``L^T v``."""
-    vX, vY = _state_vector(genX, mX), _state_vector(genY, mY)
+def _laws(genX, genY, vX, vY):
+    """Both laws as dense vectors ``v`` with their rates ``L^T v``."""
     rX = genX.weighted_kernel_apply(vX) - genX.lam * vX
     rY = genY.weighted_kernel_apply(vY) - genY.lam * vY
     return vX, vY, rX, rY
@@ -76,7 +75,7 @@ def rhs_integrand(genX, genY, mX, mY, rho):
     Computes ``-integral (L psi) dmX - integral (L~ psi~) dmY`` for the
     optimal dual pair of ``(mX, mY)`` under power-``rho`` cost.
     """
-    laws = _laws(genX, genY, mX, mY)
+    laws = _laws(genX, genY, _state_vector(genX, mX), _state_vector(genY, mY))
     return _integrand_from_pair(genX, genY, *laws, potentials(mX, mY, rho))[0]
 
 
@@ -111,8 +110,8 @@ class EvolutionReport:
     cumulative weight of one marginal crosses one of the other.
     ``cumulative_integral`` is the running trapezoid accumulation of the
     integrand.  ``diagnostics`` holds the generator moment
-    ``integral |L psi_t|^(3/2) dP_t`` used to monitor local boundedness
-    (reported, not asserted).
+    ``integral |L psi_t|^(3/2) dP_t``, a reported check of local boundedness.
+    ``final_x`` and ``final_y`` are the two marginals at the last node.
     """
 
     time_grid: np.ndarray
@@ -123,6 +122,8 @@ class EvolutionReport:
     diagnostics: np.ndarray
     derivative: np.ndarray
     derivative_residual: np.ndarray
+    final_x: Marginal
+    final_y: Marginal
 
     @property
     def max_residual(self):
@@ -130,8 +131,9 @@ class EvolutionReport:
         return float(np.max(self.derivative_residual[1:]))
 
     def to_csv(self, target):
-        """Write one row per node, one column per field in order."""
-        columns = tuple(getattr(self, f.name) for f in fields(self))
+        """Write one row per node with the eight nodewise columns."""
+        columns = (self.time_grid, self.w_values, self.integrand, self.cumulative_integral)
+        columns += (self.residual, self.diagnostics, self.derivative, self.derivative_residual)
         write_table(target, _CSV_HEADER, columns)
 
 
@@ -147,8 +149,8 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
     At each of ``n_steps + 1`` nodes the forward marginals, the transport
     cost, its exact right derivative and the candidate derivative are
     computed; each panel's trapezoid contribution is also compared with the
-    increment of the cost over the panel.  The marginals come from
-    :func:`marginal_path` and the node-0 solves at clock tolerance 1e-12.
+    increment of the cost over the panel.  Each side is one :func:`marginal_path`
+    (tolerance 1e-12) whose nodes add ``1e-9 t_end``, where node 0's candidate is read.
 
     ``rho = 1`` is rejected: the dual pair degenerates there (potentials are
     1-Lipschitz and far from unique), so first-order claims are certified by
@@ -165,22 +167,21 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
     if not isinstance(genX, JumpGeneratorSpec) or not isinstance(genY, JumpGeneratorSpec):
         raise TypeError("generators must be JumpGeneratorSpec instances")
     grid = np.linspace(0.0, t_end, n_steps + 1)
-    # the dual pair of degenerate initial data (few atoms) is non-unique and
-    # an arbitrary member misses the right derivative at t=0; marginals at any
-    # positive time have full reachable support, which pins the potentials, so
-    # the node-0 candidate is taken from an infinitesimally regularized time
-    eps_reg = 1e-9 * t_end
+    # degenerate initial data (few atoms) have a non-unique dual pair, whose
+    # arbitrary member misses the right derivative at t=0; a positive time
+    # fills the reachable support and pins it, so node 0's candidate is read there
+    nodes = np.insert(grid, 1, 1e-9 * t_end)
     w_vals, integ, diag, deriv = np.empty((4, grid.size))
-    pathX = marginal_path(genX, p0X, grid, tol=1e-12)
-    pathY = marginal_path(genY, p0Y, grid, tol=1e-12)
+    pathX = marginal_path(genX, p0X, nodes, tol=1e-12)
+    pathY = marginal_path(genY, p0Y, nodes, tol=1e-12)
+    regX, regY = pathX.pop(1), pathY.pop(1)
     for k, (mX, mY) in enumerate(zip(pathX, pathY)):
         w_vals[k] = wasserstein_power(mX, mY, rho)
-        laws = _laws(genX, genY, mX, mY)
+        laws = _laws(genX, genY, mX.vector, mY.vector)
         deriv[k] = _merge_derivative(genX.states, genY.states, *laws, rho)
         if k == 0:
-            mX = uniformized_marginal(genX, p0X, eps_reg, tol=1e-12)
-            mY = uniformized_marginal(genY, p0Y, eps_reg, tol=1e-12)
-            laws = _laws(genX, genY, mX, mY)
+            mX, mY = regX, regY
+            laws = _laws(genX, genY, mX.vector, mY.vector)
         pair = potentials(mX, mY, rho)
         integ[k], l_psi = _integrand_from_pair(genX, genY, *laws, pair)
         diag[k] = float(np.dot(laws[0], np.abs(l_psi) ** _DIAG_EXPONENT))
@@ -190,5 +191,5 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
     residual = np.concatenate([[0.0], np.abs(np.diff(w_vals) - panel)])
     deriv_residual = np.abs(deriv - integ) / (1.0 + np.abs(deriv))
     return EvolutionReport(
-        grid, w_vals, integ, cumulative, residual, diag, deriv, deriv_residual
+        grid, w_vals, integ, cumulative, residual, diag, deriv, deriv_residual, pathX[-1], pathY[-1]
     )

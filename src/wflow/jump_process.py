@@ -15,7 +15,7 @@ windows.  :func:`marginal_path` asks it for one window per node, each
 one-node path.  :func:`layer_stack` asks for one window, cut only above and
 reaching at least ``n_max`` ticks, on rows split by genuine-jump count, which
 restores the exact per-state survival factors ``exp(-lambda(x) t)`` of the
-layers.
+layers; :func:`layer_inequality_report` asks one clock for two such windows.
 
 The module also evaluates the layer comparison inequalities (time equivalence
 and the factorial sandwich against the weighted-kernel chain), the kernel
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wflow.measures import DiscreteMeasure
+from wflow.measures import DiscreteMeasure, moment
 
 __all__ = [
     "NumericalError",
@@ -236,17 +236,20 @@ class JumpGeneratorSpec:
 class Marginal(DiscreteMeasure):
     """Forward marginal, not renormalized, with its declared truncation.
 
-    The node sums the clock ticks ``m_min..m_max`` of its own Poisson clock
-    from ``t = 0``.  ``truncation_error`` is the larger of the two clock tails
-    it cuts, ``P(N < m_min) + P(N > m_max)``, and the mass rounding lost
-    against ``initial_mass``; it is the node's own, not summed over earlier
-    nodes.
+    ``vector`` is a read-only copy of the node's law on every state; the atoms
+    are its positive entries.  The node sums the ticks ``m_min..m_max`` of its
+    own Poisson clock from ``t = 0``.  Its own ``truncation_error`` is the
+    larger of the clock tails it cuts, ``P(N < m_min) + P(N > m_max)``, and
+    the mass rounding lost against ``initial_mass``.
     """
 
     def __init__(
-        self, support, weights, clock_tail, m_max, initial_mass, mass_tol=1e-12, m_min=0
+        self, states, vector, clock_tail, m_max, initial_mass, mass_tol=1e-12, m_min=0
     ):
-        super().__init__(support, weights, mass_tol=mass_tol)
+        self.vector = np.array(vector, dtype=float)
+        self.vector.flags.writeable = False
+        keep = self.vector > 0.0
+        super().__init__(np.asarray(states, dtype=float)[keep], self.vector[keep], mass_tol)
         self.truncation_error = max(clock_tail, initial_mass - self.total_mass)
         self.m_min = int(m_min)
         self.m_max = int(m_max)
@@ -258,9 +261,10 @@ class LayerStack:
 
     ``layers[n]`` is the sub-probability vector of states reached with exactly
     ``n`` genuine jumps; ``q_chain[n]`` is the intensity-weighted kernel chain
-    started from the initial law.  ``truncation_error`` bounds the total mass
-    missing from the listed layers: the clock tail above the window plus its
-    weight on ticks above ``n_max``, which bounds the deeper layers.
+    started from the initial law.  ``truncation_error`` is the total mass
+    missing from the listed layers: the clock tail above the window plus the
+    mass of the layers above ``n_max``, which the clock carries exactly in
+    one overflow row.
     """
 
     states: np.ndarray
@@ -398,17 +402,14 @@ def marginal_path(gen, p0, times, tol=1e-12):
     mass_tol = max(2 * tol, 1e-12)
     path = []
     for t, v, (_, m_min, m_max, tail) in zip(times, acc, windows):
-        keep = v > 0.0
-        if not np.any(keep):
+        total = float(v[v > 0.0].sum())
+        if total == 0.0:
             raise NumericalError(f"marginal at t={float(t)!r} has no positive mass")
-        total = float(v[keep].sum())
         if abs(total - 1.0) > mass_tol:
             raise NumericalError(
                 f"marginal at t={float(t)!r} sums to {total!r}, outside 1 +/- {mass_tol!r}"
             )
-        path.append(
-            Marginal(gen.states[keep], v[keep], tail, m_max, p0.total_mass, mass_tol, m_min)
-        )
+        path.append(Marginal(gen.states, v, tail, m_max, p0.total_mass, mass_tol, m_min))
     return path
 
 
@@ -425,20 +426,17 @@ def uniformized_marginal(gen, p0, t, tol=1e-10):
     return marginal_path(gen, p0, [t], tol=tol)[0]
 
 
-def layer_stack(gen, p0, t, n_max, tol=1e-13):
-    """Genuine-jump layers ``P_{n,t}`` for ``n <= n_max`` with the weighted chain.
+def _layer_stacks(gen, p0, times, n_max, tol):
+    """One :class:`LayerStack` per time, all from one clock and one ``q_chain``.
 
-    The clock of :func:`marginal_path` runs on an ``(n_max + 1) x n_states``
-    block: a tick keeps each layer with weight ``1 - lam(x)/lambda_bar`` and
-    moves layer ``n - 1`` into layer ``n`` through the kernel otherwise;
-    Poisson weights restore the exact per-state survival factors.  ``tol``
-    cuts the upper clock tail only, since a lower cut would empty every layer
-    below it; the window starts where the Fox-Glynn weights do and reaches
-    ``n_max`` ticks, so every listed layer fills.  ``t`` must be finite and
-    nonnegative.
+    The clock of :func:`marginal_path` runs on an ``(n_max + 2) x n_states``
+    block: a tick keeps each row with weight ``1 - lam(x)/lambda_bar`` and
+    moves row ``n - 1`` into row ``n`` through the kernel otherwise; the last
+    row collects every layer above ``n_max`` and keeps its own jumps, so its
+    mass is theirs.  Each time weights the chain by its own window, cut only
+    above at ``tol`` (a lower cut would empty every layer below it) and
+    reaching at least ``n_max`` ticks, so every listed layer fills.
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and nonnegative")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     v0 = _state_vector(gen, p0)
@@ -448,21 +446,39 @@ def layer_stack(gen, p0, t, n_max, tol=1e-13):
 
     def tick(block):
         out = gen._keep * block
-        out[1:] += gen.weighted_kernel_apply(block[:-1]) / gen.lambda_bar
+        moved = gen.weighted_kernel_apply(block) / gen.lambda_bar
+        out[1:] += moved[:-1]
+        out[-1] += moved[-1]
         return out
 
-    block = np.zeros((n_max + 1, gen.n_states))
+    block = np.zeros((n_max + 2, gen.n_states))
     block[0] = v0
-    mu = gen.lambda_bar * t
-    # no lower cut: a layer below it would lose all its low-tick mass
-    lo, pmf, tails, m_tol = _poisson_window(mu, tol, top=n_max)
-    # a running clock ticks at least n_max times, so every listed layer fills
-    m_max = max(m_tol, n_max) if mu > 0.0 else 0
-    pmf = pmf[: m_max - lo + 1]
-    layers = _clock_sums(tick, block, [(pmf, lo, m_max)])[0]
-    # mass in layers beyond n_max is at most the clock weight on ticks beyond n_max
-    deeper = float(pmf[max(n_max + 1 - lo, 0) :].sum())
-    return LayerStack(gen.states, list(layers), q_chain, float(tails[m_max - lo]) + deeper)
+    windows, tails = [], []
+    for t in times:
+        mu = gen.lambda_bar * t
+        lo, pmf, upper, m_tol = _poisson_window(mu, tol, top=n_max)
+        m_max = max(m_tol, n_max) if mu > 0.0 else 0
+        windows.append((pmf[: m_max - lo + 1], lo, m_max))
+        tails.append(float(upper[m_max - lo]))
+    sums = _clock_sums(tick, block, windows)
+    return [
+        LayerStack(gen.states, list(rows[:-1]), q_chain, tail + float(rows[-1].sum()))
+        for rows, tail in zip(sums, tails)
+    ]
+
+
+def layer_stack(gen, p0, t, n_max, tol=1e-13):
+    """Genuine-jump layers ``P_{n,t}`` for ``n <= n_max`` with the weighted chain.
+
+    Poisson weights on the clock of :func:`marginal_path`, run on rows split
+    by genuine-jump count, restore the exact per-state survival factors.
+    ``tol`` cuts the upper clock tail only; ``truncation_error`` is that tail
+    plus the exact mass of the layers above ``n_max`` (see
+    :class:`LayerStack`).  ``t`` must be finite and nonnegative.
+    """
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
+    return _layer_stacks(gen, p0, [t], n_max, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -489,15 +505,14 @@ def layer_inequality_report(gen, p0, s, t, n_max):
     ``exp(lambda_bar (t-s)^+) (s/t)^n`` times the layer at time t, and each
     layer at time t sits between ``exp(-lambda_bar t) t^n/n!`` and
     ``t^n/n!`` times the n-step weighted-kernel chain.  Returns the maximal
-    componentwise violations (nonpositive values mean slack); the layers
-    come from :func:`layer_stack` at its default clock tolerance.
+    componentwise violations (nonpositive values mean slack); both stacks
+    come from one clock at :func:`layer_stack`'s default tolerance.
     """
     if not 0.0 <= s < math.inf:
         raise ValueError("s must be finite and nonnegative")
     if not 0.0 < t < math.inf:
         raise ValueError("t must be finite and positive")
-    stack_t = layer_stack(gen, p0, t, n_max)
-    stack_s = layer_stack(gen, p0, s, n_max)
+    stack_s, stack_t = _layer_stacks(gen, p0, [s, t], n_max, tol=1e-13)
     lb = gen.lambda_bar
     factor = math.exp(lb * max(t - s, 0.0))
     equiv = -np.inf
@@ -553,7 +568,7 @@ def kernel_moment_bound(gen, p0, t, f, eta):
     f = np.asarray(f, dtype=float)
     if f.shape != gen.states.shape:
         raise ValueError("f must be tabulated on the generator's states")
-    p_t = _state_vector(gen, uniformized_marginal(gen, p0, t, tol=1e-13))
+    p_t = uniformized_marginal(gen, p0, t, tol=1e-13).vector
     abs_f = np.abs(f)
     lhs = float(np.dot(p_t, gen.lam * gen.kernel.apply(abs_f)))
     p0_vec = _state_vector(gen, p0)
@@ -577,8 +592,7 @@ def moment_growth_bound(gen, p0, alpha, t):
         raise ValueError("alpha must be >= 1")
     if t < 0:
         raise ValueError("time must be nonnegative")
-    marg = uniformized_marginal(gen, p0, t, tol=1e-12)
-    exact = float(np.sum(marg.weights * np.abs(marg.support) ** alpha))
+    exact = moment(uniformized_marginal(gen, p0, t, tol=1e-12), alpha)
     # integral |y - x|^alpha k(x, dy) per row, summed over the stored entries
     rows = gen.kernel.rows
     gap = np.abs(gen.states[gen.kernel.indices] - gen.states[rows]) ** alpha

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_pdmp import tanh_spec
 
+from wflow import jump_process
 from wflow.evolution import apply_generator, rhs_integrand, verify_identity
 from wflow.jump_process import JumpGeneratorSpec, marginal_path, uniformized_marginal
 from wflow.measures import DiscreteMeasure
@@ -241,6 +242,52 @@ class TestVerifyIdentity:
         path = tmp_path / "report.csv"
         rep.to_csv(path)
         assert path.read_text() == buf.getvalue()
+
+    def test_one_clock_per_side(self, monkeypatch):
+        # the grid and the regularized node share each side's clock
+        ticked = []
+        real = jump_process._clock_sums
+
+        def counted(tick, u, windows):
+            ticked.append(len(windows))
+            return real(tick, u, windows)
+
+        monkeypatch.setattr(jump_process, "_clock_sums", counted)
+        gen, p0X, p0Y = reference_instance()
+        verify_identity(gen, gen, p0X, p0Y, 2.0, 1.0, 10)
+        assert ticked == [12, 12]
+
+    @pytest.mark.parametrize("instance", ["reference", "benchmark"])
+    def test_node_zero_reads_the_regularized_node(self, instance):
+        # node 0's candidate and moment equal, bit for bit, those of separate
+        # one-node solves at 1e-9 t_end; its cost and exact derivative are
+        # taken at t = 0
+        if instance == "reference":
+            genX, p0X, p0Y = reference_instance()
+            genY = genX
+        else:
+            genX = birth_death_gen(30, lambda x: 2.0, lambda x: 0.5 * x)
+            genY = birth_death_gen(30, lambda x: 1.0, lambda x: 0.8 * x)
+            p0X, p0Y = dirac(3.0), dirac(6.0)
+        rep = verify_identity(genX, genY, p0X, p0Y, 2.0, 1.0, 100)
+        mX = uniformized_marginal(genX, p0X, 1e-9, tol=1e-12)
+        mY = uniformized_marginal(genY, p0Y, 1e-9, tol=1e-12)
+        value, diag = full_state_integrand(genX, genY, mX, mY, 2.0)
+        assert (rep.integrand[0], rep.diagnostics[0]) == (value, diag)
+        assert rep.w_values[0] == wasserstein_power(p0X, p0Y, 2.0)
+        at_zero = verify_identity(genX, genY, p0X, p0Y, 2.0, 2.0, 2)
+        assert rep.derivative[0] == at_zero.derivative[0]
+
+    def test_final_marginals_are_the_last_nodes(self):
+        gen, p0X, p0Y = reference_instance()
+        rep = verify_identity(gen, gen, p0X, p0Y, 2.0, 1.0, 20)
+        nodes = np.insert(rep.time_grid, 1, 1e-9)
+        for final, p0 in ((rep.final_x, p0X), (rep.final_y, p0Y)):
+            last = marginal_path(gen, p0, nodes, tol=1e-12)[-1]
+            np.testing.assert_array_equal(final.vector, last.vector)
+            assert (final.m_min, final.m_max) == (last.m_min, last.m_max)
+            assert final.truncation_error == last.truncation_error
+        assert rep.w_values[-1] == wasserstein_power(rep.final_x, rep.final_y, 2.0)
 
     def test_argument_validation(self):
         gen, p0X, p0Y = reference_instance()

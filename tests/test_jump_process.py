@@ -13,13 +13,14 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import pdtrc
 from scipy.stats import poisson
 
-from wflow import pdmp
+from wflow import jump_process, pdmp
 from wflow.birth_death import mm_infty
 from wflow.jump_process import (
     JumpGeneratorSpec,
     Kernel,
     Marginal,
     NumericalError,
+    _layer_stacks,
     _poisson_window,
     _state_vector,
     kernel_moment_bound,
@@ -404,6 +405,24 @@ class TestMarginalPath:
         m = Marginal([0.0, 1.0], [0.5, 0.5], 2e-13, 4, 1.0, m_min=2)
         assert m.truncation_error == 2e-13 and m.m_min == 2
 
+    def test_nodes_keep_their_read_only_state_vectors(self):
+        # each node keeps its law on every state; the atoms are its positive
+        # entries, and the vector can be changed neither in place nor through
+        # the array it was built from
+        gen = three_state()
+        p0 = DiscreteMeasure([0.5], [1.0])
+        for m in marginal_path(gen, p0, [0.0, 0.4, 1.3]):
+            assert m.vector.shape == gen.states.shape
+            assert not m.vector.flags.writeable
+            np.testing.assert_array_equal(m.vector, _state_vector(gen, m))
+            with pytest.raises(ValueError):
+                m.vector[0] = 1.0
+        law = np.array([0.25, 0.0, 0.75])
+        m = Marginal(gen.states, law, 0.0, 0, 1.0)
+        np.testing.assert_array_equal(m.support, [-1.0, 2.0])
+        law[1] = 0.5
+        np.testing.assert_array_equal(m.vector, [0.25, 0.0, 0.75])
+
     @pytest.mark.parametrize(
         "times", [[], [0.5, 0.2], [-0.1, 0.3], [0.0, np.nan], [[0.1, 0.2]]]
     )
@@ -450,7 +469,8 @@ class TestLayerStack:
 
     def test_long_clock_window_above_zero(self):
         # at lambda_bar t = 2000 the window is ticks 152..2337, and genuine
-        # jumps are rarer than ticks, so the weight above n_max is ~1
+        # jumps are rarer than ticks, so the clock's weight above n_max is ~1;
+        # the overflow row declares the 8.8e-14 the layers miss instead
         gen = three_state()
         p0 = DiscreteMeasure([0.5], [1.0])
         t = 2000.0 / gen.lambda_bar
@@ -461,6 +481,7 @@ class TestLayerStack:
         total = stack.total()
         np.testing.assert_allclose(total, full, rtol=0, atol=1e-13)
         assert stack.truncation_error >= 1.0 - total.sum()
+        assert stack.truncation_error <= 1e-12
 
     def test_large_layer_block_memory(self):
         # 61 layers of a 4097-node chain: a block of all 61 ticks would be
@@ -575,6 +596,29 @@ class TestLayerInequalities:
             expect = math.exp(-60.0) * 60.0**n / math.factorial(n)
             assert stack.layers[n][n] == pytest.approx(expect, rel=1e-12, abs=0.0)
         assert layer_inequality_report(gen, p0, 30.0, 60.0, 8).max_violation <= 1e-10
+
+    def test_one_clock_for_both_times(self, monkeypatch):
+        # the report ticks one clock for s and t, and the stacks it reads share
+        # one q_chain and equal the one-time stacks bit for bit
+        ticked = []
+        real = jump_process._clock_sums
+
+        def counted(tick, u, windows):
+            ticked.append(len(windows))
+            return real(tick, u, windows)
+
+        monkeypatch.setattr(jump_process, "_clock_sums", counted)
+        gen = three_state()
+        p0 = DiscreteMeasure([-1.0, 0.5], [0.5, 0.5])
+        layer_inequality_report(gen, p0, 0.6, 1.1, 10)
+        assert ticked == [2]
+        monkeypatch.undo()
+        stacks = _layer_stacks(gen, p0, [0.6, 1.1], 10, 1e-13)
+        assert stacks[0].q_chain is stacks[1].q_chain
+        for t, stack in zip((0.6, 1.1), stacks):
+            one = layer_stack(gen, p0, t, 10)
+            np.testing.assert_array_equal(np.stack(stack.layers), np.stack(one.layers))
+            assert stack.truncation_error == one.truncation_error
 
     def test_bad_times_rejected(self):
         gen = three_state()

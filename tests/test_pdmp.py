@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import flow_rk4, mu_generator_rowloop
 
-from wflow import pdmp
-from wflow.evolution import apply_generator
+from wflow import jump_process, pdmp
+from wflow.evolution import apply_generator, verify_identity
 from wflow.jump_process import JumpGeneratorSpec, simulate_paths, uniformized_marginal
 from wflow.measures import CoverageError, DiscreteMeasure, TailConstants, laplace_smooth
 from wflow.pdmp import (
@@ -697,6 +697,34 @@ class TestConvergenceStudy:
                 assert a.dtype == b.dtype and np.array_equal(a, b), f.name
             else:
                 assert a == b, f.name
+
+    def test_time_t_laws_come_from_the_identity_paths(self, monkeypatch):
+        # two clocks per speed (the identity's two sides) plus two for the
+        # reference chain; each Cauchy distance reads the identity's last node
+        spec = tanh_spec(lam=0.5, kernel=ShiftJump(0.5))
+        p0X = DiscreteMeasure([0.5, 1.0, 1.5], [0.4, 0.3, 0.3])
+        p0Y = DiscreteMeasure([-1.0, -0.4], [0.5, 0.5])
+        ticked = []
+        real = jump_process._clock_sums
+
+        def counted(tick, u, windows):
+            ticked.append(len(windows))
+            return real(tick, u, windows)
+
+        monkeypatch.setattr(jump_process, "_clock_sums", counted)
+        study = mu_convergence_study(
+            spec, spec, p0X, p0Y, 2.0, 1.0, [4.0, 8.0], grid_nodes=257, identity_steps=20
+        )
+        assert ticked == [1, 1, 22, 22, 22, 22]
+        monkeypatch.undo()
+        e0X = pdmp.embed_on_grid(p0X, study.grid)
+        e0Y = pdmp.embed_on_grid(p0Y, study.grid)
+        ref = pdmp.mu_generator(spec, study.reference_mu, study.grid).generator
+        gen = pdmp.mu_generator(spec, 8.0, study.grid).generator
+        rep = verify_identity(gen, gen, e0X, e0Y, 2.0, 1.0, 20)
+        ref_x, ref_y = (uniformized_marginal(ref, e0, 1.0) for e0 in (e0X, e0Y))
+        assert study.cauchy_x[-1] == wasserstein(rep.final_x, ref_x, 2.0)
+        assert study.cauchy_y[-1] == wasserstein(rep.final_y, ref_y, 2.0)
 
     def test_argument_validation(self):
         spec = tanh_spec(lam=0.3, kernel=ShiftJump(0.5))
