@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wflow.jump_process import JumpGeneratorSpec, Kernel, marginal_path, uniformized_marginal
+from wflow.jump_process import JumpGeneratorSpec, Kernel, _path_laws, uniformized_marginal
 from wflow.measures import moment, write_table
-from wflow.transport import _check_rho, wasserstein_power
+from wflow.transport import _check_rho, _path_merge, wasserstein_power
 
 __all__ = [
     "BirthDeathSpec",
@@ -218,21 +218,28 @@ def cost_difference_constant(rho):
     return _windowed_sup(_cost_difference_ratio, rho, limit, tail, signed=True)
 
 
+def _moment_bounds(bd, p0, rhos, t):
+    """:func:`moment_bound` for each ``rho`` of ``rhos``, one law solved for all."""
+    for rho in rhos:
+        _check_rho(rho)
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    law = uniformized_marginal(bd.to_generator(), p0, t, tol=1e-12)
+    out = []
+    for rho in rhos:
+        c_rho = moment_rate_constant(rho)
+        try:
+            growth = math.exp(c_rho * bd.growth_c * t)
+        except OverflowError:
+            growth = math.inf
+        out.append((moment(law, rho), (moment(p0, rho) + 1.0) * growth - 1.0))
+    return out
+
+
 def moment_bound(bd, p0, rho, t):
     """Exact ``E[X_t^rho]`` (clock tolerance 1e-12) with its exponential-growth
     closed-form bound, ``inf`` where the exponential overflows a double."""
-    _check_rho(rho)
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    gen = bd.to_generator()
-    exact = moment(uniformized_marginal(gen, p0, t, tol=1e-12), rho)
-    m0 = moment(p0, rho)
-    c_rho = moment_rate_constant(rho)
-    try:
-        growth = math.exp(c_rho * bd.growth_c * t)
-    except OverflowError:
-        growth = math.inf
-    return exact, (m0 + 1.0) * growth - 1.0
+    return _moment_bounds(bd, p0, [rho], t)[0]
 
 
 @dataclass(frozen=True)
@@ -281,8 +288,10 @@ def _relative_excess(value, bound):
 def contraction_report(bd, p0X, p0Y, rho, t_end, n_steps):
     """Certify the contraction envelopes along a uniform time grid.
 
-    Both marginals evolve under the same truncated chain, each one
-    :func:`marginal_path` at its default tolerance.  The certified
+    Both marginals evolve under the same truncated chain, as the node laws
+    of two :func:`marginal_path` paths (tolerance 1e-12) that share one set
+    of Poisson windows, and one merge per node pair gives ``W_1``,
+    ``W_rho^rho`` and, above 2, ``W_{rho-1}^{rho-1}``.  The certified
     rate is the truncated curvature; a vanishing ``kappa (rho - 1)`` on
     (1, 2] switches the closed form to its continuity limit
     ``W_rho^rho(0) + Lip W_1(0) t`` and marks the report degenerate.
@@ -296,17 +305,10 @@ def contraction_report(bd, p0X, p0Y, rho, t_end, n_steps):
     lip = bd.lip_eta + bd.lip_nu
     c_rho = cost_difference_constant(rho)
     grid = np.linspace(0.0, t_end, n_steps + 1)
-    w1 = np.empty(grid.size)
-    w_rho = np.empty(grid.size)
-    w_prev = np.empty(grid.size)
-    pathX = marginal_path(gen, p0X, grid)
-    pathY = marginal_path(gen, p0Y, grid)
-    for k, (mX, mY) in enumerate(zip(pathX, pathY)):
-        w1[k] = wasserstein_power(mX, mY, 1.0)
-        if rho > 1:
-            w_rho[k] = wasserstein_power(mX, mY, rho)
-        if rho > 2:
-            w_prev[k] = wasserstein_power(mX, mY, rho - 1.0)
+    (VX, VY), _ = _path_laws(gen, [p0X, p0Y], grid, tol=1e-12)
+    # W_1, then W_rho^rho above 1 and W_{rho-1}^{rho-1} above 2, from one merge
+    orders = [1.0, rho, rho - 1.0][: 1 + (rho > 1) + (rho > 2)]
+    w1, *higher = _path_merge(gen.states, gen.states, VX, VY, orders)[0]
     bound1 = w1[0] * np.exp(-kap_n * grid)
     degenerate = False
     iterated = None
@@ -314,6 +316,7 @@ def contraction_report(bd, p0X, p0Y, rho, t_end, n_steps):
         w_rho = w1.copy()
         bound_rho = bound1.copy()
     elif rho <= 2.0:
+        (w_rho,) = higher
         if abs(kap_n) * (rho - 1.0) * t_end < 1e-12:
             degenerate = True
             bound_rho = w_rho[0] + lip * w1[0] * grid
@@ -323,6 +326,7 @@ def contraction_report(bd, p0X, p0Y, rho, t_end, n_steps):
                 np.exp(-kap_n * grid) - decay_rho
             ) / (kap_n * (rho - 1.0))
     else:
+        w_rho, w_prev = higher
         # integrated Gronwall form: trapezoid accumulation of the weighted
         # lower-power distances
         g = np.exp(kap_n * rho * grid) * (w1 + w_prev)

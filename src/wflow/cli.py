@@ -30,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from wflow.birth_death import BirthDeathSpec, contraction_report, mm_infty, moment_bound
+from wflow.birth_death import BirthDeathSpec, _moment_bounds, contraction_report, mm_infty
 from wflow.evolution import verify_identity
 from wflow.jump_process import (
     JumpGeneratorSpec,
-    moment_growth_bound,
+    _moment_growth_bounds,
     simulate_paths,
     uniformized_marginal,
 )
@@ -432,16 +432,16 @@ def _bounds_rows(config):
         bd = _bd_from(opts, "chain")
         p0 = _measure_from(opts, "p0")
         horizon = _positive(opts, "horizon")
-        for name, rho in _entries(opts, "rho_list", _at_least_one):
-            exact, bound = moment_bound(bd, p0, rho, horizon)
-            rows.append((f"bd_moment_rho_{name}", exact, bound))
+        entries = _entries(opts, "rho_list", _at_least_one)
+        bounds = _moment_bounds(bd, p0, [rho for _, rho in entries], horizon)
+        rows = [(f"bd_moment_rho_{name}", *b) for (name, _), b in zip(entries, bounds)]
     elif family == "growth-moment":
         gen = _generator_from(opts, "generator")
         p0 = _measure_from(opts, "p0")
         horizon = _positive(opts, "horizon")
-        for name, alpha in _entries(opts, "alpha_list", _at_least_one):
-            exact, bound = moment_growth_bound(gen, p0, alpha, horizon)
-            rows.append((f"growth_moment_alpha_{name}", exact, bound))
+        entries = _entries(opts, "alpha_list", _at_least_one)
+        bounds = _moment_growth_bounds(gen, p0, [alpha for _, alpha in entries], horizon)
+        rows = [(f"growth_moment_alpha_{name}", *b) for (name, _), b in zip(entries, bounds)]
     else:  # propagation: the config admits no other family
         spec = _pdmp_from(opts, "pdmp")
         horizon = _positive(opts, "horizon")

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wflow.jump_process import JumpGeneratorSpec, Marginal, _state_vector, marginal_path
+from wflow.jump_process import JumpGeneratorSpec, Marginal, _marginal_paths, marginal_path
 from wflow.measures import write_table
-from wflow.transport import _check_rho, potentials, wasserstein_power
+from wflow.transport import _check_rho, _path_merge, potentials
 
 __all__ = [
     "EvolutionReport",
     "apply_generator",
-    "rhs_integrand",
     "verify_identity",
 ]
 
@@ -44,11 +43,10 @@ def apply_generator(gen, f):
     return gen.lam * (gen.kernel.apply(f) - f)
 
 
-def _laws(genX, genY, vX, vY):
-    """Both laws as dense vectors ``v`` with their rates ``L^T v``."""
-    rX = genX.weighted_kernel_apply(vX) - genX.lam * vX
-    rY = genY.weighted_kernel_apply(vY) - genY.lam * vY
-    return vX, vY, rX, rY
+def _laws(gen, path):
+    """Each node's law ``v`` on every state, with its rates ``L^T v``."""
+    V = [m.vector for m in path]
+    return V, [gen.weighted_kernel_apply(v) - gen.lam * v for v in V]
 
 
 def _integrand_from_pair(genX, genY, vX, vY, rX, rY, pair):
@@ -67,35 +65,6 @@ def _integrand_from_pair(genX, genY, vX, vY, rX, rY, pair):
         applied.append(apply_generator(gen, psi))
         value -= float(np.dot(v, applied[-1]))
     return value, applied[0]
-
-
-def rhs_integrand(genX, genY, mX, mY, rho):
-    """Candidate time derivative of ``W_rho^rho`` at one pair of marginals.
-
-    Computes ``-integral (L psi) dmX - integral (L~ psi~) dmY`` for the
-    optimal dual pair of ``(mX, mY)`` under power-``rho`` cost.
-    """
-    laws = _laws(genX, genY, _state_vector(genX, mX), _state_vector(genY, mY))
-    return _integrand_from_pair(genX, genY, *laws, potentials(mX, mY, rho))[0]
-
-
-def _merge_derivative(sX, sY, vX, vY, rX, rY, rho):
-    """Exact right derivative of ``W_rho^rho`` between the laws ``vX``, ``vY``.
-
-    ``W_rho^rho`` sums ``|x_i - y_j|^rho`` times the gap between merged inner
-    cumulative levels; each level moves at its side's ``cumsum`` of the rates,
-    adding ``rate * (cost below - cost above)``.  Equal levels are ordered by
-    rate, the order an instant later, then by index.
-    """
-    mX, mY = vX.sum(), vY.sum()
-    level = np.concatenate((np.cumsum(vX)[:-1] / mX, np.cumsum(vY)[:-1] / mY))
-    rate = np.concatenate((np.cumsum(rX)[:-1] / mX, np.cumsum(rY)[:-1] / mY))
-    order = np.lexsort((rate, level))
-    on_x = order < sX.size - 1
-    i = np.concatenate(([0], np.cumsum(on_x)))
-    j = np.concatenate(([0], np.cumsum(~on_x)))
-    cost = np.abs(sX[i] - sY[j]) ** rho
-    return float(np.dot(rate[order], cost[:-1] - cost[1:]))
 
 
 @dataclass(frozen=True)
@@ -150,7 +119,11 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
     cost, its exact right derivative and the candidate derivative are
     computed; each panel's trapezoid contribution is also compared with the
     increment of the cost over the panel.  Each side is one :func:`marginal_path`
-    (tolerance 1e-12) whose nodes add ``1e-9 t_end``, where node 0's candidate is read.
+    (tolerance 1e-12) whose nodes add ``1e-9 t_end``, where node 0's candidate
+    is read; with ``genX is genY`` the two paths share one set of Poisson
+    windows.  The costs and their exact right derivatives come from one merge
+    of the two paths' levels and rates; the loop over the nodes builds only
+    the potentials and the candidate.
 
     ``rho = 1`` is rejected: the dual pair degenerates there (potentials are
     1-Lipschitz and far from unique), so first-order claims are certified by
@@ -171,20 +144,21 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
     # arbitrary member misses the right derivative at t=0; a positive time
     # fills the reachable support and pins it, so node 0's candidate is read there
     nodes = np.insert(grid, 1, 1e-9 * t_end)
-    w_vals, integ, diag, deriv = np.empty((4, grid.size))
-    pathX = marginal_path(genX, p0X, nodes, tol=1e-12)
-    pathY = marginal_path(genY, p0Y, nodes, tol=1e-12)
-    regX, regY = pathX.pop(1), pathY.pop(1)
-    for k, (mX, mY) in enumerate(zip(pathX, pathY)):
-        w_vals[k] = wasserstein_power(mX, mY, rho)
-        laws = _laws(genX, genY, mX.vector, mY.vector)
-        deriv[k] = _merge_derivative(genX.states, genY.states, *laws, rho)
-        if k == 0:
-            mX, mY = regX, regY
-            laws = _laws(genX, genY, mX.vector, mY.vector)
-        pair = potentials(mX, mY, rho)
-        integ[k], l_psi = _integrand_from_pair(genX, genY, *laws, pair)
-        diag[k] = float(np.dot(laws[0], np.abs(l_psi) ** _DIAG_EXPONENT))
+    if genX is genY:
+        pathX, pathY = _marginal_paths(genX, [p0X, p0Y], nodes, tol=1e-12)
+    else:
+        pathX = marginal_path(genX, p0X, nodes, tol=1e-12)
+        pathY = marginal_path(genY, p0Y, nodes, tol=1e-12)
+    (VX, RX), (VY, RY) = _laws(genX, pathX), _laws(genY, pathY)
+    W, deriv = _path_merge(genX.states, genY.states, VX, VY, [rho], RX, RY)
+    # the regularized node 1 is not on the grid
+    w_vals, deriv = np.delete(W[0], 1), np.delete(deriv, 1)
+    integ, diag = np.empty((2, grid.size))
+    # candidates from path node k + 1: grid node k, or the regularized node at k = 0
+    for k, n in enumerate(range(1, nodes.size)):
+        pair = potentials(pathX[n], pathY[n], rho)
+        integ[k], l_psi = _integrand_from_pair(genX, genY, VX[n], VY[n], RX[n], RY[n], pair)
+        diag[k] = float(np.dot(VX[n], np.abs(l_psi) ** _DIAG_EXPONENT))
     dt = grid[1] - grid[0]
     panel = 0.5 * dt * (integ[1:] + integ[:-1])
     cumulative = np.concatenate([[0.0], np.cumsum(panel)])

@@ -12,10 +12,11 @@ Jump kernels are frozen CSR :class:`Kernel` objects whose products are
 clock: it runs a chain ``A^m P`` from ``t = 0`` and weights it into Poisson
 windows.  :func:`marginal_path` asks it for one window per node, each
 :class:`Marginal` with its own tails, and :func:`uniformized_marginal` is its
-one-node path.  :func:`layer_stack` asks for one window, cut only above and
-reaching at least ``n_max`` ticks, on rows split by genuine-jump count, which
-restores the exact per-state survival factors ``exp(-lambda(x) t)`` of the
-layers; :func:`layer_inequality_report` asks one clock for two such windows.
+one-node path; paths of one generator on one grid share those windows.
+:func:`layer_stack` asks for one window, cut only above and reaching at
+least ``n_max`` ticks, on rows split by genuine-jump count, which restores
+the exact per-state survival factors ``exp(-lambda(x) t)`` of the layers;
+:func:`layer_inequality_report` asks one clock for two such windows.
 
 The module also evaluates the layer comparison inequalities (time equivalence
 and the factorial sandwich against the weighted-kernel chain), the kernel
@@ -373,17 +374,12 @@ def _clock_sums(tick, u, windows):
     return acc.reshape((len(windows),) + u.shape)
 
 
-def marginal_path(gen, p0, times, tol=1e-12):
-    """Exact forward marginals at the nodes ``times``, one :class:`Marginal` each.
+def _path_laws(gen, starts, times, tol):
+    """Per initial law of ``starts``, its node laws on every state as one
+    ``(len(times), n_states)`` array, with the nodes' windows.
 
-    One clock runs from ``t = 0``: the chain ``u_m = tick^m(v0)`` goes out to
-    the largest node cutoff, and node ``k`` is ``sum_m pmf(m; lambda_bar
-    t_k) u_m`` over its own Poisson window, cut above and below with
-    tolerance ``tol / len(times)`` (see :class:`Marginal`).  Raises ``ValueError`` on empty,
-    non-finite, negative or decreasing times, on ``tol <= 0``, or when
-    ``p0`` leaves the generator's states, and :class:`NumericalError` when a
-    node keeps no positive mass or its mass leaves ``1 +/- max(2 tol,
-    1e-12)`` (rounding loss beyond the tolerance).
+    The starts share the Poisson windows of :func:`marginal_path`; each runs
+    its own chain of ticks, and every node passes its mass checks.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
@@ -398,19 +394,50 @@ def marginal_path(gen, p0, times, tol=1e-12):
         return gen._keep * u + gen.weighted_kernel_apply(u) / lb
 
     windows = [_clock_window(lb * t, tol / times.size) for t in times]
-    acc = _clock_sums(tick, _state_vector(gen, p0), windows)
     mass_tol = max(2 * tol, 1e-12)
-    path = []
-    for t, v, (_, m_min, m_max, tail) in zip(times, acc, windows):
-        total = float(v[v > 0.0].sum())
-        if total == 0.0:
-            raise NumericalError(f"marginal at t={float(t)!r} has no positive mass")
-        if abs(total - 1.0) > mass_tol:
-            raise NumericalError(
-                f"marginal at t={float(t)!r} sums to {total!r}, outside 1 +/- {mass_tol!r}"
-            )
-        path.append(Marginal(gen.states, v, tail, m_max, p0.total_mass, mass_tol, m_min))
-    return path
+    laws = []
+    for p0 in starts:
+        acc = _clock_sums(tick, _state_vector(gen, p0), windows)
+        for t, v in zip(times, acc):
+            total = float(v[v > 0.0].sum())
+            if total == 0.0:
+                raise NumericalError(f"marginal at t={float(t)!r} has no positive mass")
+            if abs(total - 1.0) > mass_tol:
+                raise NumericalError(
+                    f"marginal at t={float(t)!r} sums to {total!r}, outside 1 +/- {mass_tol!r}"
+                )
+        laws.append(acc)
+    return laws, windows
+
+
+def _marginal_paths(gen, starts, times, tol):
+    """One :func:`marginal_path` per initial law of ``starts``, all on ``times``,
+    from :func:`_path_laws`."""
+    laws, windows = _path_laws(gen, starts, times, tol)
+    mass_tol = max(2 * tol, 1e-12)
+    return [
+        [
+            Marginal(gen.states, v, tail, m_max, p0.total_mass, mass_tol, m_min)
+            for v, (_, m_min, m_max, tail) in zip(acc, windows)
+        ]
+        for p0, acc in zip(starts, laws)
+    ]
+
+
+def marginal_path(gen, p0, times, tol=1e-12):
+    """Exact forward marginals at the nodes ``times``, one :class:`Marginal` each.
+
+    One clock runs from ``t = 0``: the chain ``u_m = tick^m(v0)`` goes out to
+    the largest node cutoff, and node ``k`` is ``sum_m pmf(m; lambda_bar
+    t_k) u_m`` over its own Poisson window, cut above and below with
+    tolerance ``tol / len(times)`` (see :class:`Marginal`).  It is the
+    one-start case of the paths that share one set of windows.  Raises
+    ``ValueError`` on empty, non-finite, negative or decreasing times, on
+    ``tol <= 0``, or when ``p0`` leaves the generator's states, and
+    :class:`NumericalError` when a node keeps no positive mass or its mass
+    leaves ``1 +/- max(2 tol, 1e-12)`` (rounding loss beyond the tolerance).
+    """
+    return _marginal_paths(gen, [p0], times, tol)[0]
 
 
 def uniformized_marginal(gen, p0, t, tol=1e-10):
@@ -580,6 +607,31 @@ def kernel_moment_bound(gen, p0, t, f, eta):
     return KernelMomentBound(lhs, rhs, constant)
 
 
+def _moment_growth_bounds(gen, p0, alphas, t):
+    """:func:`moment_growth_bound` for each ``alpha`` of ``alphas``, one law
+    solved for all."""
+    for alpha in alphas:
+        if alpha < 1:
+            raise ValueError("alpha must be >= 1")
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    law = uniformized_marginal(gen, p0, t, tol=1e-12)
+    p0_vec = _state_vector(gen, p0)
+    rows = gen.kernel.rows
+    mu = gen.lambda_bar * t
+    out = []
+    for alpha in alphas:
+        # integral |y - x|^alpha k(x, dy) per row, summed over the stored entries
+        gap = np.abs(gen.states[gen.kernel.indices] - gen.states[rows]) ** alpha
+        kernel_moment = np.max(np.bincount(rows, gen.kernel.data * gap, gen.n_states))
+        k_bar = max(float(np.dot(p0_vec, np.abs(gen.states) ** alpha)), float(kernel_moment))
+        ceil_a = math.ceil(alpha)
+        series = sum((n + 1.0) ** alpha * mu**n / math.factorial(n) for n in range(ceil_a))
+        series += (ceil_a + 1.0) ** alpha / math.factorial(ceil_a) * mu**ceil_a * math.exp(mu)
+        out.append((moment(law, alpha), k_bar * series))
+    return out
+
+
 def moment_growth_bound(gen, p0, alpha, t):
     """Exact absolute moment at time t with its factorial growth bound.
 
@@ -588,22 +640,7 @@ def moment_growth_bound(gen, p0, alpha, t):
     by a truncated exponential series in ``lambda_bar * t`` whose order is the
     integer ceiling of ``alpha``.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    exact = moment(uniformized_marginal(gen, p0, t, tol=1e-12), alpha)
-    # integral |y - x|^alpha k(x, dy) per row, summed over the stored entries
-    rows = gen.kernel.rows
-    gap = np.abs(gen.states[gen.kernel.indices] - gen.states[rows]) ** alpha
-    kernel_moment = np.max(np.bincount(rows, gen.kernel.data * gap, gen.n_states))
-    p0_vec = _state_vector(gen, p0)
-    k_bar = max(float(np.dot(p0_vec, np.abs(gen.states) ** alpha)), float(kernel_moment))
-    ceil_a = math.ceil(alpha)
-    mu = gen.lambda_bar * t
-    series = sum((n + 1.0) ** alpha * mu**n / math.factorial(n) for n in range(ceil_a))
-    series += (ceil_a + 1.0) ** alpha / math.factorial(ceil_a) * mu**ceil_a * math.exp(mu)
-    return exact, k_bar * series
+    return _moment_growth_bounds(gen, p0, [alpha], t)[0]
 
 
 def _thinning(start, cum0, t, rate, n_paths, seed, event, jump, advance=None):

@@ -156,12 +156,14 @@ class Intensity:
 
 class UniformJump:
     """Jump law uniform on [x - half_width, x + half_width]; the finite,
-    positive ``half_width`` is its bound."""
+    positive ``half_width`` is its bound, and ``support`` holds the offsets
+    ``(-half_width, half_width)`` of its reach from x."""
 
     def __init__(self, half_width):
         self.half_width = self.bound = float(half_width)
         if not (math.isfinite(self.bound) and self.bound > 0.0):
             raise ValueError(f"half_width must be finite and positive, got {half_width!r}")
+        self.support = (-self.half_width, self.half_width)
 
     def cdf(self, x, y):
         y = np.asarray(y, dtype=float)
@@ -173,13 +175,15 @@ class UniformJump:
 
 class ShiftJump:
     """Deterministic jump law: from x move to x + offset; the offset is
-    finite and nonzero, and ``|offset|`` is its bound."""
+    finite and nonzero, ``|offset|`` is its bound, and ``support`` holds the
+    offsets ``(offset, offset)`` of its reach from x."""
 
     def __init__(self, offset):
         self.offset = float(offset)
         if not (math.isfinite(self.offset) and self.offset != 0.0):
             raise ValueError(f"shift offset must be finite and nonzero, got {offset!r}")
         self.bound = abs(self.offset)
+        self.support = (self.offset, self.offset)
 
     def cdf(self, x, y):
         y = np.asarray(y, dtype=float)
@@ -206,8 +210,9 @@ class PdmpSpec:
     """A :class:`Drift`, an :class:`Intensity` and a :class:`UniformJump` or
     :class:`ShiftJump` (else a ``TypeError``), with the exact suprema they
     carry as ``drift_bound``, ``intensity_bound`` and ``jump_bound``.
-    ``mu_generator`` evaluates jump laws only within ``jump_bound`` of each
-    node and fails closed on a CDF that reaches beyond.
+    ``mu_generator`` evaluates each node's jump law only on the band of its
+    support, ``[x + lo, x + hi]`` for the kernel's ``support = (lo, hi)``,
+    and fails closed on a CDF that reaches beyond.
     """
 
     def __init__(self, drift, intensity, kernel):
@@ -281,16 +286,16 @@ class MuApproximation:
 _BAND_CHUNK = 1 << 14
 
 
-def _jump_cells(kernel, grid, nodes, bound):
+def _jump_cells(kernel, grid, nodes):
     """Nonzero jump cell masses ``(node, cell, mass)`` from the listed nodes.
 
     Cell ``c`` is node ``c``'s grid cell, so its mass is ``G(c) - G(c - 1)``
     with ``G(k) = F(mids[k])``, ``G(-1) = 0`` and ``G(n - 1) = 1``.  Per node
-    only the band of ``G`` indices covering ``[x - bound, x + bound]``,
-    widened by two cells a side, is evaluated, in blocks of at most
-    ``_BAND_CHUNK`` entries; ``G`` must be exactly 0 at the lower band edge
-    and exactly 1 at the upper one, else the node is named in a
-    ``ValueError``.
+    only the band of ``G`` indices covering ``[x + lo, x + hi]`` for the
+    kernel's ``support = (lo, hi)``, widened by two cells a side, is
+    evaluated, in blocks of at most ``_BAND_CHUNK`` entries; ``G`` must be
+    exactly 0 at the lower band edge and exactly 1 at the upper one, else the
+    node is named in a ``ValueError``.
     """
     n = grid.size
     if nodes.size == 0:
@@ -298,8 +303,9 @@ def _jump_cells(kernel, grid, nodes, bound):
     mids = 0.5 * (grid[1:] + grid[:-1])
     padded = np.concatenate([mids[:1], mids, mids[-1:]])  # G index k at k + 1
     x = grid[nodes]
-    lo = np.maximum(np.searchsorted(mids, x - bound, side="left") - 3, -1)
-    hi = np.minimum(np.searchsorted(mids, x + bound, side="right") + 2, n - 1)
+    reach_lo, reach_hi = kernel.support
+    lo = np.maximum(np.searchsorted(mids, x + reach_lo, side="left") - 3, -1)
+    hi = np.minimum(np.searchsorted(mids, x + reach_hi, side="right") + 2, n - 1)
     width = int(np.max(hi - lo)) + 1
     start = np.minimum(lo, n - width)  # windows of one width inside [-1, n-1]
     offsets = np.arange(width)
@@ -319,7 +325,7 @@ def _jump_cells(kernel, grid, nodes, bound):
             i = int(nodes[part][np.argmax(bad)])
             raise ValueError(
                 f"jump law of node {i} (x = {float(grid[i])!r}) puts mass "
-                f"beyond its jump bound {bound!r}"
+                f"beyond its support {kernel.support!r}"
             )
         cell = np.diff(g, axis=1).ravel()
         hit = np.flatnonzero(cell)
@@ -338,15 +344,16 @@ def mu_generator(spec, mu, state_grid):
     differences over the grid cells.  A flow target outside the union of
     the grid cells raises a coverage error.
 
-    Jump cells are evaluated only on the band ``[x - b, x + b]`` around each
-    node, ``b = spec.jump_bound``, widened by two cells a side to absorb
+    Jump cells are evaluated only on the band ``[x + lo, x + hi]`` of each
+    node, ``(lo, hi) = spec.kernel.support`` (``(-m, m)`` for a uniform law,
+    ``(d, d)`` for a shift), widened by two cells a side to absorb
     rounding; ``spec.kernel.cdf(x, y)`` is called with a column of nodes
     against a block of midpoints and must broadcast.  The kernel CDF must be
     nondecreasing with values in ``[0, 1]``; it is then checked to be
     exactly 0 at the lower band edge and exactly 1 at the upper one, so
     every cell outside the band has mass exactly 0, as a full-grid
     evaluation would give.  A CDF that fails the check puts mass beyond the
-    jump bound and raises a ``ValueError`` naming the node.  Flow and
+    support and raises a ``ValueError`` naming the node.  Flow and
     jump masses are summed per entry, the self mass is struck out and each
     row is divided by what remains; a row that keeps at most ``1e-9`` is
     frozen (intensity 0, kernel ``(i, i) = 1``).
@@ -372,7 +379,7 @@ def mu_generator(spec, mu, state_grid):
     total = mu + lam
     w_flow = mu / total
     jumping = np.flatnonzero(lam > 0.0)
-    jr, jc, jv = _jump_cells(spec.kernel, grid, jumping, spec.jump_bound)
+    jr, jc, jv = _jump_cells(spec.kernel, grid, jumping)
     rows = np.arange(n)
     mass = [w_flow * (1.0 - theta), w_flow * theta, (lam / total)[jr] * jv]
     summed = Kernel.from_coo(

@@ -4,8 +4,10 @@ Everything here is deliberately naive: linear programming over the full
 coupling polytope, dense quadrature, direct summation, the speed-mu chain
 built row by row over the whole grid, drift flows integrated by RK4, the
 birth-death constants scanned over a million integers, the quantile-merge
-transport cost with its own flatness rule for the segment integral, and the
-atomic dual staircase walked one atom at a time.  The
+transport cost with its own flatness rule for the segment integral, the
+same cost merged in exact rational arithmetic, the rate-ordered merge
+derivative on whole state vectors, the symmetric jump band of the speed-mu
+chain, and the atomic dual staircase walked one atom at a time.  The
 package under test must agree with these to tight tolerances on small
 instances (the chain build, the constants and the atomic transport cost
 exactly).
@@ -13,7 +15,9 @@ exactly).
 
 from __future__ import annotations
 
+import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, optimize, sparse
@@ -333,3 +337,88 @@ def staircase_loop(m1, m2, rho):
             f"y={y[worst]!r} (transform correction {gap[worst]!r})"
         )
     return psi, closed
+
+
+def exact_merge_power(x, wx, y, wy, rho):
+    """``W_rho^rho`` between the weights ``wx`` on ``x`` and ``wy`` on ``y``,
+    merged in exact rational arithmetic.
+
+    The float weights (zeros allowed) are read as exact fractions, so every
+    cumulative level and every gap between merged levels is exact; only the
+    cost ``|x_i - y_j|^rho`` of a non-integer ``rho`` is a rounded float.
+    """
+    fx = [Fraction(float(w)) for w in wx]
+    fy = [Fraction(float(w)) for w in wy]
+    cum_x = np.cumsum(np.array(fx, dtype=object)) / sum(fx)
+    cum_y = np.cumsum(np.array(fy, dtype=object)) / sum(fy)
+    cum_x, cum_y = list(cum_x), list(cum_y)
+    breaks = sorted(set(cum_x) | set(cum_y) | {Fraction(0)})
+    total = Fraction(0)
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        # the quantile on (lo, hi]: the first state whose level passes lo
+        i = bisect.bisect_right(cum_x, lo)
+        j = bisect.bisect_right(cum_y, lo)
+        gap = abs(Fraction(float(x[i])) - Fraction(float(y[j])))
+        cost = gap ** int(rho) if float(rho).is_integer() else Fraction(float(gap) ** rho)
+        total += cost * (hi - lo)
+    return float(total)
+
+
+def merge_derivative(sX, sY, vX, vY, rX, rY, rho):
+    """Exact right derivative of ``W_rho^rho`` between the laws ``vX``, ``vY``.
+
+    ``W_rho^rho`` sums ``|x_i - y_j|^rho`` times the gap between merged inner
+    cumulative levels; each level moves at its side's ``cumsum`` of the rates,
+    adding ``rate * (cost below - cost above)``.  Equal levels are ordered by
+    rate, the order an instant later, then by index.
+    """
+    mX, mY = vX.sum(), vY.sum()
+    level = np.concatenate((np.cumsum(vX)[:-1] / mX, np.cumsum(vY)[:-1] / mY))
+    rate = np.concatenate((np.cumsum(rX)[:-1] / mX, np.cumsum(rY)[:-1] / mY))
+    order = np.lexsort((rate, level))
+    on_x = order < sX.size - 1
+    i = np.concatenate(([0], np.cumsum(on_x)))
+    j = np.concatenate(([0], np.cumsum(~on_x)))
+    cost = np.abs(sX[i] - sY[j]) ** rho
+    return float(np.dot(rate[order], cost[:-1] - cost[1:]))
+
+
+def jump_cells_symmetric(kernel, grid, nodes, bound, chunk=1 << 14):
+    """``pdmp._jump_cells`` on the symmetric band ``[x - bound, x + bound]``.
+
+    The band that ``mu_generator`` used before jump laws carried their
+    support: every node reads the jump CDF within ``bound`` on both sides,
+    widened by two cells a side, with the same exact 0/1 edge check.
+    """
+    n = grid.size
+    if nodes.size == 0:
+        return nodes, nodes, np.empty(0)
+    mids = 0.5 * (grid[1:] + grid[:-1])
+    padded = np.concatenate([mids[:1], mids, mids[-1:]])
+    x = grid[nodes]
+    lo = np.maximum(np.searchsorted(mids, x - bound, side="left") - 3, -1)
+    hi = np.minimum(np.searchsorted(mids, x + bound, side="right") + 2, n - 1)
+    width = int(np.max(hi - lo)) + 1
+    start = np.minimum(lo, n - width)
+    offsets = np.arange(width)
+    step = max(1, chunk // width)
+    rows, cols, vals = [], [], []
+    for s in range(0, nodes.size, step):
+        part = slice(s, s + step)
+        first = start[part]
+        g = np.array(
+            kernel.cdf(x[part, None], padded[first[:, None] + offsets + 1]), dtype=float
+        )
+        g[first == -1, 0] = 0.0
+        g[first == n - width, -1] = 1.0
+        k = np.arange(first.size)
+        bad = (g[k, lo[part] - first] != 0.0) | (g[k, hi[part] - first] != 1.0)
+        if np.any(bad):
+            raise ValueError(f"jump law of node {int(nodes[part][np.argmax(bad)])} overreaches")
+        cell = np.diff(g, axis=1).ravel()
+        hit = np.flatnonzero(cell)
+        r, c = np.divmod(hit, width - 1)
+        rows.append(nodes[part][r])
+        cols.append(first[r] + 1 + c)
+        vals.append(cell[hit])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import scan_cost_difference_constant, scan_moment_rate_constant
-from wflow import birth_death
+from wflow import birth_death, jump_process
 from wflow.birth_death import (
     BirthDeathSpec,
+    _moment_bounds,
     contraction_report,
     cost_difference_constant,
     curvature,
@@ -326,6 +327,29 @@ class TestContractionReport:
         with pytest.raises(ValueError):
             contraction_report(bd, dirac(1.0), dirac(2.0), 2.0, 1.0, 0)
 
+    @pytest.mark.parametrize("rho", [1.0, 2.0, 3.0])
+    def test_one_window_per_node_and_one_merge(self, rho, monkeypatch):
+        # both paths read one set of Poisson windows, and W comes from the
+        # merge: wasserstein_power runs only on the iterated bound's initial
+        # laws (orders rho and rho - 1 at rho = 3)
+        windows, costs = [], []
+        real_window, real_power = jump_process._clock_window, birth_death.wasserstein_power
+
+        def window(mu, budget):
+            windows.append(mu)
+            return real_window(mu, budget)
+
+        def power(m1, m2, r):
+            costs.append(r)
+            return real_power(m1, m2, r)
+
+        monkeypatch.setattr(jump_process, "_clock_window", window)
+        monkeypatch.setattr(birth_death, "wasserstein_power", power)
+        rep = contraction_report(mm_infty(1.0, 1.0, 40), dirac(3.0), dirac(7.0), rho, 1.0, 30)
+        assert len(windows) == 31
+        assert costs == ([3.0, 2.0] if rho == 3.0 else [])
+        assert rep.max_violation <= 1e-8
+
     def test_csv_layout(self, tmp_path):
         bd = mm_infty(1.0, 1.0, 15)
         rep = contraction_report(bd, dirac(2.0), dirac(6.0), 2.0, 0.5, 8)
@@ -368,6 +392,21 @@ class TestMomentBound:
                 moment_bound(bd, dirac(1.0), rho, 1.0)
         with pytest.raises(ValueError):
             moment_bound(bd, dirac(1.0), 2.0, -1.0)
+
+    def test_one_law_for_every_order(self, monkeypatch):
+        bd = mm_infty(1.5, 0.9, 70)
+        ticked = []
+        real = jump_process._clock_sums
+
+        def counted(tick, u, windows):
+            ticked.append(len(windows))
+            return real(tick, u, windows)
+
+        monkeypatch.setattr(jump_process, "_clock_sums", counted)
+        rhos = [1.0, 1.5, 2.0, 3.0]
+        together = _moment_bounds(bd, dirac(4.0), rhos, 1.0)
+        assert ticked == [1]
+        assert together == [moment_bound(bd, dirac(4.0), rho, 1.0) for rho in rhos]
 
     def test_overflowing_bound_is_infinite(self):
         # exp(3 * 20 * 90.9) overflows a double; the exact moment still holds

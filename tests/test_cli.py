@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from wflow import cli
+from wflow import cli, jump_process
 from wflow.transport import IntegrationError
 
 IDENTITY_EQUAL = """\
@@ -686,6 +686,21 @@ class TestRunners:
             "displacement_moment_q_2.0",
             "tail_ratio_q_2.0",
         ]
+
+    @pytest.mark.parametrize("text", [BOUNDS_BD_MOMENT, BOUNDS_GROWTH], ids=["bd", "growth"])
+    def test_bounds_solve_one_law(self, tmp_path, monkeypatch, text):
+        # every entry of rho_list / alpha_list reads one solved marginal
+        ticked = []
+        real = jump_process._clock_sums
+
+        def counted(tick, u, windows):
+            ticked.append(len(windows))
+            return real(tick, u, windows)
+
+        monkeypatch.setattr(jump_process, "_clock_sums", counted)
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert ticked == [1]
 
     def test_bounds_bd_moment(self, tmp_path):
         cfg = write_config(tmp_path, BOUNDS_BD_MOMENT)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import exact_merge_power
 from test_pdmp import tanh_spec
 
-from wflow import jump_process
-from wflow.evolution import apply_generator, rhs_integrand, verify_identity
+from wflow import jump_process, transport
+from wflow.evolution import apply_generator, verify_identity
 from wflow.jump_process import JumpGeneratorSpec, marginal_path, uniformized_marginal
 from wflow.measures import DiscreteMeasure
 from wflow.pdmp import ShiftJump, embed_on_grid, mu_generator
@@ -87,49 +88,42 @@ class TestApplyGenerator:
 
 
 class TestRhsIntegrand:
+    """The identity's right-hand side, read from ``verify_identity``'s integrand."""
+
     def test_equal_marginals_zero(self):
         gen = birth_death_gen(15, lambda x: 1.0, lambda x: 0.7 * x)
-        m = uniformized_marginal(gen, dirac(4.0), 0.35)
-        val = rhs_integrand(gen, gen, m, m, 2.0)
-        assert abs(val) <= 1e-12
+        rep = verify_identity(gen, gen, dirac(4.0), dirac(4.0), 2.0, 0.35, 2)
+        assert abs(rep.integrand[-1]) <= 1e-12
 
     def test_translated_counters_zero(self):
-        # identical dynamics on shifted lattices keep the cost constant; the
-        # marginal tolerance is kept tight so no edge atom is pruned, which
-        # would bend the dual closure within one jump of surviving mass
+        # identical dynamics on shifted lattices keep the cost constant
         genX = counting_gen(12)
         genY = counting_gen(12, shift=2.0)
-        mX = uniformized_marginal(genX, dirac(0.0), 0.8, tol=1e-13)
-        mY = uniformized_marginal(genY, dirac(2.0), 0.8, tol=1e-13)
-        assert abs(wasserstein_power(mX, mY, 2.0) - 4.0) <= 1e-12
-        val = rhs_integrand(genX, genY, mX, mY, 2.0)
-        assert abs(val) <= 1e-12
+        rep = verify_identity(genX, genY, dirac(0.0), dirac(2.0), 2.0, 0.8, 2)
+        assert abs(rep.w_values[-1] - 4.0) <= 1e-12
+        assert abs(rep.integrand[-1]) <= 1e-12
 
     def test_finite_difference_oracle(self):
         # central difference of the cost curve at a smooth time
         gen, p0X, p0Y = reference_instance()
         t, d = 0.6, 1e-3
         w = {}
-        for s in (t - d, t, t + d):
+        for s in (t - d, t + d):
             mX = uniformized_marginal(gen, p0X, s)
             mY = uniformized_marginal(gen, p0Y, s)
             w[s] = wasserstein_power(mX, mY, 2.0)
-        mX = uniformized_marginal(gen, p0X, t)
-        mY = uniformized_marginal(gen, p0Y, t)
-        val = rhs_integrand(gen, gen, mX, mY, 2.0)
         fd = (w[t + d] - w[t - d]) / (2 * d)
-        assert abs(val - fd) <= 2e-5
-        # the exact merge derivative at the last node of a grid ending at t
-        derivative = verify_identity(gen, gen, p0X, p0Y, 2.0, t, 2).derivative[-1]
-        assert abs(derivative - fd) <= 2e-5
+        # the candidate and the exact merge derivative at the last node of a
+        # grid ending at t
+        rep = verify_identity(gen, gen, p0X, p0Y, 2.0, t, 2)
+        assert abs(rep.integrand[-1] - fd) <= 2e-5
+        assert abs(rep.derivative[-1] - fd) <= 2e-5
 
     def test_sign_matches_contraction(self):
         # positive curvature forces the cost downward at every time
         gen, p0X, p0Y = reference_instance()
-        for t in (0.05, 0.3, 1.0):
-            mX = uniformized_marginal(gen, p0X, t)
-            mY = uniformized_marginal(gen, p0Y, t)
-            assert rhs_integrand(gen, gen, mX, mY, 2.0) < 0.0
+        rep = verify_identity(gen, gen, p0X, p0Y, 2.0, 1.0, 20)
+        assert np.all(rep.integrand[[1, 6, 20]] < 0.0)  # t = 0.05, 0.3, 1
 
 
 class TestVerifyIdentity:
@@ -257,6 +251,30 @@ class TestVerifyIdentity:
         verify_identity(gen, gen, p0X, p0Y, 2.0, 1.0, 10)
         assert ticked == [12, 12]
 
+    def test_one_window_per_node_and_one_merge(self, monkeypatch):
+        # with one generator both sides read one set of Poisson windows, and
+        # no node calls wasserstein_power
+        windows, costs = [], []
+        real_window, real_power = jump_process._clock_window, transport.wasserstein_power
+
+        def window(mu, budget):
+            windows.append(mu)
+            return real_window(mu, budget)
+
+        def power(m1, m2, r):
+            costs.append(r)
+            return real_power(m1, m2, r)
+
+        monkeypatch.setattr(jump_process, "_clock_window", window)
+        monkeypatch.setattr(transport, "wasserstein_power", power)
+        gen, p0X, p0Y = reference_instance()
+        verify_identity(gen, gen, p0X, p0Y, 2.0, 1.0, 10)
+        assert len(windows) == 12  # the grid and the regularized node
+        other = birth_death_gen(40, lambda x: 1.0, lambda x: x)
+        verify_identity(gen, other, p0X, p0Y, 2.0, 1.0, 10)
+        assert len(windows) == 12 + 24
+        assert costs == []
+
     @pytest.mark.parametrize("instance", ["reference", "benchmark"])
     def test_node_zero_reads_the_regularized_node(self, instance):
         # node 0's candidate and moment equal, bit for bit, those of separate
@@ -287,7 +305,9 @@ class TestVerifyIdentity:
             np.testing.assert_array_equal(final.vector, last.vector)
             assert (final.m_min, final.m_max) == (last.m_min, last.m_max)
             assert final.truncation_error == last.truncation_error
-        assert rep.w_values[-1] == wasserstein_power(rep.final_x, rep.final_y, 2.0)
+        x, y = rep.final_x, rep.final_y
+        exact = exact_merge_power(x.support, x.weights, y.support, y.weights, 2.0)
+        assert rep.w_values[-1] == pytest.approx(exact, rel=1e-12)
 
     def test_argument_validation(self):
         gen, p0X, p0Y = reference_instance()

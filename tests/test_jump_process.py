@@ -733,6 +733,22 @@ class TestMomentGrowthBound:
         assert exact <= bound
         assert peak < 16 * 2**20
 
+    def test_one_law_for_every_order(self, monkeypatch):
+        gen = three_state()
+        p0 = DiscreteMeasure([0.5], [1.0])
+        ticked = []
+        real = jump_process._clock_sums
+
+        def counted(tick, u, windows):
+            ticked.append(len(windows))
+            return real(tick, u, windows)
+
+        monkeypatch.setattr(jump_process, "_clock_sums", counted)
+        alphas = [1.0, 2.0, 2.5, 3.0]
+        together = jump_process._moment_growth_bounds(gen, p0, alphas, 0.7)
+        assert ticked == [1]
+        assert together == [moment_growth_bound(gen, p0, alpha, 0.7) for alpha in alphas]
+
     def test_rejects_bad_args(self):
         gen = three_state()
         p0 = DiscreteMeasure([0.5], [1.0])

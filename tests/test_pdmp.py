@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import flow_rk4, mu_generator_rowloop
+from oracles import flow_rk4, jump_cells_symmetric, mu_generator_rowloop
 
 from wflow import jump_process, pdmp
 from wflow.evolution import apply_generator, verify_identity
@@ -434,6 +434,26 @@ class TestMuGenerator:
         mu_generator_rowloop(spec, 8.0, grid)
         with pytest.raises(ValueError, match=r"node 0 \(x = -2\.0\)"):
             mu_generator(spec, 8.0, grid)
+
+    @pytest.mark.parametrize("kernel", [ShiftJump(0.5), ShiftJump(-0.3), UniformJump(0.4)])
+    def test_support_band_matches_symmetric_band(self, kernel, monkeypatch):
+        # shifts whose targets leave the grid at either end, and a uniform
+        # law: reading each law on its own support changes no kernel entry
+        spec = tanh_spec(0.5, kernel)
+        grid = np.linspace(-2.0, 2.0, 161)
+        nodes = np.arange(grid.size)
+        got = pdmp._jump_cells(kernel, grid, nodes)
+        want = jump_cells_symmetric(kernel, grid, nodes, kernel.bound)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        banded = mu_generator(spec, 8.0, grid).generator.kernel
+        monkeypatch.setattr(
+            pdmp, "_jump_cells", lambda k, g, n: jump_cells_symmetric(k, g, n, k.bound)
+        )
+        symmetric = mu_generator(spec, 8.0, grid).generator.kernel
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(banded, name), getattr(symmetric, name))
 
 
 class TestEmbedAndCellLaw:

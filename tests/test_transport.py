@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from oracles import (
+    exact_merge_power,
     lp_coupling_cost,
+    merge_derivative,
     merged_wasserstein_power,
     quantile_riemann_cost,
     staircase_loop,
@@ -34,8 +36,15 @@ from wflow import (
     wasserstein_power,
 )
 from wflow.birth_death import mm_infty
-from wflow.jump_process import marginal_path
-from wflow.transport import PotentialConstructionError, _cost_transform, _mean_growth, dual_value
+from wflow.jump_process import JumpGeneratorSpec, marginal_path
+from wflow import transport
+from wflow.transport import (
+    PotentialConstructionError,
+    _cost_transform,
+    _mean_growth,
+    _path_merge,
+    dual_value,
+)
 
 
 def atoms(points, weights):
@@ -194,6 +203,110 @@ class TestWasserstein:
 # =============================================================================
 # transport map
 # =============================================================================
+
+
+def merge_instance():
+    """Node laws of two paths on 7 and 4 states, with generator rates ``L^T v``.
+
+    Row 0 has zero-mass states inside and above its support and shares the
+    levels 0.25 and 0.5 across the sides; row 1 is one atom against four;
+    row 2 one atom a side; row 3 spreads over every state but the last X
+    state, which no node reaches (zero law and zero rate in every row);
+    row 4 weighs ``1 - 3e-13``.
+    """
+    rng = np.random.default_rng(7)
+    sX = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 9.0])
+    sY = np.array([-1.0, 0.5, 2.0, 7.0])
+    VX = np.array(
+        [
+            [0.25, 0.0, 0.25, 0.0, 0.5, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+            [*rng.dirichlet(np.ones(6)), 0.0],
+            [0.125, 0.125, 0.25, 0.25, 0.25 - 3e-13, 0.0, 0.0],
+        ]
+    )
+    VY = np.array(
+        [
+            [0.25, 0.25, 0.0, 0.5],
+            [0.1, 0.2, 0.3, 0.4],
+            [1.0, 0.0, 0.0, 0.0],
+            rng.dirichlet(np.ones(4)),
+            [0.5, 0.0, 0.25, 0.25],
+        ]
+    )
+    rates = []
+    for states, V, unreached in ((sX, VX, [6]), (sY, VY, [])):
+        kernel = rng.uniform(0.1, 1.0, (states.size, states.size))
+        np.fill_diagonal(kernel, 0.0)
+        kernel[:, unreached] = 0.0
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        gen = JumpGeneratorSpec(states, rng.uniform(0.5, 3.0, states.size), kernel)
+        rates.append(np.stack([gen.weighted_kernel_apply(v) - gen.lam * v for v in V]))
+    return sX, sY, VX, VY, *rates
+
+
+class TestPathMerge:
+    @pytest.mark.parametrize("rho", [1.0, 1.5, 2.0, 3.0])
+    def test_against_exact_merge_and_derivative_oracle(self, rho):
+        sX, sY, VX, VY, RX, RY = merge_instance()
+        W, deriv = _path_merge(sX, sY, VX, VY, [rho], RX, RY)
+        for k in range(VX.shape[0]):
+            exact = exact_merge_power(sX, VX[k], sY, VY[k], rho)
+            assert abs(W[0, k] - exact) <= 1e-10 * exact, k
+            ref = merge_derivative(sX, sY, VX[k], VY[k], RX[k], RY[k], rho)
+            assert abs(deriv[k] - ref) <= 1e-12 * (1.0 + abs(ref)), k
+            # alone, a node merges only the states it reaches: a one-atom
+            # side keeps the zero-mass states its rates move into
+            one = slice(k, k + 1)
+            W1, d1 = _path_merge(sX, sY, VX[one], VY[one], [rho], RX[one], RY[one])
+            assert abs(W1[0, 0] - exact) <= 1e-10 * exact, k
+            assert abs(d1[0] - ref) <= 1e-12 * (1.0 + abs(ref)), k
+
+    def test_orders_share_one_merge(self):
+        sX, sY, VX, VY, RX, RY = merge_instance()
+        orders = [1.0, 1.5, 2.0, 3.0]
+        W, deriv = _path_merge(sX, sY, VX, VY, orders, RX, RY)
+        for o, rho in enumerate(orders):
+            alone, d = _path_merge(sX, sY, VX, VY, [rho], RX, RY)
+            np.testing.assert_array_equal(W[o], alone[0])
+            if o == 0:
+                np.testing.assert_array_equal(deriv, d)
+        unrated, none = _path_merge(sX, sY, VX, VY, orders)
+        assert none is None
+        np.testing.assert_allclose(unrated, W, rtol=1e-14, atol=0)
+
+    def test_blocks_give_the_values_of_one_block(self, monkeypatch):
+        sX, sY, VX, VY, RX, RY = merge_instance()
+        whole = _path_merge(sX, sY, VX, VY, [1.0, 2.5], RX, RY)
+        monkeypatch.setattr(transport, "_MERGE_BLOCK", 2 * (sX.size + sY.size))
+        blocked = _path_merge(sX, sY, VX, VY, [1.0, 2.5], RX, RY)
+        for a, b in zip(whole, blocked):
+            np.testing.assert_array_equal(a, b)
+
+    def test_swapping_the_sides_changes_nothing(self):
+        # W is symmetric in the two laws, and so is its derivative once the
+        # levels both sides share are ordered by rate rather than by side
+        sX, sY, VX, VY, RX, RY = merge_instance()
+        W, deriv = _path_merge(sX, sY, VX, VY, [1.5, 2.0], RX, RY)
+        W_swap, deriv_swap = _path_merge(sY, sX, VY, VX, [1.5, 2.0], RY, RX)
+        np.testing.assert_allclose(W_swap, W, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(deriv_swap, deriv, rtol=1e-13, atol=1e-13)
+
+    def test_marginal_path_against_exact_merge(self):
+        # a birth-death path from two diracs, costs up to 200^3 in the tails:
+        # with the top level pinned to 1 the merged cost stays within 1e-12 of
+        # the exact rational merge of the same float weights (dividing by the
+        # pairwise total instead leaves it 1.5e-10 off at t = 2.5)
+        gen = mm_infty(20.0, 1.0, 200).to_generator()
+        grid = np.linspace(0.0, 2.5, 6)
+        paths = [marginal_path(gen, atoms([x], [1.0]), grid) for x in (8.0, 31.0)]
+        VX, VY = (np.stack([m.vector for m in path]) for path in paths)
+        W, _ = _path_merge(gen.states, gen.states, VX, VY, [1.0, 3.0, 2.0])
+        for k in range(grid.size):
+            for o, rho in enumerate((1.0, 3.0, 2.0)):
+                exact = exact_merge_power(gen.states, VX[k], gen.states, VY[k], rho)
+                assert abs(W[o, k] - exact) <= 1e-12 * exact
 
 
 class TestOptimalMap:
