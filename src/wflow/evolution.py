@@ -9,8 +9,9 @@ checks the identity pointwise on a uniform time grid, against the exact
 derivative that the merge of the marginals' cumulative levels and their rates
 ``L^T p`` give, and reports the trapezoid panels as a quadrature error.
 
-Dual potentials come from the transport module; off-support states are
-evaluated through the cost-transform closure, which is the extension under
+The dual potentials of every node come from the transport module's batched
+staircase, a block of nodes at a time: ``psi`` on the support, and by the
+cost transform on the states one jump reaches, which is the extension under
 which the dual pair stays feasible on the whole state space.
 """
 
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wflow.jump_process import JumpGeneratorSpec, Marginal, _marginal_paths, marginal_path
+from wflow.jump_process import JumpGeneratorSpec, Marginal, _node_marginal, _path_laws
 from wflow.measures import write_table
-from wflow.transport import _check_rho, _path_merge, potentials
+from wflow.transport import _check_rho, _cost_transform, _path_merge, _staircase
 
 __all__ = [
     "EvolutionReport",
@@ -34,37 +35,67 @@ __all__ = [
 def apply_generator(gen, f):
     """Generator action ``lam(x) * integral (f(y) - f(x)) k(x, dy)``.
 
-    ``f`` must be tabulated on every state of ``gen``; evaluation is an exact
-    matrix-vector product.
+    ``f`` must be tabulated on every state of ``gen``, or be rows of such
+    tabulations; evaluation is an exact matrix-vector product per row.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != gen.states.shape:
+    if f.ndim > 2 or f.shape[-1:] != gen.states.shape:
         raise ValueError("f must be tabulated on all generator states")
     return gen.lam * (gen.kernel.apply(f) - f)
 
 
-def _laws(gen, path):
-    """Each node's law ``v`` on every state, with its rates ``L^T v``."""
-    V = [m.vector for m in path]
-    return V, [gen.weighted_kernel_apply(v) - gen.lam * v for v in V]
+def _rates(gen, V):
+    """Each node's rate ``L^T v``, for the laws ``v`` in the rows of ``V``."""
+    return gen.weighted_kernel_apply(V) - gen.lam * V
 
 
-def _integrand_from_pair(genX, genY, vX, vY, rX, rY, pair):
-    """Candidate derivative and the diagnostic generator moment.
+_DUAL_BLOCK = 2**18  # (x, y) reached-state cells per block of nodes in _candidates
+_DIAG_EXPONENT = 1.5  # order of the generator moment in ``diagnostics``
 
-    Returns ``(-integral L psi dP - integral L~ psi~ dP~, L psi tabulated)``.
-    Each potential is read by cost-transform closure only on its law's
-    support and one-jump targets (``v > 0`` or ``rate != 0``), which is all
-    that the generator applied to it reads on the support.
+
+def _candidates(genX, genY, VX, VY, RX, RY, rho):
+    """Candidate derivative and generator moment at each node.
+
+    Row ``k`` of ``VX``, ``VY`` is a node's law on every state and of ``RX``,
+    ``RY`` its rate.  Returns ``-integral L psi dP - integral L~ psi~ dP~``
+    and ``integral |L psi|^(3/2) dP`` per node.  Each potential is read only
+    on its law's support and one-jump targets (``v > 0`` or ``rate != 0``),
+    which is all that the generator applied to it reads on the support.  A
+    block of nodes, about ``_DUAL_BLOCK`` cells of the states the path
+    reaches, runs one staircase, whose closure gives ``psi~`` on every state
+    that ``Y`` reaches, and one cost transform of ``psi~`` for ``psi`` on the
+    states that ``X`` reaches off its support.
     """
-    value, applied = 0.0, []
-    for gen, v, rate, psi_at in ((genX, vX, rX, pair.psi_at), (genY, vY, rY, pair.psi_tilde_at)):
-        reach = (v > 0.0) | (rate != 0.0)
-        psi = np.zeros(gen.n_states)
-        psi[reach] = psi_at(gen.states[reach])
-        applied.append(apply_generator(gen, psi))
-        value -= float(np.dot(v, applied[-1]))
-    return value, applied[0]
+    reach_x, reach_y = ((V > 0.0) | (R != 0.0) for V, R in ((VX, RX), (VY, RY)))
+    n_nodes = VX.shape[0]
+    integ, diag = np.empty((2, n_nodes))
+    cells = np.count_nonzero(reach_x.any(axis=0)) * np.count_nonzero(reach_y.any(axis=0))
+    step = max(1, _DUAL_BLOCK // cells)
+    for s in range(0, n_nodes, step):
+        b = slice(s, s + step)
+        # the block's columns: the states some node of the block reaches
+        cx, cy = (np.flatnonzero(r[b].any(axis=0)) for r in (reach_x, reach_y))
+        vx, vy = VX[b][:, cx], VY[b][:, cy]
+        x, y = genX.states[cx], genY.states[cy]
+        psi, psi_tilde = _staircase(x, vx, y, vy, rho, first=s)
+        on_y = vy > 0.0
+        off_x = ~(vx > 0.0) & reach_x[b][:, cx]
+        q = np.flatnonzero(off_x.any(axis=0))
+        if q.size:
+            table = np.flatnonzero(on_y.any(axis=0))
+            vals = np.where(on_y[:, table], psi_tilde[:, table], np.inf)
+            closure = -_cost_transform(y[table], vals, x[q], rho)
+            psi[:, q] = np.where(off_x[:, q], closure, psi[:, q])
+        applied = []
+        for gen, c, f, r in ((genX, cx, psi, reach_x), (genY, cy, psi_tilde, reach_y)):
+            full = np.zeros((f.shape[0], gen.n_states))
+            full[:, c] = np.where(r[b][:, c], f, 0.0)
+            applied.append(apply_generator(gen, full))
+        for k, l_psi, l_psi_tilde in zip(range(s, n_nodes), *applied):
+            # from 0.0, one side's integral at a time
+            integ[k] = 0.0 - float(np.dot(VX[k], l_psi)) - float(np.dot(VY[k], l_psi_tilde))
+            diag[k] = float(np.dot(VX[k], np.abs(l_psi) ** _DIAG_EXPONENT))
+    return integ, diag
 
 
 @dataclass(frozen=True)
@@ -109,21 +140,21 @@ class EvolutionReport:
 _CSV_HEADER = "t,w_rho_rho,integrand,cumulative,residual,diag,derivative,derivative_residual"
 
 
-_DIAG_EXPONENT = 1.5  # order of the generator moment in ``diagnostics``
-
-
 def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
     """Evaluate both sides of the evolution identity on a uniform grid.
 
     At each of ``n_steps + 1`` nodes the forward marginals, the transport
     cost, its exact right derivative and the candidate derivative are
     computed; each panel's trapezoid contribution is also compared with the
-    increment of the cost over the panel.  Each side is one :func:`marginal_path`
-    (tolerance 1e-12) whose nodes add ``1e-9 t_end``, where node 0's candidate
-    is read; with ``genX is genY`` the two paths share one set of Poisson
-    windows.  The costs and their exact right derivatives come from one merge
-    of the two paths' levels and rates; the loop over the nodes builds only
-    the potentials and the candidate.
+    increment of the cost over the panel.  Each side is one path of node
+    laws (tolerance 1e-12, as :func:`marginal_path` solves it) whose nodes add
+    ``1e-9 t_end``, where node 0's candidate is read; with ``genX is genY``
+    the two paths share one set of Poisson windows.  The costs and their
+    exact right derivatives come from one merge of the two paths' levels and
+    rates.  The potentials and the candidates come a block of nodes at a
+    time: one batched staircase with its closure, one cost transform and
+    one generator product per side.  Only the two last nodes become
+    :class:`Marginal` objects, ``final_x`` and ``final_y``.
 
     ``rho = 1`` is rejected: the dual pair degenerates there (potentials are
     1-Lipschitz and far from unique), so first-order claims are certified by
@@ -144,26 +175,26 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
     # arbitrary member misses the right derivative at t=0; a positive time
     # fills the reachable support and pins it, so node 0's candidate is read there
     nodes = np.insert(grid, 1, 1e-9 * t_end)
+    tol = 1e-12
     if genX is genY:
-        pathX, pathY = _marginal_paths(genX, [p0X, p0Y], nodes, tol=1e-12)
+        (VX, VY), wX = _path_laws(genX, [p0X, p0Y], nodes, tol)
+        wY = wX
     else:
-        pathX = marginal_path(genX, p0X, nodes, tol=1e-12)
-        pathY = marginal_path(genY, p0Y, nodes, tol=1e-12)
-    (VX, RX), (VY, RY) = _laws(genX, pathX), _laws(genY, pathY)
+        (VX,), wX = _path_laws(genX, [p0X], nodes, tol)
+        (VY,), wY = _path_laws(genY, [p0Y], nodes, tol)
+    RX, RY = _rates(genX, VX), _rates(genY, VY)
     W, deriv = _path_merge(genX.states, genY.states, VX, VY, [rho], RX, RY)
     # the regularized node 1 is not on the grid
     w_vals, deriv = np.delete(W[0], 1), np.delete(deriv, 1)
-    integ, diag = np.empty((2, grid.size))
     # candidates from path node k + 1: grid node k, or the regularized node at k = 0
-    for k, n in enumerate(range(1, nodes.size)):
-        pair = potentials(pathX[n], pathY[n], rho)
-        integ[k], l_psi = _integrand_from_pair(genX, genY, VX[n], VY[n], RX[n], RY[n], pair)
-        diag[k] = float(np.dot(VX[n], np.abs(l_psi) ** _DIAG_EXPONENT))
+    integ, diag = _candidates(genX, genY, VX[1:], VY[1:], RX[1:], RY[1:], rho)
     dt = grid[1] - grid[0]
     panel = 0.5 * dt * (integ[1:] + integ[:-1])
     cumulative = np.concatenate([[0.0], np.cumsum(panel)])
     residual = np.concatenate([[0.0], np.abs(np.diff(w_vals) - panel)])
     deriv_residual = np.abs(deriv - integ) / (1.0 + np.abs(deriv))
+    final_x = _node_marginal(genX, p0X, VX[-1], wX[-1], tol)
+    final_y = _node_marginal(genY, p0Y, VY[-1], wY[-1], tol)
     return EvolutionReport(
-        grid, w_vals, integ, cumulative, residual, diag, deriv, deriv_residual, pathX[-1], pathY[-1]
+        grid, w_vals, integ, cumulative, residual, diag, deriv, deriv_residual, final_x, final_y
     )

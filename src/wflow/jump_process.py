@@ -131,18 +131,21 @@ class Kernel:
         counts = np.bincount(key // n, minlength=n)
         return cls(np.concatenate([[0], np.cumsum(counts)]), key % n, summed, n)
 
+    def _product(self, out, read, data, v):
+        """``sum data * v[read]`` into the entries ``out``, per row of a 2-d ``v``."""
+        if v.ndim == 1:
+            return np.bincount(out, data * v.take(read), minlength=self.n)
+        bins = out + self.n * np.arange(v.shape[0])[:, None]
+        sums = np.bincount(bins.ravel(), (data * v.take(read, axis=1)).ravel(), minlength=v.size)
+        return sums.reshape(v.shape)
+
     def apply(self, f):
-        """``K f``: row ``x`` is ``sum_y k(x, y) f(y)``."""
-        return np.bincount(self.rows, self.data * f.take(self.indices), minlength=self.n)
+        """``K f``: row ``x`` is ``sum_y k(x, y) f(y)``; per row of a 2-d ``f``."""
+        return self._product(self.rows, self.indices, self.data, f)
 
     def apply_t(self, v):
         """``K^T v``, applied to each row of a 2-d ``v``."""
-        cols, rows, data = self._t
-        if v.ndim == 1:
-            return np.bincount(cols, data * v.take(rows), minlength=self.n)
-        bins = cols + self.n * np.arange(v.shape[0])[:, None]
-        out = np.bincount(bins.ravel(), (data * v.take(rows, axis=1)).ravel(), minlength=v.size)
-        return out.reshape(v.shape)
+        return self._product(*self._t, v)
 
     def diagonal(self):
         out = np.zeros(self.n)
@@ -410,18 +413,11 @@ def _path_laws(gen, starts, times, tol):
     return laws, windows
 
 
-def _marginal_paths(gen, starts, times, tol):
-    """One :func:`marginal_path` per initial law of ``starts``, all on ``times``,
-    from :func:`_path_laws`."""
-    laws, windows = _path_laws(gen, starts, times, tol)
-    mass_tol = max(2 * tol, 1e-12)
-    return [
-        [
-            Marginal(gen.states, v, tail, m_max, p0.total_mass, mass_tol, m_min)
-            for v, (_, m_min, m_max, tail) in zip(acc, windows)
-        ]
-        for p0, acc in zip(starts, laws)
-    ]
+def _node_marginal(gen, p0, v, window, tol):
+    """The :class:`Marginal` of law ``v``, solved from ``p0`` at tolerance
+    ``tol`` over ``window`` of :func:`_clock_window`."""
+    _, m_min, m_max, tail = window
+    return Marginal(gen.states, v, tail, m_max, p0.total_mass, max(2 * tol, 1e-12), m_min)
 
 
 def marginal_path(gen, p0, times, tol=1e-12):
@@ -437,7 +433,8 @@ def marginal_path(gen, p0, times, tol=1e-12):
     :class:`NumericalError` when a node keeps no positive mass or its mass
     leaves ``1 +/- max(2 tol, 1e-12)`` (rounding loss beyond the tolerance).
     """
-    return _marginal_paths(gen, [p0], times, tol)[0]
+    (laws,), windows = _path_laws(gen, [p0], times, tol)
+    return [_node_marginal(gen, p0, v, w, tol) for v, w in zip(laws, windows)]
 
 
 def uniformized_marginal(gen, p0, t, tol=1e-10):

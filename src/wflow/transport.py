@@ -9,9 +9,12 @@ integrals of power functions which are evaluated in closed form:
 * ``optimal_map`` composes the target quantile function with the source CDF.
 * ``potentials`` produces a dual pair achieving the primal value, either by
   integrating the signed-power displacement along the source axis (continuous
-  CDFs) or along the monotone coupling's staircase (atomic laws): one merge of
-  the two laws' cumulative levels and one running sum of the dual equality's
-  increments, closed by the cost transform.
+  CDFs) or along the monotone coupling's staircase (atomic laws).
+* ``_staircase`` builds that staircase for a block of law pairs at once,
+  rows of dense laws on shared states: one sort of each row's cumulative
+  levels and one running sum of the dual equality's increments, closed by
+  ``_cost_transform``, the one cost transform, which takes a row of table
+  values per law.  The atomic ``potentials`` is its one-row case.
 * ``_path_merge`` merges the dense node laws of two solved paths, one
   lexsort per node, into every requested cost order and the exact right
   derivative of the first.
@@ -90,9 +93,10 @@ def _check_rho(rho, need_gt1=False):
 def _quantile_breaks(m):
     """(u_breaks, kind, data) describing the quantile function on (0, 1)."""
     if isinstance(m, DiscreteMeasure):
-        cum = np.cumsum(m.weights) / m.total_mass
-        cum[-1] = 1.0
-        return np.concatenate(([0.0], cum)), "step", m.support
+        # dividing by the last cumulative sum puts the top level at 1 exactly,
+        # and the levels below on the same scale, as _path_merge does
+        cum = np.cumsum(m.weights)
+        return np.concatenate(([0.0], cum / cum[-1])), "step", m.support
     if isinstance(m, GridMeasure):
         return m.cdf_values, "linear", m.grid
     raise TypeError(f"unsupported measure type {type(m)!r}")
@@ -125,19 +129,17 @@ _MERGE_BLOCK = 2**16  # merged levels held at once by _path_merge
 
 def _reached(laws, rates):
     """Indices of the states where some node's law is positive or its rate nonzero."""
-    keep = np.zeros(len(laws[0]), dtype=bool)
-    for k, v in enumerate(laws):
-        keep |= v > 0.0
-        if rates is not None:
-            keep |= rates[k] != 0.0
+    keep = np.any(laws > 0.0, axis=0)
+    if rates is not None:
+        keep |= np.any(rates != 0.0, axis=0)
     return np.flatnonzero(keep)
 
 
 def _path_merge(sX, sY, VX, VY, orders, RX=None, RY=None):
     """``W_r^r`` between the node laws of two paths, for every order ``r``.
 
-    ``VX[k]`` (``VY[k]``) is node ``k``'s law, not renormalized, on the
-    states ``sX`` (``sY``): rows of a 2-d array or a list of them.  With the
+    Row ``VX[k]`` (``VY[k]``) of a 2-d array is node ``k``'s law, not
+    renormalized, on the states ``sX`` (``sY``).  With the
     rates ``RX``, ``RY`` (``L^T v`` per node) the exact right derivative of
     the first order's cost comes too.  Per node one lexsort merges both
     sides' inner cumulative levels, ties ordered by rate, the order an
@@ -160,10 +162,10 @@ def _path_merge(sX, sY, VX, VY, orders, RX=None, RY=None):
         b = slice(s, s + step)
         # dividing by each row's last cumulative sum puts the top level at 1
         # exactly, so no spurious gap below 1 meets the large far costs
-        cum = [np.cumsum(np.stack(V[b])[:, c], axis=1) for V, c in ((VX, cx), (VY, cy))]
+        cum = [np.cumsum(V[b][:, c], axis=1) for V, c in ((VX, cx), (VY, cy))]
         level = np.concatenate([q[:, :-1] / q[:, -1:] for q in cum], axis=1)
         if rated:
-            moving = [np.cumsum(np.stack(R[b])[:, c], axis=1) for R, c in ((RX, cx), (RY, cy))]
+            moving = [np.cumsum(R[b][:, c], axis=1) for R, c in ((RX, cx), (RY, cy))]
             rate = np.concatenate([r[:, :-1] / q[:, -1:] for r, q in zip(moving, cum)], axis=1)
             order = np.lexsort((rate, level), axis=1)
         else:
@@ -361,100 +363,154 @@ class _GridDual:
 # dual potentials, atomic route
 
 
-def _cost_transform(xs, vals, ys, rho):
-    """min_i |xs_i - ys_j|^rho + vals_i for every j (exact), ``xs`` sorted.
+def _power_in_place(d, rho):
+    """``|d|^rho`` written over ``d``: the same floats as ``np.abs(d) ** rho``."""
+    if rho == 2.0:
+        return np.multiply(d, d, out=d)
+    return np.power(np.abs(d, out=d), rho, out=d)
 
-    For rho >= 1 the cost is a Monge array: leftmost argmins never decrease in
-    y (Gangbo & McCann 1996; Aggarwal et al. 1987).  A dense pass takes them at
-    every ceil(sqrt(m))-th sorted query, and each block of queries between two
-    anchors scans only the table window that the anchors' argmins bracket.
+
+def _cost_transform(xs, vals, q, rho):
+    """``min_i |xs_i - q_j|^rho + vals[r, i]`` for every row ``r`` and query
+    ``j`` (exact), ``xs`` sorted; a 1-d ``vals`` is one row and gives one.
+
+    A ``+inf`` value leaves its state out of its row.  For rho >= 1 the cost
+    is a Monge array: leftmost argmins never decrease in q (Gangbo & McCann
+    1996; Aggarwal et al. 1987).  A dense pass takes every row's argmins at
+    every ceil(sqrt(m))-th sorted query, and each block of queries between
+    two anchors scans only the union of the table windows that its rows'
+    anchor argmins bracket, which holds each row's own window.
     """
-    m = ys.size
-    if m == 0:
-        return np.empty(0)
-    order = np.argsort(ys, kind="stable")
-    q = ys[order]
-    best = np.empty(m)
-    anchors = np.append(np.arange(0, m - 1, math.isqrt(m - 1) + 1), m - 1)
-    cost = np.abs(xs[:, None] - q[anchors]) ** rho + vals[:, None]
-    arg = np.argmin(cost, axis=0)
-    best[anchors] = cost[arg, np.arange(anchors.size)]
-    for a, b, lo, hi in zip(anchors[:-1] + 1, anchors[1:], arg[:-1], arg[1:]):
+    one = vals.ndim == 1
+    vals = np.atleast_2d(vals)
+    m = q.size
+    out = np.empty((vals.shape[0], m))
+    if m:
+        order = np.argsort(q, kind="stable")
+        qs = q[order]
+        best = np.empty_like(out)
+        anchors = np.append(np.arange(0, m - 1, math.isqrt(m - 1) + 1), m - 1)
+        cost = _power_in_place(xs[:, None] - qs[anchors], rho) + vals[:, :, None]
+        arg = np.argmin(cost, axis=1)
+        best[:, anchors] = np.min(cost, axis=1)
+        lo, hi = arg[:, :-1], arg[:, 1:]
         # a non-finite query breaks the argmin order: scan to the table's end
-        w = slice(lo, hi + 1 if hi >= lo else xs.size)
-        best[a:b] = np.min(np.abs(xs[w, None] - q[a:b]) ** rho + vals[w, None], axis=0)
-    return best[np.argsort(order)]
+        end = np.where(hi >= lo, hi + 1, xs.size)
+        bounds = (anchors[:-1] + 1, anchors[1:], lo.min(axis=0), end.max(axis=0))
+        by_state = vals.T[:, :, None]
+        for a, b, lo, end in zip(*(c.tolist() for c in bounds)):
+            scan = _power_in_place(xs[lo:end, None, None] - qs[a:b], rho)
+            best[:, a:b] = np.minimum.reduce(scan + by_state[lo:end], axis=0)
+        out[:, order] = best
+    return out[0] if one else out
 
 
-def _staircase(m1, m2, rho):
-    """``(psi, psi_tilde)`` on the atoms: the staircase along the monotone
-    coupling, ``psi_tilde`` closed by the cost transform within 1e-9 relative.
+def _staircase(x, VX, y, VY, rho, first=0):
+    """``(psi, psi_tilde)`` per row: the staircase along the monotone coupling
+    of each row pair of laws, ``psi_tilde`` closed by the cost transform
+    within 1e-9 relative.
 
-    The path from atom pair (0, 0) steps past every inner cumulative level of
-    either law in increasing order: an x-step advances the source atom, a
-    y-step the target atom, and a level both laws share (matched occurrence
-    by occurrence) advances both at once.  The path is one lexsort of the
-    levels; ``psi`` along it is one running sum of increments.  Holding
+    ``VX`` (``VY``) holds one nonnegative law per row on the sorted states
+    ``x`` (``y``); a row's atoms are its positive entries, and its levels are
+    its cumulative sums over the sum of its atoms.  The path from atom pair
+    (0, 0) steps past every inner cumulative level of either law in
+    increasing order: an x-step advances the source atom, a y-step the target
+    atom, and a level both laws share (matched occurrence by occurrence)
+    advances both at once.  The path is one stable sort of the levels per
+    row; ``psi`` along it is one running sum of increments.  Holding
     ``psi(x_i) + psi_tilde(y_j) = -|x_i - y_j|^rho`` at every corner gives
-    ``c(i-1, j) - c(i, j)`` per x-step and nothing per y-step.  A shared level
-    crosses the zero-mass gaps (x_{i-1}, x_i) and (y_{j-1}, y_j) together, and
-    its increment integrates the signed-power displacement of the limit map
-    ``clip(x, y_{j-1}, y_j)``: constant, then the identity, which adds
-    nothing, then constant again.
+    ``c(i-1, j) - c(i, j)`` per x-step and nothing per y-step.  A shared
+    level crosses the zero-mass gaps (x_{i-1}, x_i) and (y_{j-1}, y_j)
+    together, and its increment integrates the signed-power displacement of
+    the limit map ``clip(x, y_{j-1}, y_j)``: constant, then the identity,
+    which adds nothing, then constant again.
+
+    Returns ``psi`` on each row's atoms, ``+inf`` elsewhere, and ``psi_tilde``
+    on every state ``y``: the cost transform of ``psi``, which the atoms
+    check against the staircase.  A failed check raises
+    :class:`PotentialConstructionError` naming the node ``first + row``.
     """
-    x, y = m1.support, m2.support
-    n1 = x.size
-    lev1 = (np.cumsum(m1.weights) / m1.total_mass)[:-1]
-    lev2 = (np.cumsum(m2.weights) / m2.total_mass)[:-1]
-    level = np.concatenate((lev1, lev2))
-    # equal levels on one side (a weight below the cumsum's rounding) pair up
-    # with the other side's equal levels in turn, so each carries its rank in
-    # its run; lexsort is stable, so a source entry precedes its target twin
-    rank = np.arange(level.size)
-    rank[: n1 - 1] -= np.searchsorted(lev1, lev1)
-    rank[n1 - 1 :] -= np.searchsorted(lev2, lev2) + (n1 - 1)
-    order = np.lexsort((rank, level))
-    on_y = order >= n1 - 1
-    level = level[order]
+    rows = np.arange(VX.shape[0])
+    sides = []
+    for s, V in ((x, VX), (y, VY)):
+        atoms = V > 0.0
+        row, col = np.nonzero(atoms)
+        start = np.searchsorted(row, rows)
+        # each row's total adds its atoms as DiscreteMeasure.total_mass does
+        total = np.array([w.sum() for w in np.split(V[atoms], start[1:])])
+        level = np.cumsum(V, axis=1) / total[:, None]
+        # a row's inner levels sit at its atoms but the last; a zero-mass
+        # state repeats the level before it
+        inner = atoms.copy()
+        inner[rows, col[np.append(start[1:], col.size) - 1]] = False
+        # the atom values of all rows in turn, row r's from start[r], for the corners
+        sides.append((atoms, inner, level, s[col], start))
+    (ax, ix, lx, xv, fx), (ay, iy, ly, yv, fy) = sides
+    level = np.where(np.concatenate((ix, iy), axis=1), np.concatenate((lx, ly), axis=1), np.inf)
+    # the sort is stable, so a source entry precedes its target twin; the
+    # states that are no inner level sort last at +inf and take no step
+    if any(np.any(inner[:, 1:] & (lev[:, 1:] == lev[:, :-1])) for _, inner, lev, *_ in sides):
+        # equal levels on one side (a weight below the cumsum's rounding)
+        # pair up with the other side's equal levels in turn, so each
+        # carries its rank in its run
+        rank = []
+        for _, inner, lev, *_ in sides:
+            count = np.cumsum(inner, axis=1)
+            new = count == 1
+            new[:, 1:] |= lev[:, 1:] != lev[:, :-1]
+            rank.append(count - np.maximum.accumulate(np.where(new & inner, count, 0), axis=1))
+        order = np.lexsort((np.concatenate(rank, axis=1), level), axis=1)
+    else:
+        order = np.argsort(level, axis=1, kind="stable")
+    on_y = order >= x.size
+    level = level.take(order + order.shape[1] * rows[:, None])
+    real = level < np.inf
     # a source level directly followed by an equal target level is one
     # shared step, and the target entry takes no step of its own
     tie = np.zeros_like(on_y)
-    tie[:-1] = (on_y[1:] > on_y[:-1]) & (level[1:] == level[:-1])
-    shared = tie.any()
-    if shared:
-        own = np.ones_like(tie)
-        own[1:] = ~tie[:-1]
-        tie, on_y = tie[own], on_y[own]
-    moves_y = on_y | tie
+    tie[:, :-1] = real[:, :-1] & ~on_y[:, :-1] & on_y[:, 1:] & (level[:, 1:] == level[:, :-1])
+    twin = np.zeros_like(tie)
+    twin[:, 1:] = tie[:, :-1]
+    moves_x = real & ~on_y
+    moves_y = (real & on_y & ~twin) | tie
     # corner 0 is atom pair (0, 0); corner s follows step s
-    i = np.zeros(on_y.size + 1, dtype=np.intp)
+    n_rows, n_steps = order.shape
+    i = np.zeros((n_rows, n_steps + 1), dtype=np.intp)
     j = np.zeros_like(i)
-    np.cumsum(~on_y, out=i[1:])
-    np.cumsum(moves_y, out=j[1:])
-    c = np.abs(x[i] - y[j]) ** rho
-    inc = np.where(on_y, 0.0, c[:-1] - c[1:])
-    if shared:
-        s = np.flatnonzero(tie) + 1
-        x_lo, x_hi, y_lo, y_hi = x[i[s] - 1], x[i[s]], y[j[s] - 1], y[j[s]]
+    np.cumsum(moves_x, axis=1, out=i[:, 1:])
+    np.cumsum(moves_y, axis=1, out=j[:, 1:])
+    x_at = xv.take(i + fx[:, None])
+    y_at = yv.take(j + fy[:, None])
+    c = np.abs(x_at - y_at) ** rho
+    inc = np.where(moves_x, c[:, :-1] - c[:, 1:], 0.0)
+    if tie.any():
+        r, k = np.nonzero(tie)
+        x_lo, x_hi = x_at[r, k], x_at[r, k + 1]
+        y_lo, y_hi = y_at[r, k], y_at[r, k + 1]
         t1 = np.minimum(np.maximum(y_lo, x_lo), x_hi)
         t2 = np.minimum(np.maximum(y_hi, x_lo), x_hi)
-        inc[s - 1] = (c[s - 1] - np.abs(y_lo - t1) ** rho) + (np.abs(y_hi - t2) ** rho - c[s])
-    run = np.zeros(i.size)
-    np.cumsum(inc, out=run[1:])
+        inc[r, k] = (c[r, k] - np.abs(y_lo - t1) ** rho) + (np.abs(y_hi - t2) ** rho - c[r, k + 1])
+    run = np.zeros((n_rows, n_steps + 1))
+    np.cumsum(inc, axis=1, out=run[:, 1:])
     at_x = np.ones_like(i, dtype=bool)
-    at_x[1:] = ~on_y
+    at_x[:, 1:] = moves_x
     at_y = np.ones_like(at_x)
-    at_y[1:] = moves_y
-    psi = run[at_x]
-    psit = -run[at_y] - c[at_y]
-    closed = -_cost_transform(x, psi, y, rho)
-    scale = 1.0 + float(np.max(np.abs(psit)))
-    gap = np.abs(closed - psit)
-    worst = int(np.argmax(gap))
-    if not gap[worst] <= 1e-9 * scale:  # a NaN gap or scale fails closed
+    at_y[:, 1:] = moves_y
+    psi = np.full(VX.shape, np.inf)
+    psi[ax] = run[at_x]
+    psit = np.zeros(VY.shape)
+    psit[ay] = (-run - c)[at_y]
+    table = np.flatnonzero(ax.any(axis=0))
+    closed = -_cost_transform(x[table], psi[:, table], y, rho)
+    scale = 1.0 + np.max(np.abs(psit), axis=1)
+    gap = np.where(ay, np.abs(closed - psit), 0.0)
+    bad = ~(gap <= 1e-9 * scale[:, None])  # a NaN gap or scale fails closed
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        worst = int(np.argmax(gap[row]))
         raise PotentialConstructionError(
-            "staircase propagation is dual-infeasible near "
-            f"y={y[worst]!r} (transform correction {gap[worst]!r})"
+            f"staircase propagation of node {first + row} is dual-infeasible near "
+            f"y={y[worst]!r} (transform correction {gap[row, worst]!r})"
         )
     return psi, closed
 
@@ -557,8 +613,10 @@ def potentials(m1, m2, rho):
             grid,
         )
     if isinstance(m1, DiscreteMeasure) and isinstance(m2, DiscreteMeasure):
-        psi, psi_tilde = _staircase(m1, m2, rho)
-        return PotentialPair(rho, m1.support, psi, m2.support, psi_tilde)
+        psi, psi_tilde = _staircase(
+            m1.support, m1.weights[None], m2.support, m2.weights[None], rho
+        )
+        return PotentialPair(rho, m1.support, psi[0], m2.support, psi_tilde[0])
     raise TypeError("potentials needs both measures atomic or both grid")
 
 

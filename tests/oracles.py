@@ -7,7 +7,8 @@ birth-death constants scanned over a million integers, the quantile-merge
 transport cost with its own flatness rule for the segment integral, the
 same cost merged in exact rational arithmetic, the rate-ordered merge
 derivative on whole state vectors, the symmetric jump band of the speed-mu
-chain, and the atomic dual staircase walked one atom at a time.  The
+chain, the atomic dual staircase walked one atom at a time, and the
+evolution identity's candidate built from one dual pair per node.  The
 package under test must agree with these to tight tolerances on small
 instances (the chain build, the constants and the atomic transport cost
 exactly).
@@ -23,6 +24,7 @@ import numpy as np
 from scipy import integrate, optimize, sparse
 
 from wflow.birth_death import _cost_difference_ratio, _moment_rate_ratio
+from wflow.evolution import apply_generator
 from wflow.jump_process import JumpGeneratorSpec
 from wflow.measures import CoverageError, _signed_power
 from wflow.pdmp import MuApproximation, flow
@@ -422,3 +424,23 @@ def jump_cells_symmetric(kernel, grid, nodes, bound, chunk=1 << 14):
         cols.append(first[r] + 1 + c)
         vals.append(cell[hit])
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def integrand_from_pair(genX, genY, vX, vY, rX, rY, pair):
+    """Candidate derivative and the diagnostic generator moment of one node.
+
+    ``vX``, ``vY`` are the node's laws on every state and ``rX``, ``rY``
+    their rates ``L^T v``; ``pair`` is the node's :class:`PotentialPair`.
+    Returns ``(-integral L psi dP - integral L~ psi~ dP~, L psi tabulated)``.
+    Each potential is read through the pair's closure only on its law's
+    support and one-jump targets (``v > 0`` or ``rate != 0``), as
+    ``evolution.verify_identity`` reads it a block of nodes at a time.
+    """
+    value, applied = 0.0, []
+    for gen, v, rate, psi_at in ((genX, vX, rX, pair.psi_at), (genY, vY, rY, pair.psi_tilde_at)):
+        reach = (v > 0.0) | (rate != 0.0)
+        psi = np.zeros(gen.n_states)
+        psi[reach] = psi_at(gen.states[reach])
+        applied.append(apply_generator(gen, psi))
+        value -= float(np.dot(v, applied[-1]))
+    return value, applied[0]

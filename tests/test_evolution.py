@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import exact_merge_power
+from oracles import exact_merge_power, integrand_from_pair
 from test_pdmp import tanh_spec
 
-from wflow import jump_process, transport
+from wflow import evolution, jump_process, transport
 from wflow.evolution import apply_generator, verify_identity
 from wflow.jump_process import JumpGeneratorSpec, marginal_path, uniformized_marginal
 from wflow.measures import DiscreteMeasure
@@ -85,6 +85,15 @@ class TestApplyGenerator:
         gen = counting_gen(5)
         with pytest.raises(ValueError):
             apply_generator(gen, np.ones(3))
+        with pytest.raises(ValueError):
+            apply_generator(gen, np.ones((2, 2, 6)))
+
+    def test_rows_apply_one_at_a_time(self):
+        gen = birth_death_gen(12, lambda x: 1.5, lambda x: 0.3 * x)
+        rows = np.random.default_rng(3).normal(size=(4, 13))
+        out = apply_generator(gen, rows)
+        for f, row in zip(rows, out):
+            np.testing.assert_array_equal(row, apply_generator(gen, f))
 
 
 class TestRhsIntegrand:
@@ -393,3 +402,135 @@ class TestPointwiseDerivative:
             value, diag = full_state_integrand(gen, gen, pathX[k], pathY[k], 2.0)
             assert value == rep.integrand[k]
             assert diag == rep.diagnostics[k]
+
+
+def hop_gen(n_top):
+    """Counter on {0..n_top} that jumps up by 1 or by 3, absorbing at the top.
+
+    From the dirac at 0 a short time leaves state 2 empty between the atoms
+    1 and 3, though one jump from 1 reaches it."""
+    states = np.arange(n_top + 1, dtype=float)
+    lam = np.full(n_top + 1, 1.5)
+    lam[-1] = 0.0
+    kernel = np.zeros((n_top + 1, n_top + 1))
+    for i in range(n_top):
+        kernel[i, i + 1] += 0.5
+        kernel[i, min(i + 3, n_top)] += 0.5
+    kernel[-1, -1] = 1.0
+    return JumpGeneratorSpec(states, lam, kernel)
+
+
+def frozen_gen(n_top):
+    """No jumps at all: every law keeps its one atom."""
+    n = n_top + 1
+    return JumpGeneratorSpec(np.arange(n, dtype=float), np.zeros(n), np.eye(n))
+
+
+def node_by_node(genX, genY, p0X, p0Y, rho, t_end, n_steps):
+    """The candidate and the generator moment per grid node, one dual pair
+    per node from :func:`potentials` and read by ``integrand_from_pair``."""
+    nodes = np.insert(np.linspace(0.0, t_end, n_steps + 1), 1, 1e-9 * t_end)
+    pathX = marginal_path(genX, p0X, nodes, tol=1e-12)
+    pathY = marginal_path(genY, p0Y, nodes, tol=1e-12)
+    integ, diag = [], []
+    for mX, mY in zip(pathX[1:], pathY[1:]):
+        vX, vY = mX.vector, mY.vector
+        rX = genX.weighted_kernel_apply(vX) - genX.lam * vX
+        rY = genY.weighted_kernel_apply(vY) - genY.lam * vY
+        pair = potentials(mX, mY, rho)
+        value, l_psi = integrand_from_pair(genX, genY, vX, vY, rX, rY, pair)
+        integ.append(value)
+        diag.append(float(np.dot(vX, np.abs(l_psi) ** 1.5)))
+    return np.array(integ), np.array(diag)
+
+
+class TestBatchedDuals:
+    """The batched dual pass against one dual pair per node, bit for bit."""
+
+    def assert_node_by_node(self, genX, genY, p0X, p0Y, rho, t_end, n_steps):
+        rep = verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps)
+        integ, diag = node_by_node(genX, genY, p0X, p0Y, rho, t_end, n_steps)
+        np.testing.assert_array_equal(rep.integrand, integ)
+        np.testing.assert_array_equal(rep.diagnostics, diag)
+        return rep
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
+    def test_reference_instance(self, rho):
+        gen, p0X, p0Y = reference_instance()
+        self.assert_node_by_node(gen, gen, p0X, p0Y, rho, 1.0, 40)
+
+    @pytest.mark.parametrize("start_x", [2, 3, 4])
+    @pytest.mark.parametrize("start_y", [5, 6, 7, 8])
+    def test_two_generators(self, start_x, start_y):
+        # the benchmark's identity pair on every start it draws
+        genX = birth_death_gen(30, lambda x: 2.0, lambda x: 0.5 * x)
+        genY = birth_death_gen(30, lambda x: 1.0, lambda x: 0.8 * x)
+        self.assert_node_by_node(genX, genY, dirac(start_x), dirac(start_y), 2.0, 1.0, 100)
+
+    def test_levels_both_sides_share(self):
+        # translated counters and equal laws share every cumulative level
+        genX, genY = counting_gen(12), counting_gen(12, shift=2.0)
+        self.assert_node_by_node(genX, genY, dirac(0.0), dirac(2.0), 2.0, 0.8, 30)
+        gen = birth_death_gen(20, lambda x: 1.0, lambda x: 0.5 * x)
+        self.assert_node_by_node(gen, gen, dirac(5.0), dirac(5.0), 3.0, 0.5, 20)
+
+    def test_zero_mass_states_between_atoms(self):
+        gen = hop_gen(40)
+        nodes = np.insert(np.linspace(0.0, 1.0, 21), 1, 1e-9)
+        law = marginal_path(gen, dirac(0.0), nodes, tol=1e-12)[1].vector
+        assert law[1] > 0.0 and law[2] == 0.0 and law[3] > 0.0
+        other = birth_death_gen(40, lambda x: 1.0, lambda x: 0.2 * x)
+        self.assert_node_by_node(gen, other, dirac(0.0), dirac(9.0), 2.0, 1.0, 20)
+        self.assert_node_by_node(gen, gen, dirac(0.0), dirac(7.0), 1.5, 1.0, 20)
+
+    def test_one_atom_side(self):
+        genX = birth_death_gen(25, lambda x: 1.0, lambda x: 0.4 * x)
+        rep = self.assert_node_by_node(genX, frozen_gen(25), dirac(3.0), dirac(12.0), 2.0, 1.0, 20)
+        assert rep.final_y.support.size == 1
+        assert rep.max_residual <= 1e-9
+
+    def test_small_blocks_give_the_values_of_one_block(self, monkeypatch):
+        gen, p0X, p0Y = reference_instance()
+        other = birth_death_gen(40, lambda x: 2.0, lambda x: 0.7 * x)
+        whole = [verify_identity(gen, g, p0X, p0Y, 2.0, 1.0, 30) for g in (gen, other)]
+        staircases = []
+        real = evolution._staircase
+
+        def counted(x, VX, y, VY, rho, first=0):
+            staircases.append((first, VX.shape[0]))
+            return real(x, VX, y, VY, rho, first)
+
+        monkeypatch.setattr(evolution, "_staircase", counted)
+        # three nodes a block at most: 41 x 41 states are reached
+        monkeypatch.setattr(evolution, "_DUAL_BLOCK", 3 * 41 * 41 + 1)
+        for g, one in zip((gen, other), whole):
+            staircases.clear()
+            blocked = verify_identity(gen, g, p0X, p0Y, 2.0, 1.0, 30)
+            assert staircases == [(s, min(3, 31 - s)) for s in range(0, 31, 3)]
+            np.testing.assert_array_equal(one.integrand, blocked.integrand)
+            np.testing.assert_array_equal(one.diagnostics, blocked.diagnostics)
+
+    def test_two_marginals_and_one_staircase_per_block(self, monkeypatch):
+        built, staircases, pairs = [], [], []
+        real_init, real_stair = jump_process.Marginal.__init__, evolution._staircase
+
+        def init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        def stair(*args, **kwargs):
+            staircases.append(args[1].shape[0])
+            return real_stair(*args, **kwargs)
+
+        def potentials_call(*args, **kwargs):
+            pairs.append(args)
+            return potentials(*args, **kwargs)
+
+        monkeypatch.setattr(jump_process.Marginal, "__init__", init)
+        monkeypatch.setattr(evolution, "_staircase", stair)
+        monkeypatch.setattr(transport, "potentials", potentials_call)
+        gen, p0X, p0Y = reference_instance()
+        rep = verify_identity(gen, gen, p0X, p0Y, 2.0, 1.0, 100)
+        assert built == [rep.final_x, rep.final_y]
+        assert staircases == [101]  # 41 x 41 reached states: every node in one block
+        assert pairs == []

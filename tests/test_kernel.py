@@ -79,6 +79,7 @@ class TestKernelAgainstScipy:
             assert bits(kernel.toarray()) == bits(oracle.toarray())
             transpose = oracle.T.tocsr()
             assert bits(kernel.apply(f)) == bits(oracle @ f)
+            assert bits(kernel.apply(block)) == bits((oracle @ block.T).T)
             assert bits(kernel.apply_t(f)) == bits(transpose @ f)
             assert bits(kernel.apply_t(block)) == bits((transpose @ block.T).T)
             assert bits(kernel.diagonal()) == bits(oracle.diagonal())

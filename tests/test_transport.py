@@ -36,13 +36,14 @@ from wflow import (
     wasserstein_power,
 )
 from wflow.birth_death import mm_infty
-from wflow.jump_process import JumpGeneratorSpec, marginal_path
+from wflow.jump_process import JumpGeneratorSpec, marginal_path, uniformized_marginal
 from wflow import transport
 from wflow.transport import (
     PotentialConstructionError,
     _cost_transform,
     _mean_growth,
     _path_merge,
+    _staircase,
     dual_value,
 )
 
@@ -122,6 +123,17 @@ class TestWasserstein:
             m2 = random_atoms(rng)
             ref = lp_coupling_cost(m1.support, m1.weights, m2.support, m2.weights, rho)
             assert wasserstein_power(m1, m2, rho) == pytest.approx(ref, abs=1e-9)
+
+    def test_levels_on_the_scale_of_the_top_level(self):
+        # dividing each law's cumulative sums by its own last one keeps the
+        # levels below the top on the same scale as 1, so no gap of a few
+        # ulps meets the tail costs up to 200^3 (by the pairwise total W_3
+        # sat 1.0e-10 relative off the exact rational merge)
+        gen = mm_infty(20.0, 1.0, 200).to_generator()
+        mX, mY = (uniformized_marginal(gen, atoms([x], [1.0]), 2.5) for x in (8.0, 31.0))
+        for rho in (1.0, 2.0, 3.0):
+            exact = exact_merge_power(mX.support, mX.weights, mY.support, mY.weights, rho)
+            assert abs(wasserstein_power(mX, mY, rho) - exact) <= 1e-14 * exact
 
     def test_uniform_stretch(self):
         # T(x) = 2x, so W2^2 = int_0^1 x^2 dx = 1/3
@@ -592,6 +604,70 @@ class TestPotentials:
             assert np.max(np.abs(pair.psi - want_psi)) <= 1e-12 * scale
             assert np.max(np.abs(pair.psi_tilde - want_psi_tilde)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
+    def test_staircase_rows_match_potentials(self, rho):
+        # rows of dense laws on shared states, zeros between the atoms: each
+        # row gives the pair of its own atoms bit for bit, for shared levels,
+        # levels repeated within one side and one-atom sides, and psi_tilde
+        # off the atoms is the cost transform of psi
+        rng = np.random.default_rng(int(20 * rho))
+        x = np.sort(rng.choice(400, 40, replace=False)) * 0.025 - 5
+        y = np.sort(rng.choice(400, 30, replace=False)) * 0.025 - 4
+
+        def law(n_states, kind):
+            n = int(rng.integers(1, 9))
+            if kind == "one":
+                w = np.ones(1)
+            elif kind == "shared":
+                w = rng.multinomial(12, np.ones(n) / n) / 12.0
+                w = w[w > 0]
+            elif kind == "repeated":
+                w = np.insert(np.full(n, 1.0 / n), int(rng.integers(1, n + 1)), 1e-300)
+            else:
+                w = rng.dirichlet(np.ones(n))
+            v = np.zeros(n_states)
+            v[np.sort(rng.choice(n_states, w.size, replace=False))] = w
+            return v
+
+        def placed(w, n_states, at):
+            v = np.zeros(n_states)
+            v[at] = w
+            return v
+
+        # a level repeated on both sides pairs up occurrence by occurrence
+        fixed = (
+            placed([0.5, 1e-300, 0.5], x.size, [3, 9, 20]),
+            placed([0.5, 1e-300, 1e-300, 0.5], y.size, [1, 2, 7, 8]),
+        )
+        blocks = [tuple(np.stack([f, f[::-1]]) for f in fixed)]
+        kinds = ("shared", "repeated", "random", "one")
+        for _ in range(6):
+            pick = rng.choice(kinds, size=(12, 2))
+            VX = np.stack([law(x.size, k) for k in pick[:, 0]])
+            blocks.append((VX, np.stack([law(y.size, k) for k in pick[:, 1]])))
+        for VX, VY in blocks:
+            psi, psi_tilde = _staircase(x, VX, y, VY, rho)
+            for vx, vy, p, pt in zip(VX, VY, psi, psi_tilde):
+                ax, ay = vx > 0, vy > 0
+                m1, m2 = DiscreteMeasure(x[ax], vx[ax]), DiscreteMeasure(y[ay], vy[ay])
+                pair = potentials(m1, m2, rho)
+                assert np.array_equal(p[ax], pair.psi)
+                assert np.all(p[~ax] == np.inf)
+                assert np.array_equal(pt[ay], pair.psi_tilde)
+                assert np.array_equal(pt[~ay], -_cost_transform(x[ax], pair.psi, y[~ay], rho))
+
+    def test_staircase_names_the_failing_node(self):
+        # the second row puts mass at 1e200, where |x - y|^2 overflows: its
+        # closure check fails, and the error names its node
+        x, y = np.array([0.0, 1.0, 1e200]), np.array([1.0, 2.0])
+        VX = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.25, 0.75, 0.0]])
+        VY = np.full((3, 2), 0.5)
+        with np.errstate(all="ignore"):
+            psi, _ = _staircase(x, VX[[0, 2]], y, VY[[0, 2]], 2.0)
+            assert np.all(np.isfinite(psi[:, :2]))
+            with pytest.raises(PotentialConstructionError, match="node 8 "):
+                _staircase(x, VX, y, VY, 2.0, first=7)
+
     def test_monotone_argmin_matches_dense_scan(self):
         # the bracketed scan equals the dense minimum bit for bit, for tables
         # and query sets from one cell to well past 250 000 cells, unsorted
@@ -618,6 +694,28 @@ class TestPotentials:
             vals = rng.normal(size=30).cumsum()
             got = _cost_transform(xs, vals, ys, rho)
             assert np.array_equal(got, dense(xs, vals, ys, rho), equal_nan=True)
+
+    def test_rows_match_one_row_at_a_time(self):
+        # +inf leaves a state out of its row: each row's transform is the
+        # one-row transform over its own states, bit for bit
+        def dense(xs, vals, ys, rho):
+            return np.min(np.abs(xs[:, None] - ys[None, :]) ** rho + vals[:, None], axis=0)
+
+        rng = np.random.default_rng(71)
+        for rho in (1.5, 2.0, 3.0):
+            for n, m, rows in ((1, 1, 1), (30, 70, 4), (300, 500, 6), (40, 1, 3)):
+                xs = np.sort(rng.uniform(-5, 5, size=n))
+                vals = rng.normal(size=(rows, n)).cumsum(axis=1) * 0.1
+                vals[rng.random((rows, n)) < 0.4] = np.inf
+                vals[:, rng.integers(n)] = rng.normal(size=rows)  # no row empty
+                ys = np.concatenate((rng.uniform(-6, 6, size=m), [np.inf, np.nan][: m // 30]))
+                got = _cost_transform(xs, vals, ys, rho)
+                assert got.shape == (rows, ys.size)
+                for v, row in zip(vals, got):
+                    keep = np.isfinite(v)
+                    one = _cost_transform(xs[keep], v[keep], ys, rho)
+                    assert np.array_equal(row, one, equal_nan=True)
+                    assert np.array_equal(row, dense(xs[keep], v[keep], ys, rho), equal_nan=True)
 
     def test_shuffled_queries_match_sorted(self):
         # the closure of an atomic pair does not depend on the query order
