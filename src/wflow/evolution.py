@@ -23,7 +23,7 @@ import numpy as np
 
 from wflow.jump_process import JumpGeneratorSpec, Marginal, _node_marginal, _path_laws
 from wflow.measures import write_table
-from wflow.transport import _check_rho, _cost_transform, _path_merge, _staircase
+from wflow.transport import PotentialPair, _check_rho, _cost_transform, _path_merge, _staircase
 
 __all__ = [
     "EvolutionReport",
@@ -54,7 +54,8 @@ _DIAG_EXPONENT = 1.5  # order of the generator moment in ``diagnostics``
 
 
 def _candidates(genX, genY, VX, VY, RX, RY, rho):
-    """Candidate derivative and generator moment at each node.
+    """Candidate derivative and generator moment at each node, and the last
+    node's dual pair.
 
     Row ``k`` of ``VX``, ``VY`` is a node's law on every state and of ``RX``,
     ``RY`` its rate.  Returns ``-integral L psi dP - integral L~ psi~ dP~``
@@ -64,7 +65,9 @@ def _candidates(genX, genY, VX, VY, RX, RY, rho):
     block of nodes, about ``_DUAL_BLOCK`` cells of the states the path
     reaches, runs one staircase, whose closure gives ``psi~`` on every state
     that ``Y`` reaches, and one cost transform of ``psi~`` for ``psi`` on the
-    states that ``X`` reaches off its support.
+    states that ``X`` reaches off its support.  The last node's pair is the
+    last block's last row on the two supports, the :class:`PotentialPair`
+    that :func:`potentials` builds from the two last laws.
     """
     reach_x, reach_y = ((V > 0.0) | (R != 0.0) for V, R in ((VX, RX), (VY, RY)))
     n_nodes = VX.shape[0]
@@ -95,7 +98,9 @@ def _candidates(genX, genY, VX, VY, RX, RY, rho):
             # from 0.0, one side's integral at a time
             integ[k] = 0.0 - float(np.dot(VX[k], l_psi)) - float(np.dot(VY[k], l_psi_tilde))
             diag[k] = float(np.dot(VX[k], np.abs(l_psi) ** _DIAG_EXPONENT))
-    return integ, diag
+    on_x = vx[-1] > 0.0
+    final = PotentialPair(rho, x[on_x], psi[-1, on_x], y[on_y[-1]], psi_tilde[-1, on_y[-1]])
+    return integ, diag, final
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,8 @@ class EvolutionReport:
     ``cumulative_integral`` is the running trapezoid accumulation of the
     integrand.  ``diagnostics`` holds the generator moment
     ``integral |L psi_t|^(3/2) dP_t``, a reported check of local boundedness.
-    ``final_x`` and ``final_y`` are the two marginals at the last node.
+    ``final_x`` and ``final_y`` are the two marginals at the last node, and
+    ``final_pair`` their dual pair, as :func:`potentials` gives it.
     """
 
     time_grid: np.ndarray
@@ -124,6 +130,7 @@ class EvolutionReport:
     derivative_residual: np.ndarray
     final_x: Marginal
     final_y: Marginal
+    final_pair: PotentialPair
 
     @property
     def max_residual(self):
@@ -154,7 +161,8 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
     rates.  The potentials and the candidates come a block of nodes at a
     time: one batched staircase with its closure, one cost transform and
     one generator product per side.  Only the two last nodes become
-    :class:`Marginal` objects, ``final_x`` and ``final_y``.
+    :class:`Marginal` objects, ``final_x`` and ``final_y``, and their dual
+    pair is the last block's last row, ``final_pair``.
 
     ``rho = 1`` is rejected: the dual pair degenerates there (potentials are
     1-Lipschitz and far from unique), so first-order claims are certified by
@@ -187,7 +195,7 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
     # the regularized node 1 is not on the grid
     w_vals, deriv = np.delete(W[0], 1), np.delete(deriv, 1)
     # candidates from path node k + 1: grid node k, or the regularized node at k = 0
-    integ, diag = _candidates(genX, genY, VX[1:], VY[1:], RX[1:], RY[1:], rho)
+    integ, diag, final_pair = _candidates(genX, genY, VX[1:], VY[1:], RX[1:], RY[1:], rho)
     dt = grid[1] - grid[0]
     panel = 0.5 * dt * (integ[1:] + integ[:-1])
     cumulative = np.concatenate([[0.0], np.cumsum(panel)])
@@ -195,6 +203,5 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
     deriv_residual = np.abs(deriv - integ) / (1.0 + np.abs(deriv))
     final_x = _node_marginal(genX, p0X, VX[-1], wX[-1], tol)
     final_y = _node_marginal(genY, p0Y, VY[-1], wY[-1], tol)
-    return EvolutionReport(
-        grid, w_vals, integ, cumulative, residual, diag, deriv, deriv_residual, final_x, final_y
-    )
+    columns = (grid, w_vals, integ, cumulative, residual, diag, deriv, deriv_residual)
+    return EvolutionReport(*columns, final_x, final_y, final_pair)

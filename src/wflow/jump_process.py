@@ -57,6 +57,9 @@ class NumericalError(RuntimeError):
     """A computed marginal broke its declared mass tolerance."""
 
 
+_PRODUCT_CELLS = 2**14  # rows times stored entries per bincount of Kernel._product
+
+
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """An ``n x n`` matrix in canonical CSR form, with its two products.
@@ -132,9 +135,19 @@ class Kernel:
         return cls(np.concatenate([[0], np.cumsum(counts)]), key % n, summed, n)
 
     def _product(self, out, read, data, v):
-        """``sum data * v[read]`` into the entries ``out``, per row of a 2-d ``v``."""
+        """``sum data * v[read]`` into the entries ``out``, per row of a 2-d ``v``.
+
+        Each sum adds its entries in stored order.  A 2-d ``v`` runs in chunks
+        of rows, about ``_PRODUCT_CELLS`` stored entries each: one long
+        ``bincount`` over many rows of a large kernel is slower than one per
+        row, and one per row is slower on a small kernel.
+        """
         if v.ndim == 1:
             return np.bincount(out, data * v.take(read), minlength=self.n)
+        step = max(1, _PRODUCT_CELLS // max(data.size, 1))
+        if v.shape[0] > step:
+            chunks = range(0, v.shape[0], step)
+            return np.concatenate([self._product(out, read, data, v[s : s + step]) for s in chunks])
         bins = out + self.n * np.arange(v.shape[0])[:, None]
         sums = np.bincount(bins.ravel(), (data * v.take(read, axis=1)).ravel(), minlength=v.size)
         return sums.reshape(v.shape)

@@ -39,7 +39,7 @@ from wflow.measures import (
     quantile,
     write_table,
 )
-from wflow.transport import potentials, wasserstein
+from wflow.transport import wasserstein
 
 __all__ = [
     "PdmpSpec",
@@ -637,8 +637,7 @@ def mu_convergence_study(
         mx, my = rep.final_x, rep.final_y
         cauchy_x[k] = wasserstein(mx, ref_x, rho)
         cauchy_y[k] = wasserstein(my, ref_y, rho)
-        pair = potentials(mx, my, rho)
-        applied.append(apply_generator(apprX.generator, pair.psi_at(grid)))
+        applied.append(apply_generator(apprX.generator, rep.final_pair.psi_at(grid)))
     gaps = np.array(
         [
             float(np.max(np.abs((applied[k + 1] - applied[k])[window])))

@@ -12,9 +12,12 @@ integrals of power functions which are evaluated in closed form:
   CDFs) or along the monotone coupling's staircase (atomic laws).
 * ``_staircase`` builds that staircase for a block of law pairs at once,
   rows of dense laws on shared states: one sort of each row's cumulative
-  levels and one running sum of the dual equality's increments, closed by
-  ``_cost_transform``, the one cost transform, which takes a row of table
-  values per law.  The atomic ``potentials`` is its one-row case.
+  levels and one running sum of the dual equality's increments.  Its
+  closure is certified along the coupling just walked by ``_coupled_minima``,
+  O(n + m) window scans; a row that does not certify, like every other
+  closure, goes to ``_cost_transform``, the one general cost transform,
+  which takes a row of table values per law.  The atomic ``potentials`` is
+  its one-row case.
 * ``_path_merge`` merges the dense node laws of two solved paths, one
   lexsort per node, into every requested cost order and the exact right
   derivative of the first.
@@ -379,7 +382,10 @@ def _cost_transform(xs, vals, q, rho):
     1996; Aggarwal et al. 1987).  A dense pass takes every row's argmins at
     every ceil(sqrt(m))-th sorted query, and each block of queries between
     two anchors scans only the union of the table windows that its rows'
-    anchor argmins bracket, which holds each row's own window.
+    anchor argmins bracket, which holds each row's own window.  This is the
+    general transform: it needs no guess, and serves the staircase rows that
+    :func:`_coupled_minima` does not certify, ``psi`` off the support in the
+    identity's candidates and the pair's ``psi_at``/``psi_tilde_at``.
     """
     one = vals.ndim == 1
     vals = np.atleast_2d(vals)
@@ -405,6 +411,64 @@ def _cost_transform(xs, vals, q, rho):
     return out[0] if one else out
 
 
+def _coupled_minima(xs, vals, q, lo, hi, rho):
+    """``min_i M_r[j, i]`` with ``M_r[j, i] = |xs_i - q_j|^rho + vals[r, i]``
+    for every row ``r`` and query ``j``, and which rows a window scan certifies.
+
+    ``xs`` and ``q`` are sorted, and ``[lo[r, j], hi[r, j]]`` is a guessed
+    range of table positions for query ``j`` of row ``r``, both ends
+    nondecreasing in ``j``.  Query ``j`` scans the window from ``lo`` of query
+    ``j - 1`` to ``hi`` of query ``j + 1`` (to the table's ends for the first
+    and the last query), and its minimum is the window's.  A row is
+    certified when its leftmost window argmins are nondecreasing and each
+    lies in its own range: then the window of query ``j`` holds the argmins
+    of queries ``j - 1`` and ``j + 1``, and the lemma makes each window
+    minimum the minimum over the whole table.
+
+    Lemma.  For rho >= 1 each ``M_r`` is a Monge array, ``M[j, i] + M[j',
+    i'] <= M[j, i'] + M[j', i]`` for ``j < j'`` and ``i < i'``, on its finite
+    columns (``+inf`` leaves a state out of a row, column by column).  Let
+    ``g`` be nondecreasing with ``g_0`` the first and ``g_{m+1}`` the last
+    table position, and ``M[j, g_j] <= M[j, i]`` for every ``i`` in ``[g_{j-1},
+    g_{j+1}]``.  Then ``M[j, g_j]`` is the minimum of ``M[j, :]``.
+
+    Proof.  For ``i > g_j``, downward from ``j = m``, whose window reaches the
+    last position: if ``i <= g_{j+1}`` the window holds ``i``; otherwise the
+    Monge inequality on columns ``g_{j+1} < i`` gives ``M[j, i] - M[j,
+    g_{j+1}] >= M[j+1, i] - M[j+1, g_{j+1}] >= 0``, the latter by induction,
+    and the window holds ``g_{j+1}``.  For ``i < g_j`` the same argument runs
+    upward from ``j = 1`` on columns ``i < g_{j-1}``.  A ``+inf`` entry never
+    attains a minimum, so the argument holds on a row's finite columns.
+
+    The entries are the floats that :func:`_cost_transform` takes the
+    minimum of, so a certified minimum is its value; like that transform's
+    brackets, the certificate takes the rounded entries to keep the Monge
+    order of the exact ones.  A NaN or infinite minimum never certifies.
+    The windows of all rows are flattened into one array and reduced by
+    ``np.minimum.reduceat``, about ``3 (n + m)`` entries a row for ``n``
+    table positions and ``m`` queries.
+    """
+    n_rows, n = lo.shape[0], xs.size
+    w_lo = np.concatenate((np.zeros((n_rows, 1), dtype=lo.dtype), lo[:, :-1]), axis=1)
+    w_hi = np.concatenate((hi[:, 1:], np.full((n_rows, 1), n - 1, dtype=hi.dtype)), axis=1)
+    window = (w_hi - w_lo + 1).ravel()
+    start = np.zeros(window.size, dtype=np.intp)
+    np.cumsum(window[:-1], out=start[1:])
+    # flat entry k of window (r, j) reads table position k - start + w_lo of row r
+    row_at = n * np.arange(n_rows)[:, None]
+    at = np.arange(start[-1] + window[-1]) + np.repeat((w_lo + row_at).ravel() - start, window)
+    cost = np.tile(xs, n_rows).take(at) - np.repeat(np.tile(q, n_rows), window)
+    cost = _power_in_place(cost, rho) + vals.take(at)
+    best = np.minimum.reduceat(cost, start)
+    # a NaN window has no hit and reads the sentinel, which no range holds
+    hit = np.where(cost == np.repeat(best, window), at, n * n_rows)
+    arg = np.minimum.reduceat(hit, start).reshape(lo.shape) - row_at
+    best = best.reshape(lo.shape)
+    ok = np.isfinite(best) & (lo <= arg) & (arg <= hi)
+    ok[:, 1:] &= arg[:, :-1] <= arg[:, 1:]
+    return best, ok.all(axis=1)
+
+
 def _staircase(x, VX, y, VY, rho, first=0):
     """``(psi, psi_tilde)`` per row: the staircase along the monotone coupling
     of each row pair of laws, ``psi_tilde`` closed by the cost transform
@@ -427,7 +491,12 @@ def _staircase(x, VX, y, VY, rho, first=0):
 
     Returns ``psi`` on each row's atoms, ``+inf`` elsewhere, and ``psi_tilde``
     on every state ``y``: the cost transform of ``psi``, which the atoms
-    check against the staircase.  A failed check raises
+    check against the staircase.  The transform follows the coupling: a y
+    atom's range of x atoms runs from its first corner to its last, a
+    zero-mass y's from the last corner of the atom before it to the first
+    corner of the atom after it, each widened by one position, and
+    :func:`_coupled_minima` certifies the rows whose minima it finds there;
+    the other rows go to :func:`_cost_transform`.  A failed check raises
     :class:`PotentialConstructionError` naming the node ``first + row``.
     """
     rows = np.arange(VX.shape[0])
@@ -443,9 +512,9 @@ def _staircase(x, VX, y, VY, rho, first=0):
         # state repeats the level before it
         inner = atoms.copy()
         inner[rows, col[np.append(start[1:], col.size) - 1]] = False
-        # the atom values of all rows in turn, row r's from start[r], for the corners
-        sides.append((atoms, inner, level, s[col], start))
-    (ax, ix, lx, xv, fx), (ay, iy, ly, yv, fy) = sides
+        # the atoms of all rows in turn, row r's from start[r], for the corners
+        sides.append((atoms, inner, level, col, start))
+    (ax, ix, lx, cx, fx), (ay, iy, ly, cy, fy) = sides
     level = np.where(np.concatenate((ix, iy), axis=1), np.concatenate((lx, ly), axis=1), np.inf)
     # the sort is stable, so a source entry precedes its target twin; the
     # states that are no inner level sort last at +inf and take no step
@@ -479,8 +548,9 @@ def _staircase(x, VX, y, VY, rho, first=0):
     j = np.zeros_like(i)
     np.cumsum(moves_x, axis=1, out=i[:, 1:])
     np.cumsum(moves_y, axis=1, out=j[:, 1:])
-    x_at = xv.take(i + fx[:, None])
-    y_at = yv.take(j + fy[:, None])
+    i += fx[:, None]  # the index of each corner's x atom among all rows' atoms
+    x_at = x[cx].take(i)
+    y_at = y[cy].take(j + fy[:, None])
     c = np.abs(x_at - y_at) ** rho
     inc = np.where(moves_x, c[:, :-1] - c[:, 1:], 0.0)
     if tie.any():
@@ -500,8 +570,28 @@ def _staircase(x, VX, y, VY, rho, first=0):
     psi[ax] = run[at_x]
     psit = np.zeros(VY.shape)
     psit[ay] = (-run - c)[at_y]
-    table = np.flatnonzero(ax.any(axis=0))
-    closed = -_cost_transform(x[table], psi[:, table], y, rho)
+    # the coupling's x range at each y atom, from its first to its last
+    # corner, as positions in the table of x atoms
+    at_table = ax.any(axis=0)
+    table = np.flatnonzero(at_table)
+    tx = (np.cumsum(at_table) - 1).take(cx)
+    last = np.ones_like(at_y)
+    last[:, :-1] = moves_y
+    first_x = np.full(VY.shape, table.size)
+    last_x = np.full(VY.shape, -1)
+    first_x[ay] = tx.take(i[at_y])
+    last_x[ay] = tx.take(i[last])
+    # a zero-mass y lies between the last corner of the atom before it and the
+    # first corner of the atom after it (or an end of the table); one more
+    # position each side takes in the rounding ties of neighbouring atoms
+    lo = np.where(ay, first_x, np.maximum.accumulate(last_x, axis=1))
+    hi = np.where(ay, last_x, np.minimum.accumulate(first_x[:, ::-1], axis=1)[:, ::-1])
+    lo, hi = np.maximum(lo - 1, 0), np.minimum(hi + 1, table.size - 1)
+    xs, vals = x[table], psi[:, table]
+    best, ok = _coupled_minima(xs, vals, y, lo, hi, rho)
+    if not ok.all():
+        best[~ok] = _cost_transform(xs, vals[~ok], y, rho)
+    closed = -best
     scale = 1.0 + np.max(np.abs(psit), axis=1)
     gap = np.where(ay, np.abs(closed - psit), 0.0)
     bad = ~(gap <= 1e-9 * scale[:, None])  # a NaN gap or scale fails closed

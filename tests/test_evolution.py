@@ -534,3 +534,66 @@ class TestBatchedDuals:
         assert built == [rep.final_x, rep.final_y]
         assert staircases == [101]  # 41 x 41 reached states: every node in one block
         assert pairs == []
+
+
+def small_mu_chain():
+    """The chain-approx shape on 1025 nodes: a speed-8 chain and two starts."""
+    spec = tanh_spec(lam=0.5, kernel=ShiftJump(0.5))
+    grid = np.linspace(-4.0, 5.0, 1025)
+    gen = mu_generator(spec, 8.0, grid).generator
+    p0X = embed_on_grid(DiscreteMeasure([0.5, 1.0, 1.5], [0.4, 0.3, 0.3]), grid)
+    p0Y = embed_on_grid(DiscreteMeasure([-1.0, -0.4], [0.5, 0.5]), grid)
+    return gen, p0X, p0Y
+
+
+class TestCoupledClosureOnPaths:
+    def test_general_transform_runs_only_where_needed(self, monkeypatch):
+        # the staircase sends to the general transform only the rows its
+        # window scan leaves uncertified, and the candidates only the states
+        # off each block's support
+        certified, fallback, off_support, blocks = [], [], [], []
+        real_minima, real_transform = transport._coupled_minima, transport._cost_transform
+        real_stair = evolution._staircase
+
+        def minima(*args):
+            best, ok = real_minima(*args)
+            certified.append(ok.copy())
+            return best, ok
+
+        def stair_fallback(xs, vals, q, rho):
+            fallback.append(vals.shape[0])
+            return real_transform(xs, vals, q, rho)
+
+        def stair(x, VX, y, VY, rho, first=0):
+            blocks.append((x, VX))
+            return real_stair(x, VX, y, VY, rho, first)
+
+        def candidates_transform(xs, vals, q, rho):
+            x, VX = blocks[-1]
+            off = x[~(VX > 0.0).all(axis=0)]
+            assert np.all(np.isin(q, off))
+            off_support.append(q.size)
+            return real_transform(xs, vals, q, rho)
+
+        monkeypatch.setattr(transport, "_coupled_minima", minima)
+        monkeypatch.setattr(transport, "_cost_transform", stair_fallback)
+        monkeypatch.setattr(evolution, "_staircase", stair)
+        monkeypatch.setattr(evolution, "_cost_transform", candidates_transform)
+        gen, p0X, p0Y = small_mu_chain()
+        rep = verify_identity(gen, gen, p0X, p0Y, 2.0, 1.0, 16)
+        assert rep.max_residual <= 1e-9
+        ok = np.concatenate(certified)
+        assert len(blocks) == len(certified) == 17  # one node per block
+        assert sum(fallback) == np.count_nonzero(~ok)
+        assert np.count_nonzero(ok) >= 15
+        assert 0 < len(off_support) <= len(blocks)
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
+    def test_final_pair_is_the_last_nodes_pair(self, rho):
+        # as mu_convergence_study reads it, in place of a second staircase
+        for gen, p0X, p0Y in (small_mu_chain(), reference_instance()):
+            rep = verify_identity(gen, gen, p0X, p0Y, rho, 1.0, 16)
+            pair = potentials(rep.final_x, rep.final_y, rho)
+            for name in ("x", "psi", "y", "psi_tilde"):
+                assert np.array_equal(getattr(rep.final_pair, name), getattr(pair, name)), name
+            assert rep.final_pair.rho == rho

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
+from wflow import jump_process
 from wflow.jump_process import JumpGeneratorSpec, Kernel, _as_kernel
 
 
@@ -107,6 +108,23 @@ class TestKernelAgainstScipy:
         v = np.random.default_rng(5).random(kernel.n)
         assert bits(kernel.apply(v)) == bits(oracle @ v)
         assert bits(kernel.apply_t(v)) == bits(oracle.T.tocsr() @ v)
+
+    def test_row_blocks_match_one_row_at_a_time(self, monkeypatch):
+        # a block of rows runs in chunks of about _PRODUCT_CELLS stored
+        # entries (one row at a time on the 4097-node mu-chain, every row at
+        # once on a 31-state chain); any chunking sums in stored order
+        from test_jump_process import mu_chain
+
+        rng = np.random.default_rng(11)
+        tridiagonal = np.eye(31, k=1) * 0.6 + np.eye(31, k=-1) * 0.4
+        tridiagonal[0, 0], tridiagonal[-1, -1] = 0.4, 0.6
+        cases = ((mu_chain(4097).kernel, 19), (_as_kernel(tridiagonal, 31), 102))
+        for cells in (jump_process._PRODUCT_CELLS, 1, 10**9):
+            monkeypatch.setattr(jump_process, "_PRODUCT_CELLS", cells)
+            for kernel, rows in cases:
+                block = rng.random((rows, kernel.n))
+                for product in (kernel.apply, kernel.apply_t):
+                    assert bits(product(block)) == bits(np.stack([product(v) for v in block]))
 
     def test_constructor_rejects_non_canonical_csr(self):
         for indptr, indices, data in (

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import flow_rk4, jump_cells_symmetric, mu_generator_rowloop
 
-from wflow import jump_process, pdmp
+from wflow import jump_process, pdmp, transport
 from wflow.evolution import apply_generator, verify_identity
 from wflow.jump_process import JumpGeneratorSpec, simulate_paths, uniformized_marginal
-from wflow.measures import CoverageError, DiscreteMeasure, TailConstants, laplace_smooth
+from wflow.measures import CoverageError, DiscreteMeasure, TailConstants, laplace_smooth, quantile
 from wflow.pdmp import (
     Drift,
     Intensity,
@@ -32,7 +32,7 @@ from wflow.pdmp import (
     simulate_chain,
     simulate_pdmp,
 )
-from wflow.transport import wasserstein
+from wflow.transport import potentials, wasserstein
 
 # forward Euler for dx/dt = -tanh(x), x(0)=1, over [0,1]; frozen runs at
 # 1e6 and 2e6 steps, whose Richardson pair cancels the O(h) bias that the
@@ -745,6 +745,40 @@ class TestConvergenceStudy:
         ref_x, ref_y = (uniformized_marginal(ref, e0, 1.0) for e0 in (e0X, e0Y))
         assert study.cauchy_x[-1] == wasserstein(rep.final_x, ref_x, 2.0)
         assert study.cauchy_y[-1] == wasserstein(rep.final_y, ref_y, 2.0)
+
+    def test_potential_gap_reads_the_identity_pair(self, monkeypatch):
+        # each speed's pair is the identity's last-node pair: no second
+        # staircase, and the gaps that potentials() of the last laws give
+        spec = tanh_spec(lam=0.5, kernel=ShiftJump(0.5))
+        p0X = DiscreteMeasure([0.5, 1.0, 1.5], [0.4, 0.3, 0.3])
+        p0Y = DiscreteMeasure([-1.0, -0.4], [0.5, 0.5])
+        pairs = []
+        real = transport._staircase
+
+        def counted(*args, **kwargs):
+            pairs.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "_staircase", counted)
+        mus = [4.0, 8.0, 16.0]
+        study = mu_convergence_study(
+            spec, spec, p0X, p0Y, 2.0, 1.0, mus, grid_nodes=257, identity_steps=20
+        )
+        assert pairs == []
+        monkeypatch.undo()
+        e0X = pdmp.embed_on_grid(p0X, study.grid)
+        e0Y = pdmp.embed_on_grid(p0Y, study.grid)
+        ref = pdmp.mu_generator(spec, study.reference_mu, study.grid).generator
+        ref_x = uniformized_marginal(ref, e0X, 1.0)
+        keep = (study.grid >= quantile(ref_x, 0.005)) & (study.grid <= quantile(ref_x, 0.995))
+        applied = []
+        for mu in mus:
+            gen = pdmp.mu_generator(spec, mu, study.grid).generator
+            rep = verify_identity(gen, gen, e0X, e0Y, 2.0, 1.0, 20)
+            pair = potentials(rep.final_x, rep.final_y, 2.0)
+            applied.append(apply_generator(gen, pair.psi_at(study.grid)))
+        gaps = [np.max(np.abs((b - a)[keep])) for a, b in zip(applied, applied[1:])]
+        assert np.array_equal(study.potential_gap, gaps)
 
     def test_argument_validation(self):
         spec = tanh_spec(lam=0.3, kernel=ShiftJump(0.5))

@@ -52,6 +52,12 @@ def atoms(points, weights):
     return DiscreteMeasure(np.asarray(points, float), np.asarray(weights, float))
 
 
+def dense_closure(xs, vals, q, rho):
+    """``min_i |xs_i - q_j|^rho + vals[r, i]`` per row by a dense scan; +inf
+    leaves a state out of its row."""
+    return np.min(np.abs(xs[None, :, None] - q[None, None, :]) ** rho + vals[:, :, None], axis=1)
+
+
 def random_atoms(rng, max_atoms=6, span=10.0):
     n = rng.integers(1, max_atoms + 1)
     pts = np.sort(rng.uniform(-span, span, size=n))
@@ -605,11 +611,20 @@ class TestPotentials:
             assert np.max(np.abs(pair.psi_tilde - want_psi_tilde)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
-    def test_staircase_rows_match_potentials(self, rho):
+    def test_staircase_rows_match_potentials(self, rho, monkeypatch):
         # rows of dense laws on shared states, zeros between the atoms: each
         # row gives the pair of its own atoms bit for bit, for shared levels,
         # levels repeated within one side and one-atom sides, and psi_tilde
-        # off the atoms is the cost transform of psi
+        # off the atoms is the cost transform of psi.  The closure equals the
+        # dense minimum bit for bit, and nearly every row is certified along
+        # its coupling without the general transform
+        general = []
+        real = transport._cost_transform
+
+        def counted(xs, vals, q, rho):
+            general.append(vals.shape[0])
+            return real(xs, vals, q, rho)
+
         rng = np.random.default_rng(int(20 * rho))
         x = np.sort(rng.choice(400, 40, replace=False)) * 0.025 - 5
         y = np.sort(rng.choice(400, 30, replace=False)) * 0.025 - 4
@@ -646,7 +661,10 @@ class TestPotentials:
             VX = np.stack([law(x.size, k) for k in pick[:, 0]])
             blocks.append((VX, np.stack([law(y.size, k) for k in pick[:, 1]])))
         for VX, VY in blocks:
-            psi, psi_tilde = _staircase(x, VX, y, VY, rho)
+            with monkeypatch.context() as mp:
+                mp.setattr(transport, "_cost_transform", counted)
+                psi, psi_tilde = _staircase(x, VX, y, VY, rho)
+            assert np.array_equal(psi_tilde, -dense_closure(x, psi, y, rho))
             for vx, vy, p, pt in zip(VX, VY, psi, psi_tilde):
                 ax, ay = vx > 0, vy > 0
                 m1, m2 = DiscreteMeasure(x[ax], vx[ax]), DiscreteMeasure(y[ay], vy[ay])
@@ -655,6 +673,7 @@ class TestPotentials:
                 assert np.all(p[~ax] == np.inf)
                 assert np.array_equal(pt[ay], pair.psi_tilde)
                 assert np.array_equal(pt[~ay], -_cost_transform(x[ax], pair.psi, y[~ay], rho))
+        assert sum(general) <= sum(VX.shape[0] for VX, _ in blocks) // 10
 
     def test_staircase_names_the_failing_node(self):
         # the second row puts mass at 1e200, where |x - y|^2 overflows: its
@@ -894,3 +913,61 @@ class TestProperties:
         pair = potentials(m1, m2, 2.0)
         assert feasibility_violation(pair) <= 1e-9
         assert duality_gap(pair, m1, m2) <= 1e-7 * max(wasserstein_power(m1, m2, 2.0), 1.0)
+
+
+class TestCoupledClosure:
+    """The staircase's closure, certified along its own coupling."""
+
+    def test_perturbed_psi_falls_back(self, monkeypatch):
+        # lowering psi far from the coupling moves that row's argmins out of
+        # their ranges: the row is not certified, and the general transform,
+        # which takes its place, gives the dense minimum
+        rng = np.random.default_rng(83)
+        m1 = DiscreteMeasure(np.sort(rng.uniform(-5, 5, 300)), rng.dirichlet(np.ones(300)))
+        m2 = DiscreteMeasure(np.sort(rng.uniform(-4, 6, 200)), rng.dirichlet(np.ones(200)))
+        calls = []
+        real = transport._coupled_minima
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(transport, "_coupled_minima", spy)
+        potentials(m1, m2, 2.0)
+        xs, vals, q, lo, hi, rho = calls[0]
+        vals = np.concatenate([vals, vals])
+        vals[1, -1] -= 50.0
+        lo, hi = np.concatenate([lo, lo]), np.concatenate([hi, hi])
+        best, ok = real(xs, vals, q, lo, hi, rho)
+        assert ok.tolist() == [True, False]
+        want = dense_closure(xs, vals, q, rho)
+        assert np.array_equal(best[0], want[0])
+        assert not np.array_equal(best[1], want[1])
+        assert np.array_equal(_cost_transform(xs, vals[1], q, rho), want[1])
+
+    def test_non_finite_rows_never_certify(self):
+        xs, q = np.arange(5.0), np.array([0.5, 1.5, 3.5])
+        vals = np.zeros((3, 5))
+        vals[1, 4] = np.nan
+        vals[2, :] = np.inf
+        lo = np.array([[0, 1, 3]] * 3)
+        hi = np.array([[1, 2, 4]] * 3)
+        best, ok = transport._coupled_minima(xs, vals, q, lo, hi, 2.0)
+        assert ok.tolist() == [True, False, False]
+        assert np.array_equal(best[0], [0.25, 0.25, 0.25])
+
+    def test_infeasible_certified_row_names_its_node(self, monkeypatch):
+        # a certified minimum still meets the 1e-9 check against the staircase
+        real = transport._coupled_minima
+
+        def lowered(*args):
+            best, ok = real(*args)
+            best[1] -= 1.0
+            return best, ok
+
+        monkeypatch.setattr(transport, "_coupled_minima", lowered)
+        x, y = np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5])
+        VX = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        VY = np.full((2, 2), 0.5)
+        with pytest.raises(PotentialConstructionError, match="node 4 "):
+            _staircase(x, VX, y, VY, 2.0, first=3)
