@@ -10,9 +10,11 @@ derivative that the merge of the marginals' cumulative levels and their rates
 ``L^T p`` give, and reports the trapezoid panels as a quadrature error.
 
 The dual potentials of every node come from the transport module's batched
-staircase, a block of nodes at a time: ``psi`` on the support, and by the
-cost transform on the states one jump reaches, which is the extension under
-which the dual pair stays feasible on the whole state space.
+staircase, a block of nodes at a time: each potential on its law's support,
+and off it the cost transform of the other potential over the other law's
+support, closed along the coupling.  That extension keeps the pair feasible
+wherever one of the two states is an atom, which is every pair that the
+generators applied on the supports read.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from wflow.jump_process import JumpGeneratorSpec, Marginal, _node_marginal, _path_laws
 from wflow.measures import write_table
-from wflow.transport import PotentialPair, _check_rho, _cost_transform, _path_merge, _staircase
+from wflow.transport import PotentialPair, _check_rho, _path_merge, _staircase
 
 __all__ = [
     "EvolutionReport",
@@ -63,11 +65,12 @@ def _candidates(genX, genY, VX, VY, RX, RY, rho):
     on its law's support and one-jump targets (``v > 0`` or ``rate != 0``),
     which is all that the generator applied to it reads on the support.  A
     block of nodes, about ``_DUAL_BLOCK`` cells of the states the path
-    reaches, runs one staircase, whose closure gives ``psi~`` on every state
-    that ``Y`` reaches, and one cost transform of ``psi~`` for ``psi`` on the
-    states that ``X`` reaches off its support.  The last node's pair is the
-    last block's last row on the two supports, the :class:`PotentialPair`
-    that :func:`potentials` builds from the two last laws.
+    reaches, runs one staircase, which gives ``psi`` on every state that
+    ``X`` reaches and ``psi~`` on every state that ``Y`` reaches, each
+    closed off its support.
+    The last node's pair is the last block's last row on the two supports,
+    the :class:`PotentialPair` that :func:`potentials` builds from the two
+    last laws.
     """
     reach_x, reach_y = ((V > 0.0) | (R != 0.0) for V, R in ((VX, RX), (VY, RY)))
     n_nodes = VX.shape[0]
@@ -81,14 +84,6 @@ def _candidates(genX, genY, VX, VY, RX, RY, rho):
         vx, vy = VX[b][:, cx], VY[b][:, cy]
         x, y = genX.states[cx], genY.states[cy]
         psi, psi_tilde = _staircase(x, vx, y, vy, rho, first=s)
-        on_y = vy > 0.0
-        off_x = ~(vx > 0.0) & reach_x[b][:, cx]
-        q = np.flatnonzero(off_x.any(axis=0))
-        if q.size:
-            table = np.flatnonzero(on_y.any(axis=0))
-            vals = np.where(on_y[:, table], psi_tilde[:, table], np.inf)
-            closure = -_cost_transform(y[table], vals, x[q], rho)
-            psi[:, q] = np.where(off_x[:, q], closure, psi[:, q])
         applied = []
         for gen, c, f, r in ((genX, cx, psi, reach_x), (genY, cy, psi_tilde, reach_y)):
             full = np.zeros((f.shape[0], gen.n_states))
@@ -98,8 +93,8 @@ def _candidates(genX, genY, VX, VY, RX, RY, rho):
             # from 0.0, one side's integral at a time
             integ[k] = 0.0 - float(np.dot(VX[k], l_psi)) - float(np.dot(VY[k], l_psi_tilde))
             diag[k] = float(np.dot(VX[k], np.abs(l_psi) ** _DIAG_EXPONENT))
-    on_x = vx[-1] > 0.0
-    final = PotentialPair(rho, x[on_x], psi[-1, on_x], y[on_y[-1]], psi_tilde[-1, on_y[-1]])
+    on_x, on_y = vx[-1] > 0.0, vy[-1] > 0.0
+    final = PotentialPair(rho, x[on_x], psi[-1, on_x], y[on_y], psi_tilde[-1, on_y])
     return integ, diag, final
 
 
@@ -159,8 +154,8 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
     the two paths share one set of Poisson windows.  The costs and their
     exact right derivatives come from one merge of the two paths' levels and
     rates.  The potentials and the candidates come a block of nodes at a
-    time: one batched staircase with its closure, one cost transform and
-    one generator product per side.  Only the two last nodes become
+    time: one batched staircase, which closes both potentials, and one
+    generator product per side.  Only the two last nodes become
     :class:`Marginal` objects, ``final_x`` and ``final_y``, and their dual
     pair is the last block's last row, ``final_pair``.
 

@@ -12,12 +12,13 @@ integrals of power functions which are evaluated in closed form:
   CDFs) or along the monotone coupling's staircase (atomic laws).
 * ``_staircase`` builds that staircase for a block of law pairs at once,
   rows of dense laws on shared states: one sort of each row's cumulative
-  levels and one running sum of the dual equality's increments.  Its
-  closure is certified along the coupling just walked by ``_coupled_minima``,
-  O(n + m) window scans; a row that does not certify, like every other
-  closure, goes to ``_cost_transform``, the one general cost transform,
-  which takes a row of table values per law.  The atomic ``potentials`` is
-  its one-row case.
+  levels and one running sum of the dual equality's increments.  It closes
+  both potentials off the atoms along the coupling just walked, ``psi_tilde``
+  on every y and ``psi`` on every zero-mass x, each certified by
+  ``_coupled_minima`` in O(n + m) window scans.  A row that does not
+  certify, like the pair's ``psi_at``/``psi_tilde_at``, goes to
+  ``_cost_transform``, the one general cost transform, one row at a time.
+  The atomic ``potentials`` is the staircase's one-row case.
 * ``_path_merge`` merges the dense node laws of two solved paths, one
   lexsort per node, into every requested cost order and the exact right
   derivative of the first.
@@ -374,41 +375,37 @@ def _power_in_place(d, rho):
 
 
 def _cost_transform(xs, vals, q, rho):
-    """``min_i |xs_i - q_j|^rho + vals[r, i]`` for every row ``r`` and query
-    ``j`` (exact), ``xs`` sorted; a 1-d ``vals`` is one row and gives one.
+    """``min_i |xs_i - q_j|^rho + vals[i]`` for every query ``j`` (exact),
+    ``xs`` sorted and ``vals`` one row of table values.
 
-    A ``+inf`` value leaves its state out of its row.  For rho >= 1 the cost
-    is a Monge array: leftmost argmins never decrease in q (Gangbo & McCann
-    1996; Aggarwal et al. 1987).  A dense pass takes every row's argmins at
-    every ceil(sqrt(m))-th sorted query, and each block of queries between
-    two anchors scans only the union of the table windows that its rows'
-    anchor argmins bracket, which holds each row's own window.  This is the
-    general transform: it needs no guess, and serves the staircase rows that
-    :func:`_coupled_minima` does not certify, ``psi`` off the support in the
-    identity's candidates and the pair's ``psi_at``/``psi_tilde_at``.
+    A ``+inf`` value leaves its state out.  For rho >= 1 the cost is a Monge
+    array: leftmost argmins never decrease in q (Gangbo & McCann 1996;
+    Aggarwal et al. 1987).  A dense pass takes the argmins at every
+    ceil(sqrt(m))-th sorted query, and each block of queries between two
+    anchors scans only the table window that their argmins bracket.  This is
+    the general transform: it needs no guess, and serves the pair's
+    ``psi_at``/``psi_tilde_at`` and the staircase rows that
+    :func:`_coupled_minima` does not certify.
     """
-    one = vals.ndim == 1
-    vals = np.atleast_2d(vals)
     m = q.size
-    out = np.empty((vals.shape[0], m))
+    out = np.empty(m)
     if m:
         order = np.argsort(q, kind="stable")
         qs = q[order]
-        best = np.empty_like(out)
+        best = np.empty(m)
         anchors = np.append(np.arange(0, m - 1, math.isqrt(m - 1) + 1), m - 1)
-        cost = _power_in_place(xs[:, None] - qs[anchors], rho) + vals[:, :, None]
-        arg = np.argmin(cost, axis=1)
-        best[:, anchors] = np.min(cost, axis=1)
-        lo, hi = arg[:, :-1], arg[:, 1:]
+        cost = _power_in_place(xs[:, None] - qs[anchors], rho) + vals[:, None]
+        arg = np.argmin(cost, axis=0)
+        best[anchors] = np.min(cost, axis=0)
+        lo, hi = arg[:-1], arg[1:]
         # a non-finite query breaks the argmin order: scan to the table's end
         end = np.where(hi >= lo, hi + 1, xs.size)
-        bounds = (anchors[:-1] + 1, anchors[1:], lo.min(axis=0), end.max(axis=0))
-        by_state = vals.T[:, :, None]
+        bounds = (anchors[:-1] + 1, anchors[1:], lo, end)
         for a, b, lo, end in zip(*(c.tolist() for c in bounds)):
-            scan = _power_in_place(xs[lo:end, None, None] - qs[a:b], rho)
-            best[:, a:b] = np.minimum.reduce(scan + by_state[lo:end], axis=0)
-        out[:, order] = best
-    return out[0] if one else out
+            scan = _power_in_place(xs[lo:end, None] - qs[a:b], rho)
+            best[a:b] = np.min(scan + vals[lo:end, None], axis=0)
+        out[order] = best
+    return out
 
 
 def _coupled_minima(xs, vals, q, lo, hi, rho):
@@ -440,6 +437,9 @@ def _coupled_minima(xs, vals, q, lo, hi, rho):
     upward from ``j = 1`` on columns ``i < g_{j-1}``.  A ``+inf`` entry never
     attains a minimum, so the argument holds on a row's finite columns.
 
+    Either side may be the table: ``|x - y|^rho`` is symmetric, so the
+    lemma holds with the roles of x and y swapped, and the staircase
+    closes ``psi_tilde`` over the x atoms and ``psi`` over the y atoms alike.
     The entries are the floats that :func:`_cost_transform` takes the
     minimum of, so a certified minimum is its value; like that transform's
     brackets, the certificate takes the rounded entries to keep the Monge
@@ -469,10 +469,46 @@ def _coupled_minima(xs, vals, q, lo, hi, rho):
     return best, ok.all(axis=1)
 
 
+def _coupled_closure(states, atoms, col, corner, vals, q, on_q, first, rho):
+    """The closed potential ``-min_i (|s_i - q_j|^rho + vals[r, i])`` for every
+    row ``r`` and query state ``q_j``, the minima over the ``states`` ``s``
+    that some row's ``atoms`` occupy, found by :func:`_coupled_minima` in
+    the ranges that the coupling gives.
+
+    ``vals`` holds each row's potential on ``states``, ``+inf`` off its
+    atoms; ``col`` holds the atoms' columns, all rows in turn, and
+    ``corner`` the index among them of each staircase corner's atom on this
+    side.  ``first`` marks the corners where a query atom (``on_q``) is
+    first reached.  A query atom's range runs from its first corner to its
+    last, a zero-mass query's from the last corner of the atom before it to
+    the first corner of the atom after it (or an end of the table); one more
+    position each side takes in the rounding ties of neighbouring atoms.  A
+    row that does not certify goes to :func:`_cost_transform`.
+    """
+    at_table = atoms.any(axis=0)
+    table = np.flatnonzero(at_table)
+    at = (np.cumsum(at_table) - 1).take(col).take(corner)
+    last = np.ones_like(first)
+    last[:, :-1] = first[:, 1:]
+    first_at = np.full(on_q.shape, table.size)
+    last_at = np.full(on_q.shape, -1)
+    first_at[on_q] = at[first]
+    last_at[on_q] = at[last]
+    lo = np.where(on_q, first_at, np.maximum.accumulate(last_at, axis=1))
+    hi = np.where(on_q, last_at, np.minimum.accumulate(first_at[:, ::-1], axis=1)[:, ::-1])
+    lo, hi = np.maximum(lo - 1, 0), np.minimum(hi + 1, table.size - 1)
+    states, vals = states[table], vals[:, table]
+    best, ok = _coupled_minima(states, vals, q, lo, hi, rho)
+    for r in np.flatnonzero(~ok):
+        best[r] = _cost_transform(states, vals[r], q, rho)
+    return -best
+
+
 def _staircase(x, VX, y, VY, rho, first=0):
     """``(psi, psi_tilde)`` per row: the staircase along the monotone coupling
-    of each row pair of laws, ``psi_tilde`` closed by the cost transform
-    within 1e-9 relative.
+    of each row pair of laws, both closed off the atoms by the cost
+    transform, ``psi_tilde`` checked against the staircase within 1e-9
+    relative.
 
     ``VX`` (``VY``) holds one nonnegative law per row on the sorted states
     ``x`` (``y``); a row's atoms are its positive entries, and its levels are
@@ -489,14 +525,21 @@ def _staircase(x, VX, y, VY, rho, first=0):
     the limit map ``clip(x, y_{j-1}, y_j)``: constant, then the identity,
     which adds nothing, then constant again.
 
-    Returns ``psi`` on each row's atoms, ``+inf`` elsewhere, and ``psi_tilde``
-    on every state ``y``: the cost transform of ``psi``, which the atoms
-    check against the staircase.  The transform follows the coupling: a y
-    atom's range of x atoms runs from its first corner to its last, a
-    zero-mass y's from the last corner of the atom before it to the first
-    corner of the atom after it, each widened by one position, and
-    :func:`_coupled_minima` certifies the rows whose minima it finds there;
-    the other rows go to :func:`_cost_transform`.  A failed check raises
+    Returns ``psi`` and ``psi_tilde`` on every state.  ``psi_tilde`` is the
+    cost transform of ``psi`` over the row's x atoms, which the y atoms
+    check against the staircase.  ``psi`` is the staircase on the x atoms
+    and, on a zero-mass x, the cost transform of the closed ``psi_tilde``
+    over the row's y atoms; when every state ``x`` is an atom of every row,
+    as in :func:`potentials`, that side is not run.  Each transform follows
+    the coupling (:func:`_coupled_closure`): a y atom's range of x atoms
+    runs from its first corner to its last, a zero-mass y's from the last
+    corner of the atom before it to the first corner of the atom after it,
+    and with x and y swapped the same holds for a zero-mass x, each range
+    widened by one position.  :func:`_coupled_minima` certifies the rows
+    whose minima it finds there; the other rows go to
+    :func:`_cost_transform`.  The pair is feasible wherever one of the two
+    states is an atom; off both supports it need not be, and no generator
+    applied on a support reads such a pair.  A failed check raises
     :class:`PotentialConstructionError` naming the node ``first + row``.
     """
     rows = np.arange(VX.shape[0])
@@ -548,9 +591,11 @@ def _staircase(x, VX, y, VY, rho, first=0):
     j = np.zeros_like(i)
     np.cumsum(moves_x, axis=1, out=i[:, 1:])
     np.cumsum(moves_y, axis=1, out=j[:, 1:])
-    i += fx[:, None]  # the index of each corner's x atom among all rows' atoms
+    # the index of each corner's atoms among all rows' atoms
+    i += fx[:, None]
+    j += fy[:, None]
     x_at = x[cx].take(i)
-    y_at = y[cy].take(j + fy[:, None])
+    y_at = y[cy].take(j)
     c = np.abs(x_at - y_at) ** rho
     inc = np.where(moves_x, c[:, :-1] - c[:, 1:], 0.0)
     if tie.any():
@@ -570,28 +615,7 @@ def _staircase(x, VX, y, VY, rho, first=0):
     psi[ax] = run[at_x]
     psit = np.zeros(VY.shape)
     psit[ay] = (-run - c)[at_y]
-    # the coupling's x range at each y atom, from its first to its last
-    # corner, as positions in the table of x atoms
-    at_table = ax.any(axis=0)
-    table = np.flatnonzero(at_table)
-    tx = (np.cumsum(at_table) - 1).take(cx)
-    last = np.ones_like(at_y)
-    last[:, :-1] = moves_y
-    first_x = np.full(VY.shape, table.size)
-    last_x = np.full(VY.shape, -1)
-    first_x[ay] = tx.take(i[at_y])
-    last_x[ay] = tx.take(i[last])
-    # a zero-mass y lies between the last corner of the atom before it and the
-    # first corner of the atom after it (or an end of the table); one more
-    # position each side takes in the rounding ties of neighbouring atoms
-    lo = np.where(ay, first_x, np.maximum.accumulate(last_x, axis=1))
-    hi = np.where(ay, last_x, np.minimum.accumulate(first_x[:, ::-1], axis=1)[:, ::-1])
-    lo, hi = np.maximum(lo - 1, 0), np.minimum(hi + 1, table.size - 1)
-    xs, vals = x[table], psi[:, table]
-    best, ok = _coupled_minima(xs, vals, y, lo, hi, rho)
-    if not ok.all():
-        best[~ok] = _cost_transform(xs, vals[~ok], y, rho)
-    closed = -best
+    closed = _coupled_closure(x, ax, cx, i, psi, y, ay, at_y, rho)
     scale = 1.0 + np.max(np.abs(psit), axis=1)
     gap = np.where(ay, np.abs(closed - psit), 0.0)
     bad = ~(gap <= 1e-9 * scale[:, None])  # a NaN gap or scale fails closed
@@ -602,6 +626,9 @@ def _staircase(x, VX, y, VY, rho, first=0):
             f"staircase propagation of node {first + row} is dual-infeasible near "
             f"y={y[worst]!r} (transform correction {gap[row, worst]!r})"
         )
+    if not ax.all():
+        off = _coupled_closure(y, ay, cy, j, np.where(ay, closed, np.inf), x, ax, at_x, rho)
+        psi = np.where(ax, psi, off)
     return psi, closed
 
 

@@ -548,10 +548,10 @@ def small_mu_chain():
 
 class TestCoupledClosureOnPaths:
     def test_general_transform_runs_only_where_needed(self, monkeypatch):
-        # the staircase sends to the general transform only the rows its
-        # window scan leaves uncertified, and the candidates only the states
-        # off each block's support
-        certified, fallback, off_support, blocks = [], [], [], []
+        # the staircase closes both potentials along its own coupling, psi
+        # off the support too, and sends to the general transform only the
+        # rows its window scan leaves uncertified: none on these paths
+        certified, general, blocks = [], [], []
         real_minima, real_transform = transport._coupled_minima, transport._cost_transform
         real_stair = evolution._staircase
 
@@ -560,33 +560,28 @@ class TestCoupledClosureOnPaths:
             certified.append(ok.copy())
             return best, ok
 
-        def stair_fallback(xs, vals, q, rho):
-            fallback.append(vals.shape[0])
-            return real_transform(xs, vals, q, rho)
+        def transform(*args):
+            general.append(args)
+            return real_transform(*args)
 
         def stair(x, VX, y, VY, rho, first=0):
-            blocks.append((x, VX))
+            blocks.append(VX.shape[0])
             return real_stair(x, VX, y, VY, rho, first)
 
-        def candidates_transform(xs, vals, q, rho):
-            x, VX = blocks[-1]
-            off = x[~(VX > 0.0).all(axis=0)]
-            assert np.all(np.isin(q, off))
-            off_support.append(q.size)
-            return real_transform(xs, vals, q, rho)
-
         monkeypatch.setattr(transport, "_coupled_minima", minima)
-        monkeypatch.setattr(transport, "_cost_transform", stair_fallback)
+        monkeypatch.setattr(transport, "_cost_transform", transform)
         monkeypatch.setattr(evolution, "_staircase", stair)
-        monkeypatch.setattr(evolution, "_cost_transform", candidates_transform)
-        gen, p0X, p0Y = small_mu_chain()
-        rep = verify_identity(gen, gen, p0X, p0Y, 2.0, 1.0, 16)
-        assert rep.max_residual <= 1e-9
-        ok = np.concatenate(certified)
-        assert len(blocks) == len(certified) == 17  # one node per block
-        assert sum(fallback) == np.count_nonzero(~ok)
-        assert np.count_nonzero(ok) >= 15
-        assert 0 < len(off_support) <= len(blocks)
+        for (gen, p0X, p0Y), one_node in ((small_mu_chain(), True), (reference_instance(), False)):
+            for log in (certified, general, blocks):
+                log.clear()
+            rep = verify_identity(gen, gen, p0X, p0Y, 2.0, 1.0, 16)
+            assert rep.max_residual <= 1e-9
+            ok = np.concatenate(certified)
+            assert ok.all() and np.count_nonzero(ok) >= 15
+            assert general == []
+            assert blocks == ([1] * 17 if one_node else [17])  # one node per block
+            # psi~ closed in every block, psi where some state is off the support
+            assert len(blocks) < len(certified) <= 2 * len(blocks)
 
     @pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
     def test_final_pair_is_the_last_nodes_pair(self, rho):

@@ -614,22 +614,23 @@ class TestPotentials:
     def test_staircase_rows_match_potentials(self, rho, monkeypatch):
         # rows of dense laws on shared states, zeros between the atoms: each
         # row gives the pair of its own atoms bit for bit, for shared levels,
-        # levels repeated within one side and one-atom sides, and psi_tilde
-        # off the atoms is the cost transform of psi.  The closure equals the
-        # dense minimum bit for bit, and nearly every row is certified along
-        # its coupling without the general transform
+        # levels repeated within one side and one-atom sides.  Off the atoms
+        # psi_tilde is the cost transform of psi over the row's x atoms and
+        # psi that of psi_tilde over its y atoms, each equal to the dense
+        # minimum bit for bit, and nearly every row is certified along its
+        # coupling without the general transform
         general = []
         real = transport._cost_transform
 
         def counted(xs, vals, q, rho):
-            general.append(vals.shape[0])
+            general.append(q.size)
             return real(xs, vals, q, rho)
 
         rng = np.random.default_rng(int(20 * rho))
         x = np.sort(rng.choice(400, 40, replace=False)) * 0.025 - 5
         y = np.sort(rng.choice(400, 30, replace=False)) * 0.025 - 4
 
-        def law(n_states, kind):
+        def law(n_states, kind, lo=0, hi=None):
             n = int(rng.integers(1, 9))
             if kind == "one":
                 w = np.ones(1)
@@ -641,7 +642,7 @@ class TestPotentials:
             else:
                 w = rng.dirichlet(np.ones(n))
             v = np.zeros(n_states)
-            v[np.sort(rng.choice(n_states, w.size, replace=False))] = w
+            v[lo + np.sort(rng.choice((hi or n_states) - lo, w.size, replace=False))] = w
             return v
 
         def placed(w, n_states, at):
@@ -660,20 +661,25 @@ class TestPotentials:
             pick = rng.choice(kinds, size=(12, 2))
             VX = np.stack([law(x.size, k) for k in pick[:, 0]])
             blocks.append((VX, np.stack([law(y.size, k) for k in pick[:, 1]])))
+        # every row's x atoms among states 12 to 27: zero-mass x states lie
+        # before, between and after all of them
+        pick = rng.choice(kinds, size=(12, 2))
+        VX = np.stack([law(x.size, k, 12, 28) for k in pick[:, 0]])
+        blocks.append((VX, np.stack([law(y.size, k) for k in pick[:, 1]])))
         for VX, VY in blocks:
             with monkeypatch.context() as mp:
                 mp.setattr(transport, "_cost_transform", counted)
                 psi, psi_tilde = _staircase(x, VX, y, VY, rho)
-            assert np.array_equal(psi_tilde, -dense_closure(x, psi, y, rho))
             for vx, vy, p, pt in zip(VX, VY, psi, psi_tilde):
                 ax, ay = vx > 0, vy > 0
                 m1, m2 = DiscreteMeasure(x[ax], vx[ax]), DiscreteMeasure(y[ay], vy[ay])
                 pair = potentials(m1, m2, rho)
                 assert np.array_equal(p[ax], pair.psi)
-                assert np.all(p[~ax] == np.inf)
+                assert np.array_equal(p[~ax], -dense_closure(y[ay], pt[None, ay], x[~ax], rho)[0])
                 assert np.array_equal(pt[ay], pair.psi_tilde)
+                assert np.array_equal(pt, -dense_closure(x[ax], p[None, ax], y, rho)[0])
                 assert np.array_equal(pt[~ay], -_cost_transform(x[ax], pair.psi, y[~ay], rho))
-        assert sum(general) <= sum(VX.shape[0] for VX, _ in blocks) // 10
+        assert len(general) <= 2 * sum(VX.shape[0] for VX, _ in blocks) // 10
 
     def test_staircase_names_the_failing_node(self):
         # the second row puts mass at 1e200, where |x - y|^2 overflows: its
@@ -690,7 +696,8 @@ class TestPotentials:
     def test_monotone_argmin_matches_dense_scan(self):
         # the bracketed scan equals the dense minimum bit for bit, for tables
         # and query sets from one cell to well past 250 000 cells, unsorted
-        # and duplicate queries, tied costs, one atom and no query at all
+        # and duplicate queries, tied costs, one atom, no query at all, +inf
+        # entries, which leave their states out, and non-finite queries
         def dense(xs, vals, ys, rho):
             return np.min(np.abs(xs[:, None] - ys[None, :]) ** rho + vals[:, None], axis=0)
 
@@ -713,28 +720,17 @@ class TestPotentials:
             vals = rng.normal(size=30).cumsum()
             got = _cost_transform(xs, vals, ys, rho)
             assert np.array_equal(got, dense(xs, vals, ys, rho), equal_nan=True)
-
-    def test_rows_match_one_row_at_a_time(self):
-        # +inf leaves a state out of its row: each row's transform is the
-        # one-row transform over its own states, bit for bit
-        def dense(xs, vals, ys, rho):
-            return np.min(np.abs(xs[:, None] - ys[None, :]) ** rho + vals[:, None], axis=0)
-
-        rng = np.random.default_rng(71)
-        for rho in (1.5, 2.0, 3.0):
-            for n, m, rows in ((1, 1, 1), (30, 70, 4), (300, 500, 6), (40, 1, 3)):
+            # a +inf entry leaves its state out: the transform over the rest
+            for n, m in ((1, 1), (30, 70), (300, 500), (40, 1)):
                 xs = np.sort(rng.uniform(-5, 5, size=n))
-                vals = rng.normal(size=(rows, n)).cumsum(axis=1) * 0.1
-                vals[rng.random((rows, n)) < 0.4] = np.inf
-                vals[:, rng.integers(n)] = rng.normal(size=rows)  # no row empty
+                vals = rng.normal(size=n).cumsum() * 0.1
+                vals[rng.random(n) < 0.4] = np.inf
+                vals[rng.integers(n)] = rng.normal()  # one finite entry at least
                 ys = np.concatenate((rng.uniform(-6, 6, size=m), [np.inf, np.nan][: m // 30]))
+                keep = np.isfinite(vals)
                 got = _cost_transform(xs, vals, ys, rho)
-                assert got.shape == (rows, ys.size)
-                for v, row in zip(vals, got):
-                    keep = np.isfinite(v)
-                    one = _cost_transform(xs[keep], v[keep], ys, rho)
-                    assert np.array_equal(row, one, equal_nan=True)
-                    assert np.array_equal(row, dense(xs[keep], v[keep], ys, rho), equal_nan=True)
+                for want in (_cost_transform, dense):
+                    assert np.array_equal(got, want(xs[keep], vals[keep], ys, rho), equal_nan=True)
 
     def test_shuffled_queries_match_sorted(self):
         # the closure of an atomic pair does not depend on the query order
@@ -955,6 +951,53 @@ class TestCoupledClosure:
         best, ok = transport._coupled_minima(xs, vals, q, lo, hi, 2.0)
         assert ok.tolist() == [True, False, False]
         assert np.array_equal(best[0], [0.25, 0.25, 0.25])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1.5, 2.0, 3.0]))
+    def test_both_closures_match_dense_scans(self, seed, rho):
+        # random blocks of rows with shared levels (weights over a common
+        # denominator), repeated levels (a 1e-300 weight), one-atom sides and
+        # zero-mass states on both sides: psi_tilde on every state and psi
+        # off the atoms are the dense closures over the other side's atoms
+        # bit for bit, psi on its atoms is that closure within the
+        # staircase's 1e-9, and the pair is feasible wherever one state is
+        # an atom.  Off both supports it need not be: with 0.5 on each of 0
+        # and 1 on both sides, the midpoints close to -0.25 each and miss by
+        # 0.5 at rho 2, a pair that no generator applied on a support reads
+        rng = np.random.default_rng(seed)
+        n_x, n_y, n_rows = rng.integers(1, 13, size=3)
+        x = np.sort(rng.choice(400, n_x, replace=False)) * 0.025 - 5
+        y = np.sort(rng.choice(400, n_y, replace=False)) * 0.025 - 4
+
+        def law(n_states):
+            n = int(rng.integers(1, n_states + 1))
+            kind = rng.choice(["one", "shared", "repeated", "random"])
+            if kind == "one" or n == 1:
+                w = np.ones(1)
+            elif kind == "shared":
+                w = rng.multinomial(12, np.ones(n) / n) / 12.0
+                w = w[w > 0]
+            elif kind == "repeated":
+                w = np.insert(np.full(n - 1, 1.0 / (n - 1)), int(rng.integers(1, n)), 1e-300)
+            else:
+                w = rng.dirichlet(np.ones(n))
+            v = np.zeros(n_states)
+            v[np.sort(rng.choice(n_states, w.size, replace=False))] = w
+            return v
+
+        VX = np.stack([law(n_x) for _ in range(n_rows)])
+        VY = np.stack([law(n_y) for _ in range(n_rows)])
+        psi, psi_tilde = _staircase(x, VX, y, VY, rho)
+        for vx, vy, p, pt in zip(VX, VY, psi, psi_tilde):
+            ax, ay = vx > 0, vy > 0
+            assert np.array_equal(pt, -dense_closure(x[ax], p[None, ax], y, rho)[0])
+            back = -dense_closure(y[ay], pt[None, ay], x, rho)[0]
+            assert np.array_equal(p[~ax], back[~ax])
+            scale = 1.0 + np.max(np.abs(pt))
+            assert np.max(np.abs(p - back)) <= 1e-9 * scale
+            slack = -p[:, None] - pt[None, :] - np.abs(x[:, None] - y[None, :]) ** rho
+            on_one = ax[:, None] | ay[None, :]
+            assert np.max(slack[on_one]) <= 1e-9 * scale
 
     def test_infeasible_certified_row_names_its_node(self, monkeypatch):
         # a certified minimum still meets the 1e-9 check against the staircase
