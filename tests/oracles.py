@@ -8,7 +8,8 @@ transport cost with its own flatness rule for the segment integral, the
 same cost merged in exact rational arithmetic, the rate-ordered merge
 derivative on whole state vectors, the symmetric jump band of the speed-mu
 chain, the atomic dual staircase walked one atom at a time, and the
-evolution identity's candidate built from one dual pair per node.  The
+evolution identity's candidate built from one dual pair per node, and the
+Poisson clock window of one node from its own Fox-Glynn recursion.  The
 package under test must agree with these to tight tolerances on small
 instances (the chain build, the constants and the atomic transport cost
 exactly).
@@ -444,3 +445,31 @@ def integrand_from_pair(genX, genY, vX, vY, rX, rY, pair):
         applied.append(apply_generator(gen, psi))
         value -= float(np.dot(v, applied[-1]))
     return value, applied[0]
+
+
+def clock_window_per_node(mu, budget):
+    """One node's clock window ``(pmf[m_min..m_max], m_min, m_max, tail)``.
+
+    The Fox-Glynn recursion (CACM 31, 1988) of a single clock mean ``mu``,
+    from the mode over ``mode +/- (40 sqrt(mu) + 60)`` cut at 0, normalized
+    by its window sum: ``m_max`` is the first tick whose upper tail drops
+    below ``budget``, and ``m_min`` the largest lower cut whose tail, added
+    to the upper one, stays below ``budget``.  ``mu <= 0`` is the point mass
+    at 0.
+    """
+    if mu <= 0.0:
+        return np.ones(1), 0, 0, 0.0
+    mode = int(mu)
+    width = int(40.0 * math.sqrt(mu) + 60.0)
+    lo = max(mode - width, 0)
+    up = np.cumprod(mu / np.arange(mode + 1, mode + width + 1))
+    down = np.cumprod(np.arange(mode, lo, -1) / mu)[::-1]
+    ratio = np.concatenate([down, [1.0], up])
+    pmf = ratio / ratio.sum()
+    tails = np.zeros(pmf.size)
+    tails[:-1] = np.cumsum(pmf[:0:-1])[::-1]
+    end = int(np.argmax(tails < budget))
+    below = np.cumsum(pmf[:end]) + tails[end]
+    cut = int(np.searchsorted(below, budget))
+    tail = below[cut - 1] if cut else tails[end]
+    return pmf[cut : end + 1], lo + cut, lo + end, float(tail)

@@ -329,24 +329,24 @@ class TestContractionReport:
 
     @pytest.mark.parametrize("rho", [1.0, 2.0, 3.0])
     def test_one_window_per_node_and_one_merge(self, rho, monkeypatch):
-        # both paths read one set of Poisson windows, and W comes from the
-        # merge: wasserstein_power runs only on the iterated bound's initial
-        # laws (orders rho and rho - 1 at rho = 3)
+        # both paths read one set of Poisson windows, built in one batched
+        # pass, and W comes from the merge: wasserstein_power runs only on
+        # the iterated bound's initial laws (orders rho and rho - 1 at rho = 3)
         windows, costs = [], []
-        real_window, real_power = jump_process._clock_window, birth_death.wasserstein_power
+        real_windows, real_power = jump_process._clock_windows, birth_death.wasserstein_power
 
-        def window(mu, budget):
-            windows.append(mu)
-            return real_window(mu, budget)
+        def batched(mus, budget):
+            windows.append(len(mus))
+            return real_windows(mus, budget)
 
         def power(m1, m2, r):
             costs.append(r)
             return real_power(m1, m2, r)
 
-        monkeypatch.setattr(jump_process, "_clock_window", window)
+        monkeypatch.setattr(jump_process, "_clock_windows", batched)
         monkeypatch.setattr(birth_death, "wasserstein_power", power)
         rep = contraction_report(mm_infty(1.0, 1.0, 40), dirac(3.0), dirac(7.0), rho, 1.0, 30)
-        assert len(windows) == 31
+        assert windows == [31]
         assert costs == ([3.0, 2.0] if rho == 3.0 else [])
         assert rep.max_violation <= 1e-8
 

@@ -261,27 +261,28 @@ class TestVerifyIdentity:
         assert ticked == [12, 12]
 
     def test_one_window_per_node_and_one_merge(self, monkeypatch):
-        # with one generator both sides read one set of Poisson windows, and
-        # no node calls wasserstein_power
+        # with one generator both sides read one set of Poisson windows, one
+        # batched pass a path, and no node calls wasserstein_power
         windows, costs = [], []
-        real_window, real_power = jump_process._clock_window, transport.wasserstein_power
+        real_windows, real_power = jump_process._clock_windows, transport.wasserstein_power
 
-        def window(mu, budget):
-            windows.append(mu)
-            return real_window(mu, budget)
+        def batched(mus, budget):
+            windows.append(len(mus))
+            return real_windows(mus, budget)
 
         def power(m1, m2, r):
             costs.append(r)
             return real_power(m1, m2, r)
 
-        monkeypatch.setattr(jump_process, "_clock_window", window)
+        monkeypatch.setattr(jump_process, "_clock_windows", batched)
         monkeypatch.setattr(transport, "wasserstein_power", power)
         gen, p0X, p0Y = reference_instance()
         verify_identity(gen, gen, p0X, p0Y, 2.0, 1.0, 10)
-        assert len(windows) == 12  # the grid and the regularized node
+        assert windows == [12]  # the grid and the regularized node
         other = birth_death_gen(40, lambda x: 1.0, lambda x: x)
         verify_identity(gen, other, p0X, p0Y, 2.0, 1.0, 10)
-        assert len(windows) == 12 + 24
+        assert windows == [12, 12, 12]
+        assert sum(windows) == 12 + 24
         assert costs == []
 
     @pytest.mark.parametrize("instance", ["reference", "benchmark"])

@@ -13,6 +13,7 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import pdtrc
 from scipy.stats import poisson
 
+from oracles import clock_window_per_node
 from wflow import jump_process, pdmp
 from wflow.birth_death import mm_infty
 from wflow.jump_process import (
@@ -20,6 +21,8 @@ from wflow.jump_process import (
     Kernel,
     Marginal,
     NumericalError,
+    _clock_windows,
+    _jump_tick,
     _layer_stacks,
     _poisson_window,
     _state_vector,
@@ -228,6 +231,147 @@ class TestPoissonHelpers:
             _poisson_window(1.0, 0.0)
 
 
+def benchmark_generators():
+    """The generators of the benchmark's clocks: 31, 201 and 4097 states."""
+    spec = pdmp.PdmpSpec.from_dict(
+        {
+            "drift": {"name": "neg_tanh"},
+            "intensity": {"const": 0.5},
+            "kernel": {"name": "shift", "d": 0.5},
+        }
+    )
+    grid = np.linspace(-8.5, 9.0, 4097)
+    return [
+        (mm_infty(2.0, 0.5, 30).to_generator(), [DiscreteMeasure([3.0], [1.0])]),
+        (mm_infty(1.0, 0.8, 30).to_generator(), [DiscreteMeasure([6.0], [1.0])]),
+        (
+            mm_infty(20.0, 1.0, 200).to_generator(),
+            [DiscreteMeasure([5.0], [1.0]), DiscreteMeasure([40.0], [1.0])],
+        ),
+        (
+            pdmp.mu_generator(spec, 8.0, grid).generator,
+            [
+                pdmp.embed_on_grid(DiscreteMeasure([0.5, 1.0, 1.5], [0.4, 0.3, 0.3]), grid),
+                pdmp.embed_on_grid(DiscreteMeasure([-1.0, -0.4], [0.5, 0.5]), grid),
+            ],
+        ),
+    ]
+
+
+def reference_tick(gen, u):
+    """One uniformized jump step, the kept mass plus the weighted kernel step."""
+    return gen._keep * u + gen.weighted_kernel_apply(u) / gen.lambda_bar
+
+
+def tick_ulp_bound(gen):
+    """Per state, the ulps by which the pre-scaled tick may differ from the
+    reference: both add the same nonnegative terms in one order, each with
+    three roundings, so ``2 k + 6`` ulps for ``k`` stored kernel entries
+    into the state bounds them; a state with at most two entries (every
+    birth-death state) keeps the measured 4."""
+    terms = np.bincount(gen.kernel._t[0], minlength=gen.n_states)
+    return np.where(terms <= 2, 4, 2 * terms + 6)
+
+
+def ulps(a, ref):
+    return np.abs(a - ref) / np.spacing(np.abs(ref))
+
+
+class TestClockPass:
+    """The batched Fox-Glynn windows and the pre-scaled tick of the clock."""
+
+    MUS = [0.0, 1e-9, 0.3, 1.0, 2.5, 2000.0, 20000.0]
+
+    @pytest.mark.parametrize("budget", [1e-10, 1e-12 / 121, 1e-14])
+    @pytest.mark.parametrize("cells", [None, 3000])
+    def test_windows_match_the_per_node_recursion(self, budget, cells, monkeypatch):
+        # bit for bit, in the given (unsorted) order; a tiny cell cap puts the
+        # nodes in many blocks of one to a dozen rows
+        passes = []
+        real = jump_process._fox_glynn
+
+        def counted(mus, tol, top=0):
+            passes.append(len(mus))
+            return real(mus, tol, top)
+
+        monkeypatch.setattr(jump_process, "_fox_glynn", counted)
+        if cells is not None:
+            monkeypatch.setattr(jump_process, "_WINDOW_CELLS", cells)
+        mus = np.concatenate([self.MUS, np.random.default_rng(7).uniform(0.0, 800.0, 400)])
+        windows = _clock_windows(mus, budget)
+        assert len(windows) == mus.size and sum(passes) == mus.size
+        assert (len(passes) > 100) if cells is not None else (len(passes) < 60)
+        for mu, (pmf, m_min, m_max, tail) in zip(mus, windows):
+            ref, ref_min, ref_max, ref_tail = clock_window_per_node(mu, budget)
+            assert np.array_equal(pmf, ref), mu
+            assert (m_min, m_max, tail) == (ref_min, ref_max, ref_tail)
+            assert type(m_min) is int and type(m_max) is int and type(tail) is float
+
+    def test_tick_matches_the_weighted_kernel_step(self):
+        # along the benchmark's chains, 200 ticks from each start
+        for gen, starts in benchmark_generators():
+            tick, bound = _jump_tick(gen), tick_ulp_bound(gen)
+            for p0 in starts:
+                u = _state_vector(gen, p0)
+                out = np.empty(gen.n_states)
+                for _ in range(200):
+                    ref = reference_tick(gen, u)
+                    tick(u, out)
+                    assert np.all(ulps(out, ref)[ref != 0.0] <= bound[ref != 0.0])
+                    assert np.array_equal(out == 0.0, ref == 0.0)
+                    u = ref
+
+    def test_long_chain_keeps_its_mass(self):
+        gen = mm_infty(20, 1, 200).to_generator()
+        tick = _jump_tick(gen)
+        u = _state_vector(gen, DiscreteMeasure([3.0], [1.0]))
+        for _ in range(736):
+            tick(u, u)
+        assert abs(u.sum() - 1.0) <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 30), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+    def test_tick_on_random_sparse_kernels(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        jumps = rng.random((n, n)) < density
+        jumps[np.arange(n), (np.arange(n) + 1) % n] = True  # every row jumps somewhere
+        np.fill_diagonal(jumps, False)
+        weights = np.where(jumps, rng.random((n, n)), 0.0)
+        kernel = weights / weights.sum(axis=1, keepdims=True)
+        lam = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.1, 5.0, n))
+        lam[rng.integers(n)] = 3.0
+        gen = JumpGeneratorSpec(np.arange(float(n)), lam, kernel)
+        u = rng.dirichlet(np.full(n, 0.5))
+        ref = reference_tick(gen, u)
+        out = np.empty(n)
+        _jump_tick(gen)(u, out)
+        assert np.all(ulps(out, ref)[ref != 0.0] <= tick_ulp_bound(gen)[ref != 0.0])
+        assert abs(out.sum() - u.sum()) <= 4 * n * np.finfo(float).eps
+        _jump_tick(gen)(u, u)  # in place, into its own input
+        np.testing.assert_array_equal(u, out)
+
+    def test_long_path_memory_stays_within_the_per_node_pass(self):
+        # 400 nodes out to clock mean 2e4: the per-node pass keeps each
+        # node's whole 80 sqrt(mu)-wide window alive behind its cut view
+        mus = np.linspace(0.0, 2e4, 400)
+        budget = 1e-12 / mus.size
+
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_node = traced_peak(lambda: [clock_window_per_node(mu, budget) for mu in mus])
+        assert traced_peak(lambda: _clock_windows(mus, budget)) <= 2 * per_node
+        gen = three_state()
+        times = mus / gen.lambda_bar
+        p0 = DiscreteMeasure([0.5], [1.0])
+        assert traced_peak(lambda: marginal_path(gen, p0, times)) <= 2 * per_node
+
+
 class TestMarginal:
     def test_poisson_closed_form(self):
         # marginal of the truncated counter is the Poisson pmf below the cap
@@ -301,16 +445,6 @@ def transposed_generator(q):
     return (sparse.diags_array(q.lam) @ (k - sparse.eye_array(n))).T.tocsc()
 
 
-class CountingGenerator(JumpGeneratorSpec):
-    """A generator that counts its weighted-kernel products."""
-
-    calls = 0
-
-    def weighted_kernel_apply(self, v):
-        self.calls += 1
-        return super().weighted_kernel_apply(v)
-
-
 class TestMarginalPath:
     @pytest.mark.parametrize(
         "gen, p0, clock, nodes",
@@ -350,20 +484,31 @@ class TestMarginalPath:
         if clock >= 2000.0:
             assert all(m.m_min > 0 for m in path[1:])
 
-    def test_nodes_are_one_shot_solves_on_one_clock(self):
+    def test_nodes_are_one_shot_solves_on_one_clock(self, monkeypatch):
         # 121 nodes out to clock mean 547.5: each node is the one-node solve at
         # the path's per-node tolerance, with its full support, and the path
         # ticks a single chain once out to the last node's cutoff (stepping
         # panel to panel ticks 3480 times here)
-        base = mm_infty(20, 1, 200).to_generator()
-        gen = CountingGenerator(base.states, base.lam, base.kernel)
+        ticks = []
+        real = jump_process._clock_sums
+
+        def counted(tick, u, windows):
+            def one(prev, out):
+                ticks.append(1)
+                tick(prev, out)
+
+            return real(one, u, windows)
+
+        monkeypatch.setattr(jump_process, "_clock_sums", counted)
+        gen = mm_infty(20, 1, 200).to_generator()
         p0 = DiscreteMeasure([3.0], [1.0])
         times = np.linspace(0.0, 2.5, 121)
         path = marginal_path(gen, p0, times, tol=1e-12)
-        assert gen.calls == path[-1].m_max == max(m.m_max for m in path)
-        assert gen.calls < 1000
+        assert len(ticks) == path[-1].m_max == max(m.m_max for m in path)
+        assert len(ticks) < 1000
+        monkeypatch.undo()
         for t, m in zip(times, path):
-            one = uniformized_marginal(base, p0, t, tol=1e-12 / 121)
+            one = uniformized_marginal(gen, p0, t, tol=1e-12 / 121)
             np.testing.assert_array_equal(m.support, one.support)
             np.testing.assert_allclose(m.weights, one.weights, rtol=0.0, atol=1e-15)
             assert (m.m_min, m.m_max) == (one.m_min, one.m_max)
