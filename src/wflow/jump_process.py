@@ -349,10 +349,11 @@ def _fox_glynn(mus, tol, top=0):
     ratio = np.empty((mus.size, d + 1 + u))
     ratio[:, d] = 1.0
     up, down = ratio[:, d + 1 :], ratio[:, :d][:, ::-1]
-    np.add.outer(mode.astype(float), np.arange(1.0, u + 1), out=up)
+    k_mode = mode.astype(float)
+    np.add.outer(k_mode, np.arange(1.0, u + 1), out=up)
     np.divide(mu[:, None], up, out=up)
     np.cumprod(up, axis=1, out=up)
-    np.subtract.outer(mode.astype(float), np.arange(float(d)), out=down)
+    np.subtract.outer(k_mode, np.arange(float(d)), out=down)
     np.divide(down, np.where(pos, mu, 1.0)[:, None], out=down)
     np.cumprod(down, axis=1, out=down)
     first, last = d - n_down, d + n_up
@@ -454,8 +455,9 @@ def _clock_sums(tick, u, windows):
         along = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
         cell_window = np.repeat(np.arange(hit.size), length)
         cell_tick = np.repeat(a - start, length) + along
+        cell_pmf = np.repeat(offset[hit] + a - first[hit], length) + along
         weights = np.zeros((hit.size, rows.shape[0]))
-        weights[cell_window, cell_tick] = pmf[np.repeat(offset[hit] + a - first[hit], length) + along]
+        weights[cell_window, cell_tick] = pmf[cell_pmf]
         # einsum, not BLAS: a threaded matmul of these small blocks keeps the
         # BLAS threads spinning (300 (121 x 737) @ (737 x 201) products: 0.197 s
         # wall and 0.389 s CPU on 2 cores, numpy 2.4.6 with OpenBLAS)
