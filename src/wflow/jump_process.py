@@ -26,7 +26,8 @@ the exact per-state survival factors ``exp(-lambda(x) t)`` of the layers;
 The module also evaluates the layer comparison inequalities (time equivalence
 and the factorial sandwich against the weighted-kernel chain), the kernel
 moment bound with its explicit constant, the moment growth bound, and a
-thinning Monte Carlo simulator that reads one seeded random stream per call.
+thinning Monte Carlo simulator that reads one seeded random stream per call;
+each path draws its candidates at a rate of its own state.
 """
 
 from __future__ import annotations
@@ -750,15 +751,22 @@ def moment_growth_bound(gen, p0, alpha, t):
 
 
 def _thinning(start, cum0, t, rate, n_paths, seed, event, jump, advance=None):
-    """Lockstep thinning of ``n_paths`` paths at the dominating ``rate``.
+    """Lockstep thinning of ``n_paths`` paths, each at its own dominating rate.
 
     One generator seeded with ``seed`` serves the call, read in a fixed
     order: one uniform per path picks the start from ``start`` by the
     cumulative weights ``cum0``; then each round draws a gap for every live
     path, a uniform for every path whose candidate falls before ``t``, and
     one more for every path that jumps.  A path stops at the first candidate
-    not before ``t``.  All live paths advance one candidate per round:
+    not before ``t``, or when its rate is 0.  All live paths advance one
+    candidate per round:
 
+    * ``rate(x)`` gives each live state's candidate rate, which must bound
+      the path's event rate until its next candidate; a path whose rate is
+      0 has no further candidate and leaves the loop before its gap is
+      drawn.  A path that holds still can pass its own state's rate, so
+      that every candidate is an event (Gillespie); a path that moves
+      between candidates passes a global bound (Lewis and Shedler);
     * ``advance(x, s)`` moves states ``x`` along for times ``s``, between
       candidates and from the last candidate up to ``t`` (``None``: the
       paths hold still);
@@ -766,6 +774,10 @@ def _thinning(start, cum0, t, rate, n_paths, seed, event, jump, advance=None):
       of those that jump, given each path's uniform ``u``;
     * ``jump(x, u)`` returns the jump targets of states ``x``.
 
+    A gap at rate ``r`` is a standard exponential times ``1/r``, bit for bit
+    the draw of ``rng.exponential(1/r)``, whether ``1/r`` is one scalar or
+    one scale per path; so a constant rate reads the stream exactly as
+    thinning at one scalar bound does.
     Returns the start states, the end states and the jump count per path;
     ``t`` must be finite and nonnegative and ``n_paths`` positive.
     """
@@ -779,10 +791,14 @@ def _thinning(start, cum0, t, rate, n_paths, seed, event, jump, advance=None):
     x0 = x.copy()
     n_jumps = np.zeros(n_paths, dtype=np.int64)
     elapsed = np.zeros(n_paths)
-    if rate > 0.0 and t > 0.0:
+    if t > 0.0:
         live = np.arange(n_paths)
         while live.size:
-            tau = rng.exponential(1.0 / rate, live.size)
+            r = rate(x[live])
+            positive = r > 0.0
+            if not positive.all():
+                live, r = live[positive], r[positive]
+            tau = rng.standard_exponential(live.size) * (1.0 / r)
             keep = elapsed[live] + tau < t
             live = live[keep]
             if not live.size:
@@ -801,40 +817,65 @@ def _thinning(start, cum0, t, rate, n_paths, seed, event, jump, advance=None):
     return x0, x, n_jumps
 
 
+def _kernel_draw(kernel):
+    """Inverse-CDF draws from the rows of ``kernel``: ``draw(i, u)``.
+
+    ``draw`` returns, for each row ``i[k]``, the column of the first stored
+    entry whose cumulative weight exceeds ``u[k]``, that is
+    ``searchsorted(cdf_row, u, side="right")`` on the row's stored entries,
+    or the row's last entry when none does, so that it takes the rounding
+    gap below 1.  Each row's cumulative weights are summed once, in stored
+    order; the draws then bisect every path's row at once.
+    """
+    indptr, indices = kernel.indptr, kernel.indices
+    length = np.diff(indptr)
+    cdf = kernel.data.copy()
+    # the k-th running sum of every row at once: np.cumsum's adds, in its order
+    for k in range(1, int(length.max(initial=0))):
+        at = indptr[:-1][length > k] + k
+        cdf[at] += cdf[at - 1]
+    steps = int(length.max(initial=1) - 1).bit_length()
+
+    def draw(i, u):
+        # the answer stays in [lo, hi], the row's last entry included
+        lo, hi = indptr[i], indptr[i + 1] - 1
+        for _ in range(steps):
+            mid = (lo + hi) // 2
+            over = cdf[mid] > u
+            hi = np.where(over, mid, hi)
+            lo = np.where(over, lo, mid + 1)
+        return indices[hi]
+
+    return draw
+
+
 def simulate_paths(gen, p0, t, n_paths, seed):
     """Empirical endpoint law of thinning Monte Carlo paths.
 
     All paths read one stream seeded with ``seed``, so the result is identical
-    for a given ``(seed, n_paths)``.  Events arrive at the dominating rate;
-    an event at state x is accepted iff ``lam(x) >= lambda_bar * u`` with
-    ``u`` uniform on (0, 1].
+    for a given ``(seed, n_paths)``.  A path holds still between events, so
+    its candidates arrive at its own state's rate ``lam(x)`` and every one is
+    an event (Gillespie); a state with rate 0 holds the path to ``t``.  The
+    jump target is drawn from the kernel row by its inverse CDF.
     """
     cum0 = np.cumsum(_state_vector(gen, p0))
     cum0[-1] = 1.0
-    lb = gen.lambda_bar
     lam = gen.lam
 
     def event(i, u):
-        return i, lam[i] >= lb * (1.0 - u)
-
-    def jump(i, u):
-        # inverse CDF of each kernel row over its stored entries, one
-        # searchsorted per distinct row; the last stored entry takes the
-        # rounding gap below 1
-        order = np.argsort(i, kind="stable")
-        rows, first = np.unique(i[order], return_index=True)
-        out = np.empty_like(i)
-        for r, sel in zip(rows, np.split(order, first[1:])):
-            lo, hi = gen.kernel.indptr[r], gen.kernel.indptr[r + 1]
-            cum = np.cumsum(gen.kernel.data[lo:hi])
-            cum[-1] = 1.0
-            out[sel] = gen.kernel.indices[lo:hi][np.searchsorted(cum, u[sel], side="right")]
-        return out
+        return i, np.ones(i.size, dtype=bool)
 
     # an event exactly at t still counts: candidates run while their time is <= t
     horizon = float(np.nextafter(t, np.inf)) if t > 0 else t
     _, end, _ = _thinning(
-        np.arange(gen.n_states), cum0, horizon, lb, n_paths, seed, event, jump
+        np.arange(gen.n_states),
+        cum0,
+        horizon,
+        lambda i: lam[i],
+        n_paths,
+        seed,
+        event,
+        _kernel_draw(gen.kernel),
     )
     counts = np.bincount(end, minlength=gen.n_states)
     keep = counts > 0

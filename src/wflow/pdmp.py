@@ -413,10 +413,11 @@ def mu_generator(spec, mu, state_grid):
 def simulate_pdmp(spec, p0, t, n_paths, seed):
     """Thinning simulation of the process itself; empirical endpoint law.
 
-    Candidate events arrive at the intensity bound; each candidate
-    is accepted with probability intensity/bound evaluated just before the
-    event, with the drift's closed-form flow between candidates.  Every path
-    is checked against the displacement bound
+    The paths flow between candidates, so candidates arrive at the global
+    intensity bound (Lewis and Shedler); each candidate is accepted with
+    probability intensity/bound evaluated just before the event, with the
+    drift's closed-form flow between candidates.  Every path is checked
+    against the displacement bound
     ``drift_bound * t + jump_bound * (number of jumps)``.
     Deterministic given the seed: all paths read one seeded stream, with the
     flow advanced for all live paths in lockstep rounds.
@@ -432,7 +433,7 @@ def simulate_pdmp(spec, p0, t, n_paths, seed):
         p0.support,
         np.cumsum(p0.weights) / p0.total_mass,
         t,
-        lb,
+        lambda x: np.full(x.size, lb),
         n_paths,
         seed,
         event,
@@ -449,27 +450,25 @@ def simulate_pdmp(spec, p0, t, n_paths, seed):
 def simulate_chain(spec, p0, t, mu, n_paths, seed):
     """Thinning simulation of the speed-``mu`` chain; empirical endpoint law.
 
-    The chain holds still between events; candidates arrive at rate
-    ``mu + intensity_bound`` and split three ways on one uniform draw:
-    a flow step to the time-``1/mu`` flow target, a genuine jump with the
-    thinned state-dependent intensity, or a discarded candidate.  Exact in
-    law (no state grid involved) and deterministic given the seed.
+    The chain holds still between events, so each path's candidates arrive
+    at its own state's rate ``mu + intensity(x)`` and every one is an event.
+    One uniform draw splits it two ways: a flow step to the time-``1/mu``
+    flow target, or a genuine jump.  Exact in law (no state grid involved)
+    and deterministic given the seed.
     """
     if not isinstance(p0, DiscreteMeasure):
         raise TypeError("initial law must be a DiscreteMeasure")
     if mu < 1.0 or not math.isfinite(mu):
         raise ValueError("mu must be finite and at least 1")
-    rate = mu + spec.intensity_bound
+
+    def rate(x):
+        return mu + spec.intensity(x)
 
     def event(x, u):
-        v = rate * u
-        move = v <= mu
+        move = rate(x) * u <= mu
         if np.any(move):
             x[move] = flow(spec, x[move], 1.0 / mu)
-        jumps = ~move
-        if np.any(jumps):
-            jumps[jumps] = v[jumps] <= mu + spec.intensity(x[jumps])
-        return x, jumps
+        return x, ~move
 
     _, x, _ = _thinning(
         p0.support,

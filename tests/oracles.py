@@ -8,8 +8,11 @@ transport cost with its own flatness rule for the segment integral, the
 same cost merged in exact rational arithmetic, the rate-ordered merge
 derivative on whole state vectors, the symmetric jump band of the speed-mu
 chain, the atomic dual staircase walked one atom at a time, and the
-evolution identity's candidate built from one dual pair per node, and the
-Poisson clock window of one node from its own Fox-Glynn recursion.  The
+evolution identity's candidate built from one dual pair per node, the
+Poisson clock window of one node from its own Fox-Glynn recursion, kernel
+draws by one searchsorted per distinct row, and lockstep thinning at one
+global bound, and the Dvoretzky-Kiefer-Wolfowitz check of a sampled
+law against an exact one.  The
 package under test must agree with these to tight tolerances on small
 instances (the chain build, the constants and the atomic transport cost
 exactly).
@@ -473,3 +476,72 @@ def clock_window_per_node(mu, budget):
     cut = int(np.searchsorted(below, budget))
     tail = below[cut - 1] if cut else tails[end]
     return pmf[cut : end + 1], lo + cut, lo + end, float(tail)
+
+
+def kernel_draw_per_row(kernel, i, u):
+    """Inverse-CDF draws from the rows ``i`` of a CSR ``kernel``, row by row.
+
+    Each distinct row takes the cumulative sum of its stored entries, pinned
+    to 1.0 at the last one, and one ``searchsorted(side="right")`` of its
+    paths' uniforms ``u``.
+    """
+    order = np.argsort(i, kind="stable")
+    rows, first = np.unique(i[order], return_index=True)
+    out = np.empty_like(i)
+    for r, sel in zip(rows, np.split(order, first[1:])):
+        lo, hi = kernel.indptr[r], kernel.indptr[r + 1]
+        cum = np.cumsum(kernel.data[lo:hi])
+        cum[-1] = 1.0
+        out[sel] = kernel.indices[lo:hi][np.searchsorted(cum, u[sel], side="right")]
+    return out
+
+
+def thinning_at_bound(start, cum0, t, rate, n_paths, seed, event, jump, advance=None):
+    """Lockstep thinning with every candidate at the one scalar ``rate``.
+
+    The arguments and the order of the draws are those of
+    ``jump_process._thinning``, except that ``rate`` is a number: each round
+    draws ``rng.exponential(1 / rate, size)`` gaps for all live paths, and a
+    path stops only at its first candidate not before ``t``.
+    """
+    rng = np.random.default_rng(seed)
+    u0 = rng.random(n_paths)
+    x = start[np.minimum(np.searchsorted(cum0, u0, side="right"), start.size - 1)]
+    x0 = x.copy()
+    n_jumps = np.zeros(n_paths, dtype=np.int64)
+    elapsed = np.zeros(n_paths)
+    if rate > 0.0 and t > 0.0:
+        live = np.arange(n_paths)
+        while live.size:
+            tau = rng.exponential(1.0 / rate, live.size)
+            keep = elapsed[live] + tau < t
+            live = live[keep]
+            if not live.size:
+                break
+            tau = tau[keep]
+            elapsed[live] += tau
+            x_live = x[live] if advance is None else advance(x[live], tau)
+            x_live, jumps = event(x_live, rng.random(live.size))
+            x[live] = x_live
+            hit = live[jumps]
+            if hit.size:
+                x[hit] = jump(x[hit], rng.random(hit.size))
+                n_jumps[hit] += 1
+    if advance is not None:
+        x = advance(x, t - elapsed)
+    return x0, x, n_jumps
+
+
+def cdf_gap(states, probs, emp):
+    """``sup |F_n - F|`` of the empirical law ``emp`` against the exact law
+    ``probs`` on ``states``; an atom of ``emp`` off ``states`` fails."""
+    at = np.searchsorted(states, emp.support)
+    assert np.all(at < states.size) and np.array_equal(states[at], emp.support)
+    counts = np.zeros(states.size)
+    counts[at] = emp.weights
+    return float(np.max(np.abs(np.cumsum(counts) - np.cumsum(probs))))
+
+
+def dkw_radius(n, alpha=1e-7):
+    """Dvoretzky-Kiefer-Wolfowitz radius: ``P(sup|F_n - F| > eps) <= alpha``."""
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))

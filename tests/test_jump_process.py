@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import pdtrc
 from scipy.stats import poisson
 
-from oracles import clock_window_per_node
+from oracles import (
+    cdf_gap,
+    clock_window_per_node,
+    dkw_radius,
+    kernel_draw_per_row,
+    thinning_at_bound,
+)
 from wflow import jump_process, pdmp
 from wflow.birth_death import mm_infty
 from wflow.jump_process import (
@@ -23,6 +30,7 @@ from wflow.jump_process import (
     NumericalError,
     _clock_windows,
     _jump_tick,
+    _kernel_draw,
     _layer_stacks,
     _poisson_window,
     _state_vector,
@@ -964,6 +972,43 @@ class TestSimulatePaths:
         np.testing.assert_array_equal(emp.support, [1.0])
         np.testing.assert_array_equal(emp.weights, [1.0])
 
+    @pytest.mark.parametrize(
+        "gen, start, t",
+        [
+            # pure death at rate x: most paths absorb at 0, where the rate is 0
+            (mm_infty(0.0, 1.0, 10).to_generator(), 5.0, 3.0),
+            # rates 1 to 41 across the states, the monte-carlo workload's chain
+            (mm_infty(1.0, 1.0, 40).to_generator(), 2.0, 1.0),
+        ],
+        ids=["pure-death", "mm-infty"],
+    )
+    def test_zero_and_mixed_rates_match_the_exact_law(self, gen, start, t):
+        # each path draws its gaps at its own state's rate; the endpoint law
+        # stays within the DKW radius at alpha 1e-7 of the exact marginal,
+        # and an absorbed path leaves the loop before any division by 0
+        p0 = DiscreteMeasure([start], [1.0])
+        n = 20_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emp = simulate_paths(gen, p0, t, n, seed=4)
+        exact = uniformized_marginal(gen, p0, t).vector
+        assert cdf_gap(gen.states, exact, emp) <= dkw_radius(n)
+
+    def test_constant_rate_stream_unchanged(self, monkeypatch):
+        # every state a counting path visits jumps at lambda_bar, so its own
+        # rate is the bound and the stream is the one thinning at the bound reads
+        gen = poisson_counter(40)
+        p0 = DiscreteMeasure([0.0], [1.0])
+        own = simulate_paths(gen, p0, 2.0, 20_000, seed=77)
+
+        def at_bound(start, cum0, t, rate, *rest):
+            return thinning_at_bound(start, cum0, t, gen.lambda_bar, *rest)
+
+        monkeypatch.setattr(jump_process, "_thinning", at_bound)
+        ref = simulate_paths(gen, p0, 2.0, 20_000, seed=77)
+        np.testing.assert_array_equal(own.support, ref.support)
+        np.testing.assert_array_equal(own.weights, ref.weights)
+
     def test_mass_exactly_one(self):
         gen = three_state()
         p0 = DiscreteMeasure([0.5], [1.0])
@@ -980,6 +1025,75 @@ class TestSimulatePaths:
         for bad in (np.nan, np.inf, -5e-324):
             with pytest.raises(ValueError, match="^t must be finite"):
                 simulate_paths(gen, p0, bad, 10, seed=0)
+
+
+def random_kernel(rng, n, density):
+    """A random ``n``-state CSR kernel: each row keeps a random share of its
+    columns (at least one) with positive weights summing to 1."""
+    keep = rng.random((n, n)) < density
+    keep[np.arange(n), rng.integers(0, n, n)] = True
+    dense = np.where(keep, rng.random((n, n)) + 1e-3, 0.0)
+    return dense_kernel(dense / dense.sum(axis=1, keepdims=True))
+
+
+def dense_kernel(dense):
+    rows, cols = np.nonzero(dense)
+    return Kernel.from_coo(rows, cols, dense[rows, cols], dense.shape[0])
+
+
+class TestKernelDraw:
+    @pytest.mark.parametrize(
+        "n, density", [(41, None), (3, 0.7), (17, 0.3), (60, 0.5), (60, 1.0)]
+    )
+    def test_matches_the_per_row_loop(self, n, density):
+        # density None: the birth-death kernel of mm_infty(1, 1, 40)
+        rng = np.random.default_rng(n)
+        if density is None:
+            kernel = mm_infty(1.0, 1.0, n - 1).to_generator().kernel
+        else:
+            kernel = random_kernel(rng, n, density)
+        i = rng.integers(0, n, 9000)
+        u = rng.random(9000)
+        u[:50] = 0.0
+        got = _kernel_draw(kernel)(i, u)
+        np.testing.assert_array_equal(got, kernel_draw_per_row(kernel, i, u))
+
+    def test_cdf_breaks_go_to_the_next_entry(self):
+        # u equal to a cumulative weight draws the entry after it, as
+        # searchsorted(side="right") does
+        kernel = dense_kernel(np.array([[0.25, 0.25, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]))
+        i = np.array([0, 0, 0, 0, 1, 2, 2])
+        u = np.array([0.0, 0.25, 0.5, 0.99, 0.7, 0.5, 0.49])
+        np.testing.assert_array_equal(_kernel_draw(kernel)(i, u), [0, 1, 2, 2, 1, 2, 0])
+        np.testing.assert_array_equal(kernel_draw_per_row(kernel, i, u), [0, 1, 2, 2, 1, 2, 0])
+
+    def test_last_entry_takes_the_rounding_gap_below_one(self):
+        # ten weights of 0.1 sum to 0.9999999999999999: a uniform at or above
+        # that sum draws the last entry, as a cumulative sum pinned to 1 does
+        kernel = dense_kernel(np.full((10, 10), 0.1))
+        assert np.cumsum(kernel.data[:10])[-1] < 1.0
+        i = np.array([3, 3, 3])
+        u = np.array([np.nextafter(1.0, 0.0), 0.95, 0.0])
+        np.testing.assert_array_equal(_kernel_draw(kernel)(i, u), [9, 9, 0])
+        np.testing.assert_array_equal(kernel_draw_per_row(kernel, i, u), [9, 9, 0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(0, 200),
+    )
+    def test_property_agrees_with_the_per_row_loop(self, n, density, seed, m):
+        rng = np.random.default_rng(seed)
+        kernel = random_kernel(rng, n, density)
+        i = rng.integers(0, n, m)
+        u = rng.random(m)
+        # half the uniforms sit exactly on the rows' cumulative weights
+        lo, hi = kernel.indptr[:-1], kernel.indptr[1:]
+        breaks = np.concatenate([np.cumsum(kernel.data[a:b])[:-1] for a, b in zip(lo, hi)] + [[0.0]])
+        u[::2] = breaks[rng.integers(0, breaks.size, u[::2].size)]
+        np.testing.assert_array_equal(_kernel_draw(kernel)(i, u), kernel_draw_per_row(kernel, i, u))
 
 
 @st.composite

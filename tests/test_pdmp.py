@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import flow_rk4, jump_cells_symmetric, mu_generator_rowloop
+from oracles import (
+    cdf_gap,
+    dkw_radius,
+    flow_rk4,
+    jump_cells_symmetric,
+    mu_generator_rowloop,
+    thinning_at_bound,
+)
 
 from wflow import jump_process, pdmp, transport
 from wflow.evolution import apply_generator, verify_identity
@@ -519,6 +526,52 @@ class TestSimulate:
         lattice = simulate_paths(gen, DiscreteMeasure([0.0], [1.0]), 2.0, n_paths, 17)
         assert np.array_equal(lattice.support, emp.support)
         assert np.array_equal(lattice.weights, emp.weights)
+
+    def test_constant_rate_streams_unchanged(self, monkeypatch):
+        # the process flows between candidates and keeps the global bound; the
+        # chain at a constant intensity has one rate mu + lambda everywhere:
+        # both read the stream that thinning at one scalar bound reads
+        varying = PdmpSpec(Drift("neg_tanh"), Intensity([-1.0, 1.0], [0.2, 1.5]), ShiftJump(0.5))
+        p0 = DiscreteMeasure([0.5, 1.5], [0.25, 0.75])
+        runs = [
+            (lambda: simulate_pdmp(tanh_spec(lam=1.0), p0, 1.0, 4000, 7), 1.0),
+            (lambda: simulate_pdmp(varying, p0, 1.0, 4000, 7), 1.5),
+            (lambda: simulate_chain(tanh_spec(lam=1.0), p0, 1.0, 16.0, 4000, 7), 17.0),
+        ]
+        own = [run() for run, _ in runs]
+        for (run, bound), got in zip(runs, own):
+
+            def at_bound(start, cum0, t, rate, *rest, bound=bound, **kw):
+                return thinning_at_bound(start, cum0, t, bound, *rest, **kw)
+
+            monkeypatch.setattr(pdmp, "_thinning", at_bound)
+            ref = run()
+            assert np.array_equal(got.support, ref.support)
+            assert np.array_equal(got.weights, ref.weights)
+
+    def test_state_dependent_intensity_matches_lattice_chain(self):
+        # zero drift, shift jumps of 0.5 at an intensity rising from 0.5 to 3:
+        # a counting chain on the lattice 0.5 k.  The process (candidates at
+        # the bound, thinned) and the speed-mu chain (candidates at mu +
+        # intensity(x), every one an event) both match its exact law within
+        # the DKW radius at alpha 1e-7
+        lam_table = Intensity([0.0, 2.0], [0.5, 3.0])
+        spec = PdmpSpec(Drift("zero"), lam_table, ShiftJump(0.5))
+        states = 0.5 * np.arange(41)
+        lam = lam_table(states)
+        lam[-1] = 0.0
+        kernel = np.zeros((41, 41))
+        kernel[np.arange(40), np.arange(1, 41)] = 1.0
+        kernel[-1, -1] = 1.0
+        gen = JumpGeneratorSpec(states, lam, kernel)
+        p0 = DiscreteMeasure([0.0], [1.0])
+        exact = uniformized_marginal(gen, p0, 1.5).vector
+        n = 20_000
+        for emp in (
+            simulate_pdmp(spec, p0, 1.5, n, 5),
+            simulate_chain(spec, p0, 1.5, 4.0, n, 5),
+        ):
+            assert cdf_gap(states, exact, emp) <= dkw_radius(n)
 
     def test_reruns_byte_identical(self):
         spec = tanh_spec(lam=1.0)
