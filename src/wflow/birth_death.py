@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wflow.jump_process import JumpGeneratorSpec, Kernel, _path_laws, uniformized_marginal
+from wflow.evolution import _path_pair, _uniform_grid
+from wflow.jump_process import JumpGeneratorSpec, Kernel, uniformized_marginal
 from wflow.measures import moment, write_table
-from wflow.transport import _check_rho, _path_merge, wasserstein_power
+from wflow.transport import _check_rho, wasserstein_power
 
 __all__ = [
     "BirthDeathSpec",
@@ -290,25 +291,25 @@ def contraction_report(bd, p0X, p0Y, rho, t_end, n_steps):
 
     Both marginals evolve under the same truncated chain, as the node laws
     of two :func:`marginal_path` paths (tolerance 1e-12) that share one set
-    of Poisson windows, and one merge per node pair gives ``W_1``,
-    ``W_rho^rho`` and, above 2, ``W_{rho-1}^{rho-1}``.  The certified
+    of Poisson windows.  They come from the path-pair solve that
+    :func:`wflow.evolution.verify_identity` reads too, here without rates:
+    one merge per node pair gives ``W_1``, ``W_rho^rho`` and, above 2,
+    ``W_{rho-1}^{rho-1}``.  ``t_end`` must be finite and positive, and
+    ``n_steps`` at least 1.  The certified
     rate is the truncated curvature; a vanishing ``kappa (rho - 1)`` on
     (1, 2] switches the closed form to its continuity limit
     ``W_rho^rho(0) + Lip W_1(0) t`` and marks the report degenerate.
     """
     _check_rho(rho)
-    if t_end <= 0 or n_steps < 1:
-        raise ValueError("need t_end > 0 and n_steps >= 1")
+    grid = _uniform_grid(t_end, n_steps, 1)
     gen = bd.to_generator()
     kap = curvature(bd)
     kap_n = truncated_curvature(bd)
     lip = bd.lip_eta + bd.lip_nu
     c_rho = cost_difference_constant(rho)
-    grid = np.linspace(0.0, t_end, n_steps + 1)
-    (VX, VY), _ = _path_laws(gen, [p0X, p0Y], grid, tol=1e-12)
     # W_1, then W_rho^rho above 1 and W_{rho-1}^{rho-1} above 2, from one merge
     orders = [1.0, rho, rho - 1.0][: 1 + (rho > 1) + (rho > 2)]
-    w1, *higher = _path_merge(gen.states, gen.states, VX, VY, orders)[0]
+    w1, *higher = _path_pair(gen, gen, p0X, p0Y, grid, orders, rated=False).W
     bound1 = w1[0] * np.exp(-kap_n * grid)
     degenerate = False
     iterated = None

@@ -446,12 +446,12 @@ def _bounds_rows(config):
         spec = _pdmp_from(opts, "pdmp")
         horizon = _positive(opts, "horizon")
         c0 = _at_least_one(opts.get("c0", 1.0), "c0")
-        if "C0" in opts:
-            big_c0 = _positive(opts, "C0")
-        elif "smoothing_eta" in opts:
-            big_c0 = 1.0 / _positive(opts, "smoothing_eta")
-        else:
-            big_c0 = 1.0
+        # C0 = 1/smoothing_eta: each value is checked, then a second one is refused
+        given = {key: _positive(opts, key) for key in opts if key in ("C0", "smoothing_eta")}
+        if len(given) > 1:
+            second = list(given)[1]
+            raise ConfigError(f"{second}: give C0 or smoothing_eta, not both", key=second)
+        big_c0 = given.get("C0", 1.0 / given.get("smoothing_eta", 1.0))
         mu = _speed(opts)
         n_paths = _count(_need(opts, "n_paths"), "n_paths", 1)
         seed = _seed_of(config)

@@ -46,9 +46,53 @@ def apply_generator(gen, f):
     return gen.lam * (gen.kernel.apply(f) - f)
 
 
-def _rates(gen, V):
-    """Each node's rate ``L^T v``, for the laws ``v`` in the rows of ``V``."""
-    return gen.weighted_kernel_apply(V) - gen.lam * V
+_CLOCK_TOL = 1e-12  # Poisson tail budget of each path, as marginal_path takes it
+
+
+@dataclass(frozen=True)
+class _PathPair:
+    """Two solved paths of node laws on one grid and their merge.
+
+    ``laws``, ``rates`` and ``windows`` hold one entry per side, X then Y:
+    the ``(len(times), n_states)`` node laws, their rates ``L^T v`` (``None``
+    unless asked for) and the nodes' Poisson windows.  ``W[o, k]`` is
+    ``W_r^r`` at node ``k`` for ``orders[o]``, and ``deriv[o, k]`` its exact
+    right derivative (``None`` without rates).
+    """
+
+    laws: tuple
+    rates: tuple | None
+    windows: tuple
+    W: np.ndarray
+    deriv: np.ndarray | None
+
+
+def _path_pair(genX, genY, p0X, p0Y, times, orders, rated):
+    """Solve both paths at the nodes ``times`` and merge them, as a :class:`_PathPair`.
+
+    Each side is the node laws of :func:`marginal_path` at tolerance
+    ``_CLOCK_TOL``; with ``genX is genY`` the two starts share one window
+    pass.  With ``rated`` each node's rate ``L^T v`` comes too, and the merge
+    gives every order's exact right derivative.
+    """
+    sides = [(genX, [p0X, p0Y])] if genX is genY else [(genX, [p0X]), (genY, [p0Y])]
+    solved = [_path_laws(gen, starts, times, _CLOCK_TOL) for gen, starts in sides]
+    laws, windows = zip(*((V, w) for paths, w in solved for V in paths))
+    rates = None
+    if rated:
+        rates = tuple(g.weighted_kernel_apply(V) - g.lam * V for g, V in zip((genX, genY), laws))
+    W, deriv = _path_merge(genX.states, genY.states, *laws, orders, *(rates or ()))
+    return _PathPair(laws, rates, windows, W, deriv)
+
+
+def _uniform_grid(t_end, n_steps, least):
+    """``n_steps + 1`` equally spaced nodes on ``[0, t_end]``; a ``ValueError``
+    unless ``n_steps >= least`` and ``t_end`` is finite and positive."""
+    if n_steps < least:
+        raise ValueError(f"need n_steps >= {least}")
+    if not (t_end > 0.0 and np.isfinite(t_end)):
+        raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
+    return np.linspace(0.0, t_end, n_steps + 1)
 
 
 _DUAL_BLOCK = 2**18  # (x, y) reached-state cells per block of nodes in _candidates
@@ -151,9 +195,11 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
     increment of the cost over the panel.  Each side is one path of node
     laws (tolerance 1e-12, as :func:`marginal_path` solves it) whose nodes add
     ``1e-9 t_end``, where node 0's candidate is read; with ``genX is genY``
-    the two paths share one set of Poisson windows.  The costs and their
-    exact right derivatives come from one merge of the two paths' levels and
-    rates.  The potentials and the candidates come a block of nodes at a
+    the two paths share one set of Poisson windows.  The paths, their rates
+    and the costs with their exact right derivatives come from one path-pair
+    solve, the one :func:`~wflow.birth_death.contraction_report` reads too:
+    one merge of the two paths' levels and rates.  ``t_end`` must be finite
+    and positive.  The potentials and the candidates come a block of nodes at a
     time: one batched staircase, which closes both potentials, and one
     generator product per side.  Only the two last nodes become
     :class:`Marginal` objects, ``final_x`` and ``final_y``, and their dual
@@ -167,28 +213,16 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
         raise ValueError(
             "rho = 1 is not supported here; use birth_death contraction reports"
         )
-    if n_steps < 2:
-        raise ValueError("need n_steps >= 2")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    grid = _uniform_grid(t_end, n_steps, 2)
     if not isinstance(genX, JumpGeneratorSpec) or not isinstance(genY, JumpGeneratorSpec):
         raise TypeError("generators must be JumpGeneratorSpec instances")
-    grid = np.linspace(0.0, t_end, n_steps + 1)
     # degenerate initial data (few atoms) have a non-unique dual pair, whose
     # arbitrary member misses the right derivative at t=0; a positive time
     # fills the reachable support and pins it, so node 0's candidate is read there
-    nodes = np.insert(grid, 1, 1e-9 * t_end)
-    tol = 1e-12
-    if genX is genY:
-        (VX, VY), wX = _path_laws(genX, [p0X, p0Y], nodes, tol)
-        wY = wX
-    else:
-        (VX,), wX = _path_laws(genX, [p0X], nodes, tol)
-        (VY,), wY = _path_laws(genY, [p0Y], nodes, tol)
-    RX, RY = _rates(genX, VX), _rates(genY, VY)
-    W, deriv = _path_merge(genX.states, genY.states, VX, VY, [rho], RX, RY)
+    pair = _path_pair(genX, genY, p0X, p0Y, np.insert(grid, 1, 1e-9 * t_end), [rho], rated=True)
+    (VX, VY), (RX, RY), (wX, wY) = pair.laws, pair.rates, pair.windows
     # the regularized node 1 is not on the grid
-    w_vals, deriv = np.delete(W[0], 1), np.delete(deriv, 1)
+    w_vals, deriv = np.delete(pair.W[0], 1), np.delete(pair.deriv[0], 1)
     # candidates from path node k + 1: grid node k, or the regularized node at k = 0
     integ, diag, final_pair = _candidates(genX, genY, VX[1:], VY[1:], RX[1:], RY[1:], rho)
     dt = grid[1] - grid[0]
@@ -196,7 +230,7 @@ def verify_identity(genX, genY, p0X, p0Y, rho, t_end, n_steps):
     cumulative = np.concatenate([[0.0], np.cumsum(panel)])
     residual = np.concatenate([[0.0], np.abs(np.diff(w_vals) - panel)])
     deriv_residual = np.abs(deriv - integ) / (1.0 + np.abs(deriv))
-    final_x = _node_marginal(genX, p0X, VX[-1], wX[-1], tol)
-    final_y = _node_marginal(genY, p0Y, VY[-1], wY[-1], tol)
+    final_x = _node_marginal(genX, p0X, VX[-1], wX[-1], _CLOCK_TOL)
+    final_y = _node_marginal(genY, p0Y, VY[-1], wY[-1], _CLOCK_TOL)
     columns = (grid, w_vals, integ, cumulative, residual, diag, deriv, deriv_residual)
     return EvolutionReport(*columns, final_x, final_y, final_pair)

@@ -346,7 +346,9 @@ def _fox_glynn(mus, tol, top=0):
     d, u = int(n_down.max()), int(n_up.max())
     # pmf(k) / pmf(mode): products of mu / k above the mode, of k / mu below
     # it.  They run on past a row's window, where they stay finite (factors
-    # below 1, and the factor of k = 0 is 0), and are zeroed after
+    # below 1, and the factor of k = 0 is 0), and are zeroed after.  A row
+    # whose mode is 0 has no column below it in its window and divides there
+    # by 1, not by its mean: -1 / mu overflows for a mean below about 1e-308
     ratio = np.empty((mus.size, d + 1 + u))
     ratio[:, d] = 1.0
     up, down = ratio[:, d + 1 :], ratio[:, :d][:, ::-1]
@@ -355,7 +357,7 @@ def _fox_glynn(mus, tol, top=0):
     np.divide(mu[:, None], up, out=up)
     np.cumprod(up, axis=1, out=up)
     np.subtract.outer(k_mode, np.arange(float(d)), out=down)
-    np.divide(down, np.where(pos, mu, 1.0)[:, None], out=down)
+    np.divide(down, np.where(mode > 0, mu, 1.0)[:, None], out=down)
     np.cumprod(down, axis=1, out=down)
     first, last = d - n_down, d + n_up
     col = np.arange(ratio.shape[1])
@@ -369,14 +371,6 @@ def _fox_glynn(mus, tol, top=0):
     # the tails never increase along a row, so the cutoff is a count
     m_max = lo + np.maximum(np.count_nonzero(tails >= tol, axis=1), first) - first
     return pmf, tails, first, lo, m_max
-
-
-def _poisson_window(mu, tol, top=0):
-    """The one-mean :func:`_fox_glynn`: ``(lo, pmf, tails, m_max)``, the
-    probabilities and the tails ``P(N > k)`` on the window ``k = lo..hi``
-    and the smallest ``m_max`` with ``P(N > m_max) < tol``."""
-    pmf, tails, _, lo, m_max = _fox_glynn(np.array([float(mu)]), tol, top)
-    return int(lo[0]), pmf[0], tails[0], int(m_max[0])
 
 
 def _clock_windows(mus, budget):
@@ -570,7 +564,8 @@ def _layer_stacks(gen, p0, times, n_max, tol):
     row collects every layer above ``n_max`` and keeps its own jumps, so its
     mass is theirs.  Each time weights the chain by its own window, cut only
     above at ``tol`` (a lower cut would empty every layer below it) and
-    reaching at least ``n_max`` ticks, so every listed layer fills.
+    reaching at least ``n_max`` ticks, so every listed layer fills; the
+    windows of all times come from one batched :func:`_fox_glynn` pass.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -587,17 +582,14 @@ def _layer_stacks(gen, p0, times, n_max, tol):
 
     block = np.zeros((n_max + 2, gen.n_states))
     block[0] = v0
-    windows, tails = [], []
-    for t in times:
-        mu = gen.lambda_bar * t
-        lo, pmf, upper, m_tol = _poisson_window(mu, tol, top=n_max)
-        m_max = max(m_tol, n_max) if mu > 0.0 else 0
-        windows.append((pmf[: m_max - lo + 1], lo, m_max))
-        tails.append(float(upper[m_max - lo]))
-    sums = _clock_sums(tick, block, windows)
+    mus = gen.lambda_bar * np.asarray(times, dtype=float)
+    pmf, upper, first, lo, m_tol = _fox_glynn(mus, tol, top=n_max)
+    m_max = np.where(mus > 0.0, np.maximum(m_tol, n_max), 0)
+    end = first + m_max - lo  # the column of m_max
+    windows = [(row[a : b + 1], c, m) for row, a, b, c, m in zip(pmf, first, end, lo, m_max)]
     return [
-        LayerStack(gen.states, list(rows[:-1]), q_chain, tail + float(rows[-1].sum()))
-        for rows, tail in zip(sums, tails)
+        LayerStack(gen.states, list(rows[:-1]), q_chain, float(tail) + float(rows[-1].sum()))
+        for rows, tail in zip(_clock_sums(tick, block, windows), upper[np.arange(mus.size), end])
     ]
 
 

@@ -20,8 +20,8 @@ integrals of power functions which are evaluated in closed form:
   ``_cost_transform``, the one general cost transform, one row at a time.
   The atomic ``potentials`` is the staircase's one-row case.
 * ``_path_merge`` merges the dense node laws of two solved paths, one
-  lexsort per node, into every requested cost order and the exact right
-  derivative of the first.
+  lexsort per node, into every requested cost order and, with rates, each
+  order's exact right derivative.
 
 The dual pair is normalized so the potential vanishes at the leftmost
 tabulation point of the source law.
@@ -145,7 +145,7 @@ def _path_merge(sX, sY, VX, VY, orders, RX=None, RY=None):
     Row ``VX[k]`` (``VY[k]``) of a 2-d array is node ``k``'s law, not
     renormalized, on the states ``sX`` (``sY``).  With the
     rates ``RX``, ``RY`` (``L^T v`` per node) the exact right derivative of
-    the first order's cost comes too.  Per node one lexsort merges both
+    every order's cost comes too.  Per node one lexsort merges both
     sides' inner cumulative levels, ties ordered by rate, the order an
     instant later, then by index with ``x`` first.  The cost sums
     ``|x_i - y_j|^r`` times the gap between merged levels; each level moves
@@ -153,14 +153,15 @@ def _path_merge(sX, sY, VX, VY, orders, RX=None, RY=None):
     below - cost above)`` per level.  Only the states that some node reaches
     (``v > 0`` or ``rate != 0``) take part, and the nodes are stacked in
     blocks of about ``_MERGE_BLOCK`` levels.  Returns ``(W, deriv)`` with
-    ``W[o, k]`` for ``orders[o]`` and ``deriv[k]`` (``None`` without rates).
+    ``W[o, k]`` and ``deriv[o, k]`` for ``orders[o]`` (``deriv`` is ``None``
+    without rates).
     """
     rated = RX is not None
     cx, cy = _reached(VX, RX), _reached(VY, RY)
     x, y = sX[cx], sY[cy]
     n_nodes, n_lev = len(VX), x.size + y.size - 2
     W = np.empty((len(orders), n_nodes))
-    deriv = np.empty(n_nodes) if rated else None
+    deriv = np.empty(W.shape) if rated else None
     step = max(1, _MERGE_BLOCK // (n_lev + 1))
     for s in range(0, n_nodes, step):
         b = slice(s, s + step)
@@ -172,6 +173,7 @@ def _path_merge(sX, sY, VX, VY, orders, RX=None, RY=None):
             moving = [np.cumsum(R[b][:, c], axis=1) for R, c in ((RX, cx), (RY, cy))]
             rate = np.concatenate([r[:, :-1] / q[:, -1:] for r, q in zip(moving, cum)], axis=1)
             order = np.lexsort((rate, level), axis=1)
+            moved = np.take_along_axis(rate, order, axis=1)
         else:
             order = np.argsort(level, axis=1, kind="stable")
         # corner 0 is atom pair (0, 0); corner s follows merged level s
@@ -182,9 +184,8 @@ def _path_merge(sX, sY, VX, VY, orders, RX=None, RY=None):
         for o, r in enumerate(orders):
             cost = dist**r
             W[o, b] = np.sum(cost * gap, axis=1)
-            if rated and o == 0:
-                moved = np.take_along_axis(rate, order, axis=1)
-                deriv[b] = np.sum(moved * (cost[:, :-1] - cost[:, 1:]), axis=1)
+            if rated:
+                deriv[o, b] = np.sum(moved * (cost[:, :-1] - cost[:, 1:]), axis=1)
     return W, deriv
 
 

@@ -322,9 +322,10 @@ class TestContractionReport:
         for rho in (0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite number >= 1"):
                 contraction_report(bd, dirac(1.0), dirac(2.0), rho, 1.0, 10)
-        with pytest.raises(ValueError):
-            contraction_report(bd, dirac(1.0), dirac(2.0), 2.0, 0.0, 10)
-        with pytest.raises(ValueError):
+        for t_end in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="t_end must be finite and positive"):
+                contraction_report(bd, dirac(1.0), dirac(2.0), 2.0, t_end, 10)
+        with pytest.raises(ValueError, match="n_steps"):
             contraction_report(bd, dirac(1.0), dirac(2.0), 2.0, 1.0, 0)
 
     @pytest.mark.parametrize("rho", [1.0, 2.0, 3.0])

@@ -454,6 +454,27 @@ class TestExitCodes:
         assert err.startswith(f"{cfg}:{line}: {key}")
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [("smoothing_eta: 1.0", "C0: 2.0"), ("C0: 2.0", "smoothing_eta: 1.0")],
+        ids=["C0-second", "smoothing_eta-second"],
+    )
+    def test_c0_with_smoothing_eta_is_config_error_at_the_second(
+        self, tmp_path, capsys, first, second
+    ):
+        # smoothing_eta sets C0 = 1/smoothing_eta, so the two together give one
+        # constant two values; neither is dropped in silence
+        text = BOUNDS_PROPAGATION.replace("smoothing_eta: 1.0\n", f"{first}\n{second}\n")
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        code = cli.main(["bounds", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        line = 1 + text.splitlines().index(second)
+        key = second.split(":")[0]
+        assert err.startswith(f"{cfg}:{line}: {key}: give C0 or smoothing_eta, not both")
+        assert not (out / "summary.json").exists()
+
     def test_overflowing_moment_bound_names_its_row(self, tmp_path, capsys):
         # exp(C_2 * growth_c * horizon) = exp(3 * 20 * 90.9) overflows a double
         text = (

@@ -325,8 +325,9 @@ class TestVerifyIdentity:
             verify_identity(gen, gen, p0X, p0Y, 1.0, 1.0, 10)
         with pytest.raises(ValueError):
             verify_identity(gen, gen, p0X, p0Y, 2.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            verify_identity(gen, gen, p0X, p0Y, 2.0, 0.0, 10)
+        for t_end in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="t_end must be finite and positive"):
+                verify_identity(gen, gen, p0X, p0Y, 2.0, t_end, 10)
         with pytest.raises(TypeError):
             verify_identity("gen", gen, p0X, p0Y, 2.0, 1.0, 10)
 

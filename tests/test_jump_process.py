@@ -29,10 +29,10 @@ from wflow.jump_process import (
     Marginal,
     NumericalError,
     _clock_windows,
+    _fox_glynn,
     _jump_tick,
     _kernel_draw,
     _layer_stacks,
-    _poisson_window,
     _state_vector,
     kernel_moment_bound,
     kernel_moment_constant,
@@ -194,20 +194,20 @@ class TestPoissonHelpers:
     def test_pmf_and_tail_match_scipy_stats(self, mu):
         # scipy's exp(k log mu - lgamma(k + 1) - mu) loses about k log(mu) ulps
         # of its exponent, up to 1.4e-12 relative here; mpmath below is exact
-        lo, pmf, tails, _ = _poisson_window(mu, 1e-12)
+        (pmf,), (tails,), _, (lo,), _ = _fox_glynn(np.array([mu]), 1e-12)
         k = np.arange(lo, int(mu + 12.0 * math.sqrt(mu) + 30.0))
         np.testing.assert_allclose(pmf[k - lo], poisson.pmf(k, mu), rtol=1e-11, atol=0.0)
         np.testing.assert_allclose(tails[k - lo], poisson.sf(k, mu), rtol=1e-12, atol=0.0)
 
     def test_cutoff_matches_isf(self):
         for mu in np.linspace(0.01, 60.0, 601):
-            assert _poisson_window(mu, 1e-9)[3] == int(poisson.isf(1e-9, mu))
+            assert _fox_glynn(np.array([mu]), 1e-9)[4][0] == int(poisson.isf(1e-9, mu))
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-12, 1e-13, 1e-12 / 121])
     def test_cutoff_and_tail_match_pdtrc(self, tol):
         # pdtrc decreases in k, so pdtrc(m - 1) >= tol > pdtrc(m) makes m its cutoff
         for mu in np.geomspace(1e-3, 2e4, 300):
-            lo, _, tails, m = _poisson_window(mu, tol)
+            _, (tails,), _, (lo,), (m,) = _fox_glynn(np.array([mu]), tol)
             assert m >= 1
             above, below = pdtrc([m - 1, m], mu)
             assert above >= tol > below, mu
@@ -216,7 +216,7 @@ class TestPoissonHelpers:
     @pytest.mark.parametrize("mu", [5.0, 550.0, 2e4])
     def test_pmf_matches_mpmath(self, mu):
         mpmath = pytest.importorskip("mpmath")
-        lo, pmf, _, m = _poisson_window(mu, 1e-13)
+        (pmf,), _, _, (lo,), (m,) = _fox_glynn(np.array([mu]), 1e-13)
         with mpmath.workdps(40):
             m_mu = mpmath.mpf(mu)
             ref = np.array(
@@ -230,13 +230,30 @@ class TestPoissonHelpers:
         np.testing.assert_allclose(pmf[: m + 1 - lo][normal], ref[normal], rtol=1e-13, atol=0.0)
 
     def test_window_reaches_top_and_zero_rate(self):
-        lo, pmf, tails, m = _poisson_window(0.5, 1e-12, top=400)
+        (pmf,), (tails,), _, (lo,), (m,) = _fox_glynn(np.array([0.5]), 1e-12, top=400)
         assert lo + pmf.size == lo + tails.size >= 401 and tails[-1] == 0.0
-        lo, pmf, tails, m = _poisson_window(0.0, 1e-12, top=3)
+        (pmf,), (tails,), _, (lo,), (m,) = _fox_glynn(np.array([0.0]), 1e-12, top=3)
         np.testing.assert_array_equal(pmf, [1.0, 0.0, 0.0, 0.0])
         assert lo == m == 0 and not np.any(tails)
         with pytest.raises(ValueError, match="tol must be positive"):
-            _poisson_window(1.0, 0.0)
+            _fox_glynn(np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("tiny", [1e-310, 5e-324, 1e-300])
+    def test_subnormal_mean_beside_a_wide_row(self, tiny):
+        # a mode-0 row batched with a wide one has columns below its mode
+        # (outside its window) whose factors divide by 1, not by the tiny
+        # mean, so nothing overflows; every row is its one-row pass, bit for bit
+        mus = np.array([tiny, 550.0, 0.0, tiny])
+        pmf, tails, first, lo, m_max = _fox_glynn(mus, 1e-12, top=3)
+        assert np.all(np.isfinite(pmf)) and np.all(np.isfinite(tails))
+        for r in range(mus.size):
+            (one,), (one_tails,), _, (one_lo,), (one_m,) = _fox_glynn(mus[r : r + 1], 1e-12, 3)
+            cols = slice(first[r], first[r] + one.size)
+            assert np.array_equal(pmf[r, cols], one) and np.array_equal(tails[r, cols], one_tails)
+            assert (lo[r], m_max[r]) == (one_lo, one_m)
+        gen = mm_infty(2.0, 0.5, 30).to_generator()
+        path = marginal_path(gen, DiscreteMeasure([3.0], [1.0]), [tiny, 5.0])
+        assert path[0].m_max == 0 and path[1].m_max > 0
 
 
 def benchmark_generators():
@@ -549,7 +566,7 @@ class TestMarginalPath:
         # the one-panel path is uniformized_marginal
         one = uniformized_marginal(gen, p0, 1.3, tol=1e-12)
         assert isinstance(one, Marginal)
-        assert one.m_max == _poisson_window(gen.lambda_bar * 1.3, 1e-12)[3]
+        assert one.m_max == _fox_glynn(np.array([gen.lambda_bar * 1.3]), 1e-12)[4][0]
 
     def test_fields_set_by_the_constructor(self):
         m = Marginal([0.0, 1.0], [0.5, 0.5 - 3e-13], 1e-13, 7, 1.0)
@@ -772,6 +789,23 @@ class TestLayerInequalities:
             one = layer_stack(gen, p0, t, 10)
             np.testing.assert_array_equal(np.stack(stack.layers), np.stack(one.layers))
             assert stack.truncation_error == one.truncation_error
+
+    def test_one_window_pass_for_every_time(self, monkeypatch):
+        # the report's two stacks take their windows from one batched
+        # Fox-Glynn pass, also with lambda_bar s subnormal beside lambda_bar t
+        passes = []
+        real = jump_process._fox_glynn
+
+        def counted(mus, tol, top=0):
+            passes.append(len(mus))
+            return real(mus, tol, top)
+
+        monkeypatch.setattr(jump_process, "_fox_glynn", counted)
+        gen = three_state()
+        p0 = DiscreteMeasure([2.0], [1.0])
+        rep = layer_inequality_report(gen, p0, 2.2e-313, 1.5, 6)
+        assert passes == [2]
+        assert rep.max_violation <= 1e-10
 
     def test_bad_times_rejected(self):
         gen = three_state()

@@ -273,23 +273,28 @@ class TestPathMerge:
             exact = exact_merge_power(sX, VX[k], sY, VY[k], rho)
             assert abs(W[0, k] - exact) <= 1e-10 * exact, k
             ref = merge_derivative(sX, sY, VX[k], VY[k], RX[k], RY[k], rho)
-            assert abs(deriv[k] - ref) <= 1e-12 * (1.0 + abs(ref)), k
+            assert abs(deriv[0, k] - ref) <= 1e-12 * (1.0 + abs(ref)), k
             # alone, a node merges only the states it reaches: a one-atom
             # side keeps the zero-mass states its rates move into
             one = slice(k, k + 1)
             W1, d1 = _path_merge(sX, sY, VX[one], VY[one], [rho], RX[one], RY[one])
             assert abs(W1[0, 0] - exact) <= 1e-10 * exact, k
-            assert abs(d1[0] - ref) <= 1e-12 * (1.0 + abs(ref)), k
+            assert abs(d1[0, 0] - ref) <= 1e-12 * (1.0 + abs(ref)), k
 
     def test_orders_share_one_merge(self):
+        # every order's cost and right derivative, each bit for bit its
+        # one-order merge and within the oracle's tolerance
         sX, sY, VX, VY, RX, RY = merge_instance()
         orders = [1.0, 1.5, 2.0, 3.0]
         W, deriv = _path_merge(sX, sY, VX, VY, orders, RX, RY)
+        assert deriv.shape == W.shape == (len(orders), VX.shape[0])
         for o, rho in enumerate(orders):
             alone, d = _path_merge(sX, sY, VX, VY, [rho], RX, RY)
             np.testing.assert_array_equal(W[o], alone[0])
-            if o == 0:
-                np.testing.assert_array_equal(deriv, d)
+            np.testing.assert_array_equal(deriv[o], d[0])
+            for k in range(VX.shape[0]):
+                ref = merge_derivative(sX, sY, VX[k], VY[k], RX[k], RY[k], rho)
+                assert abs(deriv[o, k] - ref) <= 1e-12 * (1.0 + abs(ref)), (rho, k)
         unrated, none = _path_merge(sX, sY, VX, VY, orders)
         assert none is None
         np.testing.assert_allclose(unrated, W, rtol=1e-14, atol=0)
