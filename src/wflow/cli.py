@@ -47,8 +47,8 @@ from wflow.measures import (
 )
 from wflow.pdmp import (
     PdmpSpec,
+    _propagation_checks,
     mu_convergence_study,
-    propagation_check,
     simulate_chain,
     simulate_pdmp,
 )
@@ -455,8 +455,10 @@ def _bounds_rows(config):
         mu = _speed(opts)
         n_paths = _count(_need(opts, "n_paths"), "n_paths", 1)
         seed = _seed_of(config)
-        for name, q in _entries(opts, "q_list", _finite_positive):
-            audit = propagation_check(spec, c0, big_c0, horizon, q, mu, n_paths, seed)
+        entries = _entries(opts, "q_list", _finite_positive)
+        qs = [q for _, q in entries]
+        audits = _propagation_checks(spec, c0, big_c0, horizon, qs, mu, n_paths, seed)
+        for (name, _), audit in zip(entries, audits):
             rows.append(
                 (f"displacement_moment_q_{name}", audit.moment_estimate, audit.moment_envelope)
             )

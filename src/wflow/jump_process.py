@@ -17,7 +17,8 @@ clock: it runs a chain ``A^m P`` from ``t = 0``, each tick written in place
 into its row of a block of ticks, and weights each block into Poisson
 windows.  :func:`marginal_path` asks it for one window per node, each
 :class:`Marginal` with its own tails, and :func:`uniformized_marginal` is its
-one-node path; paths of one generator on one grid share those windows.
+one-node path; paths of one generator on one grid share those windows and
+one chain, whose tick steps a block with one row per start.
 :func:`layer_stack` asks for one window, cut only above and reaching at
 least ``n_max`` ticks, on rows split by genuine-jump count, which restores
 the exact per-state survival factors ``exp(-lambda(x) t)`` of the layers;
@@ -460,24 +461,42 @@ def _clock_sums(tick, u, windows):
     return acc.reshape((len(windows),) + u.shape)
 
 
-def _jump_tick(gen):
+def _jump_tick(gen, n_starts=1):
     """The uniformized jump step ``out = keep u + K^T (lam u) / lambda_bar``, written in place.
 
     ``keep = 1 - lam / lambda_bar`` is the mass a tick leaves in place; each
     stored entry of ``K^T`` is pre-scaled once to the share it moves,
     ``k(x, y) lam(x) / lambda_bar``, so a tick is one gather, one product
-    and one ``bincount``.  ``out`` may be ``u`` itself.
+    and one ``bincount``.  ``u`` holds one law per start, a ``(n_starts,
+    n_states)`` block (or one ``n_states`` vector): row ``r``'s CSR indices
+    are offset by ``r n_states``, so one ``bincount`` steps every row and
+    sums each output entry in the same order as a one-row tick.  ``out`` may
+    be ``u`` itself.
     """
     cols, rows, data = gen.kernel._t
     lb, n, keep = gen.lambda_bar, gen.n_states, gen._keep
     moves = data * gen.lam[rows] / lb if lb > 0 else np.zeros(data.size)
+    shift = n * np.arange(n_starts)[:, None]
+    cols, rows, moves = (cols + shift).ravel(), (rows + shift).ravel(), np.tile(moves, n_starts)
 
     def tick(u, out):
-        moved = np.bincount(cols, moves * u[rows], minlength=n)
+        moved = np.bincount(cols, moves * u.ravel()[rows], minlength=n_starts * n)
         np.multiply(keep, u, out=out)
-        np.add(out, moved, out=out)
+        np.add(out, moved.reshape(u.shape), out=out)
 
     return tick
+
+
+def _clock_means(gen, times):
+    """The clock means ``lambda_bar t`` of ``times``; a :class:`NumericalError`
+    names the first time whose mean overflows, before any window is sized."""
+    with np.errstate(over="ignore"):
+        mus = gen.lambda_bar * times
+    bad = np.flatnonzero(~np.isfinite(mus))
+    if bad.size:
+        t = float(times[bad[0]])
+        raise NumericalError(f"clock mean lambda_bar t at t={t!r} is not finite")
+    return mus
 
 
 def _path_laws(gen, starts, times, tol):
@@ -485,10 +504,13 @@ def _path_laws(gen, starts, times, tol):
     ``(len(times), n_states)`` array, with the nodes' windows.
 
     The starts share the Poisson windows of :func:`marginal_path`, built in
-    one batched pass by :func:`_clock_windows`; each start runs its own
-    chain of :func:`_jump_tick` steps, written in place into the clock's
-    block, and every node passes its mass checks, all nodes of a start at
-    once.
+    one batched pass by :func:`_clock_windows`, and one chain of
+    :func:`_jump_tick` steps that ticks every start's row of a ``(starts,
+    n_states)`` block; every node of every start passes its mass checks at
+    once.  A start's laws equal its one-start solve bit for bit when the
+    stacked block holds as many ticks as a one-start block (``n_states <=
+    1024`` for two starts, or a clock that fits in one block); beyond that
+    the block edges move and a node law can move in its last bits.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
@@ -497,23 +519,20 @@ def _path_laws(gen, starts, times, tol):
         raise ValueError("time must be nonnegative and nondecreasing")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    windows = _clock_windows(gen.lambda_bar * times, tol / times.size)
-    tick = _jump_tick(gen)
+    windows = _clock_windows(_clock_means(gen, times), tol / times.size)
+    u = np.stack([_state_vector(gen, p0) for p0 in starts])
+    acc = _clock_sums(_jump_tick(gen, len(starts)), u, windows)
+    totals = np.where(acc > 0.0, acc, 0.0).sum(axis=2)
     mass_tol = max(2 * tol, 1e-12)
-    laws = []
-    for p0 in starts:
-        acc = _clock_sums(tick, _state_vector(gen, p0), windows)
-        totals = np.where(acc > 0.0, acc, 0.0).sum(axis=1)
-        bad = np.flatnonzero((totals == 0.0) | (np.abs(totals - 1.0) > mass_tol))
-        if bad.size:
-            t, total = float(times[bad[0]]), float(totals[bad[0]])
-            if total == 0.0:
-                raise NumericalError(f"marginal at t={t!r} has no positive mass")
-            raise NumericalError(
-                f"marginal at t={t!r} sums to {total!r}, outside 1 +/- {mass_tol!r}"
-            )
-        laws.append(acc)
-    return laws, windows
+    # (start, node) pairs, start-major: the error names the first start's first bad node
+    bad = np.argwhere(((totals == 0.0) | (np.abs(totals - 1.0) > mass_tol)).T)
+    if bad.size:
+        s, k = bad[0]
+        t, total = float(times[k]), float(totals[k, s])
+        if total == 0.0:
+            raise NumericalError(f"marginal at t={t!r} has no positive mass")
+        raise NumericalError(f"marginal at t={t!r} sums to {total!r}, outside 1 +/- {mass_tol!r}")
+    return list(np.moveaxis(acc, 1, 0).copy()), windows
 
 
 def _node_marginal(gen, p0, v, window, tol):
@@ -582,7 +601,7 @@ def _layer_stacks(gen, p0, times, n_max, tol):
 
     block = np.zeros((n_max + 2, gen.n_states))
     block[0] = v0
-    mus = gen.lambda_bar * np.asarray(times, dtype=float)
+    mus = _clock_means(gen, np.asarray(times, dtype=float))
     pmf, upper, first, lo, m_tol = _fox_glynn(mus, tol, top=n_max)
     m_max = np.where(mus > 0.0, np.maximum(m_tol, n_max), 0)
     end = first + m_max - lo  # the column of m_max

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -724,6 +725,50 @@ _TAIL_QUANTILES = np.linspace(0.05, 0.95, 10)  # tail probe points, as empirical
 _TAIL_OFFSETS = np.array([0.25, 0.5, 1.0, 2.0])  # tail probe shifts y
 
 
+def _propagation_checks(spec, c0, C0, t, qs, mu, n_paths, seed):
+    """:func:`propagation_check` for each ``q`` of ``qs``, one audit each.
+
+    ``c_t`` does not depend on ``q``, so one simulation of the point start,
+    one of the smoothed start and one array of tail probes serve every
+    ``q``; each audit carries the same ``worst_tail_ratio``.
+    """
+    constants = [propagation_constants(spec, c0, C0, t, q, mu) for q in qs]
+    if not constants:
+        return []
+    simulate = simulate_pdmp if math.isinf(mu) else partial(simulate_chain, mu=mu)
+    start = DiscreteMeasure([0.0], [1.0])
+    emp = simulate(spec, start, t, n_paths=n_paths, seed=seed)
+    smooth, tail0 = laplace_smooth(start, 1.0 / C0)
+    emp_s = simulate(spec, atomize(smooth), t, n_paths=n_paths, seed=seed + 1)
+    cum = np.cumsum(emp_s.weights)
+    total = cum[-1]
+    floor = 25.0 / n_paths
+
+    def cdf_at(pts):
+        j = np.searchsorted(emp_s.support, pts, side="right")
+        return np.where(j > 0, cum[np.maximum(j - 1, 0)], 0.0)
+
+    # probes [side, quantile x, shift y]: F(x + y) / F(x) and S(x - y) / S(x)
+    k = np.searchsorted(cum, _TAIL_QUANTILES * total)
+    xq = emp_s.support[np.minimum(k, emp_s.support.size - 1)][:, None]
+    num = np.stack([cdf_at(xq + _TAIL_OFFSETS), total - cdf_at(xq - _TAIL_OFFSETS - 1e-12)])
+    den = np.broadcast_to(np.stack([cdf_at(xq), total - cdf_at(xq - 1e-12)]), num.shape)
+    kept = den >= floor
+    # c_t does not depend on q; each shift's cap takes libm's exp, as a scalar does
+    cap = np.array([constants[0][1] * math.exp(C0 * y) for y in _TAIL_OFFSETS])
+    ratio = np.divide(num, den, out=np.zeros(num.shape), where=kept) / cap
+    worst = float(np.max(ratio, where=kept, initial=0.0))
+    audits = []
+    for q, (moment_bound, c_t) in zip(qs, constants):
+        disp = np.abs(emp.support - 0.0) ** q
+        mean = float(np.sum(disp * emp.weights))
+        second = float(np.sum(disp**2 * emp.weights))
+        sigma = math.sqrt(max(second - mean**2, 0.0) / n_paths)
+        envelope = moment_bound + 4.0 * sigma
+        audits.append(PropagationAudit(moment_bound, c_t, mean, sigma, envelope, worst, tail0))
+    return audits
+
+
 def propagation_check(spec, c0, C0, t, q, mu, n_paths, seed):
     """Simulation audit of the closed-form propagation constants.
 
@@ -734,43 +779,8 @@ def propagation_check(spec, c0, C0, t, q, mu, n_paths, seed):
     holds with constants ``(1, C0)``) are probed at the empirical quantiles
     0.05, 0.15, ..., 0.95 and shifts 0.25, 0.5, 1 and 2, on both CDF and
     survival sides, against ``c_t * exp(C0 y)``; probes whose denominator
-    carries fewer than 25 paths are skipped as pure noise.
+    carries fewer than 25 paths are skipped as pure noise.  The one-``q``
+    case of :func:`_propagation_checks`: the tail ratio does not depend on
+    ``q``.
     """
-    moment_bound, c_t = propagation_constants(spec, c0, C0, t, q, mu)
-    simulate = (
-        simulate_pdmp
-        if math.isinf(mu)
-        else (lambda sp, m0, tt, n, sd: simulate_chain(sp, m0, tt, mu, n, sd))
-    )
-    start = DiscreteMeasure([0.0], [1.0])
-    emp = simulate(spec, start, t, n_paths, seed)
-    disp = np.abs(emp.support - 0.0) ** q
-    mean = float(np.sum(disp * emp.weights))
-    second = float(np.sum(disp**2 * emp.weights))
-    sigma = math.sqrt(max(second - mean**2, 0.0) / n_paths)
-    envelope = moment_bound + 4.0 * sigma
-    smooth, tail0 = laplace_smooth(start, 1.0 / C0)
-    emp_s = simulate(spec, atomize(smooth), t, n_paths, seed + 1)
-    cum = np.cumsum(emp_s.weights)
-    total = cum[-1]
-    floor = 25.0 / n_paths
-
-    def cdf_at(pts):
-        j = np.searchsorted(emp_s.support, pts, side="right")
-        return np.where(j > 0, cum[np.maximum(j - 1, 0)], 0.0)
-
-    worst = 0.0
-    for uq in _TAIL_QUANTILES:
-        k = int(np.searchsorted(cum, uq * total))
-        xq = float(emp_s.support[min(k, emp_s.support.size - 1)])
-        f_x = float(cdf_at(np.array([xq]))[0])
-        s_x = total - float(cdf_at(np.array([xq - 1e-12]))[0])
-        for y in _TAIL_OFFSETS:
-            cap = c_t * math.exp(C0 * y)
-            if f_x >= floor:
-                ratio = float(cdf_at(np.array([xq + y]))[0]) / f_x
-                worst = max(worst, ratio / cap)
-            if s_x >= floor:
-                sf_up = total - float(cdf_at(np.array([xq - y - 1e-12]))[0])
-                worst = max(worst, (sf_up / s_x) / cap)
-    return PropagationAudit(moment_bound, c_t, mean, sigma, envelope, worst, tail0)
+    return _propagation_checks(spec, c0, C0, t, [q], mu, n_paths, seed)[0]

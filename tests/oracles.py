@@ -11,8 +11,9 @@ chain, the atomic dual staircase walked one atom at a time, and the
 evolution identity's candidate built from one dual pair per node, the
 Poisson clock window of one node from its own Fox-Glynn recursion, kernel
 draws by one searchsorted per distinct row, and lockstep thinning at one
-global bound, and the Dvoretzky-Kiefer-Wolfowitz check of a sampled
-law against an exact one.  The
+global bound, the propagation audit's tail ratios probed one point at a
+time, and the Dvoretzky-Kiefer-Wolfowitz check of a sampled law against an
+exact one.  The
 package under test must agree with these to tight tolerances on small
 instances (the chain build, the constants and the atomic transport cost
 exactly).
@@ -530,6 +531,40 @@ def thinning_at_bound(start, cum0, t, rate, n_paths, seed, event, jump, advance=
     if advance is not None:
         x = advance(x, t - elapsed)
     return x0, x, n_jumps
+
+
+def tail_ratio_per_probe(emp_s, c_t, C0, n_paths):
+    """The worst tail ratio over its cap ``c_t exp(C0 y)``, one probe at a time.
+
+    ``emp_s`` is the endpoint law of ``n_paths`` simulated paths.  At each
+    empirical quantile 0.05, 0.15, ..., 0.95 and each shift y of 0.25, 0.5, 1
+    and 2, the CDF ratio ``F(x + y) / F(x)`` and the survival ratio
+    ``S(x - y) / S(x)`` are read by one-element ``cdf_at`` calls, and a side
+    is skipped where its denominator carries fewer than 25 paths.
+    """
+    cum = np.cumsum(emp_s.weights)
+    total = cum[-1]
+    floor = 25.0 / n_paths
+
+    def cdf_at(pts):
+        j = np.searchsorted(emp_s.support, pts, side="right")
+        return np.where(j > 0, cum[np.maximum(j - 1, 0)], 0.0)
+
+    worst = 0.0
+    for uq in np.linspace(0.05, 0.95, 10):
+        k = int(np.searchsorted(cum, uq * total))
+        xq = float(emp_s.support[min(k, emp_s.support.size - 1)])
+        f_x = float(cdf_at(np.array([xq]))[0])
+        s_x = total - float(cdf_at(np.array([xq - 1e-12]))[0])
+        for y in np.array([0.25, 0.5, 1.0, 2.0]):
+            cap = c_t * math.exp(C0 * y)
+            if f_x >= floor:
+                ratio = float(cdf_at(np.array([xq + y]))[0]) / f_x
+                worst = max(worst, ratio / cap)
+            if s_x >= floor:
+                sf_up = total - float(cdf_at(np.array([xq - y - 1e-12]))[0])
+                worst = max(worst, (sf_up / s_x) / cap)
+    return worst
 
 
 def cdf_gap(states, probs, emp):

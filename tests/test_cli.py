@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from wflow import cli, jump_process
+from wflow import cli, jump_process, pdmp
 from wflow.transport import IntegrationError
 
 IDENTITY_EQUAL = """\
@@ -324,6 +324,16 @@ class TestExitCodes:
         line = 1 + text.splitlines().index("x:")
         assert err.startswith(f"{cfg}:{line}:")
         assert "unknown key m" in err
+
+    def test_overflowing_clock_mean_is_numerical_failure(self, tmp_path, capsys):
+        # lambda_bar * t overflows a double at the late nodes of a 1e307 horizon
+        text = BD_CONTRACTION.replace("horizon: 1.0", "horizon: 1.0e307")
+        cfg = write_config(tmp_path, text)
+        code = cli.main(["bd-contraction", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: clock mean lambda_bar t at t=")
+        assert "Traceback" not in err
 
     def test_overflowing_constant_is_numerical_failure(self, tmp_path, capsys):
         text = BD_CONTRACTION.replace("rho: 2.0", "rho: 1000")
@@ -722,6 +732,23 @@ class TestRunners:
         cfg = write_config(tmp_path, text)
         assert cli.main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert ticked == [1]
+
+    def test_propagation_simulates_one_pair(self, tmp_path, monkeypatch):
+        # every entry of q_list reads one simulation pair and one tail probe
+        runs = []
+        real = pdmp._thinning
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pdmp, "_thinning", counted)
+        cfg = write_config(tmp_path, BOUNDS_PROPAGATION.replace("[1.0, 2.0]", "[1.0, 2.0, 3.0]"))
+        out = tmp_path / "out"
+        assert cli.main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(runs) == 2
+        tails = {row["lhs"] for row in read_rows(out / "bounds.csv") if "tail" in row["name"]}
+        assert len(tails) == 1
 
     def test_bounds_bd_moment(self, tmp_path):
         cfg = write_config(tmp_path, BOUNDS_BD_MOMENT)

@@ -247,7 +247,8 @@ class TestVerifyIdentity:
         assert path.read_text() == buf.getvalue()
 
     def test_one_clock_per_side(self, monkeypatch):
-        # the grid and the regularized node share each side's clock
+        # the grid and the regularized node share each side's clock, and
+        # two sides of one generator share one chain of ticks
         ticked = []
         real = jump_process._clock_sums
 
@@ -258,7 +259,10 @@ class TestVerifyIdentity:
         monkeypatch.setattr(jump_process, "_clock_sums", counted)
         gen, p0X, p0Y = reference_instance()
         verify_identity(gen, gen, p0X, p0Y, 2.0, 1.0, 10)
-        assert ticked == [12, 12]
+        assert ticked == [12]
+        other = birth_death_gen(40, lambda x: 1.0, lambda x: x)
+        verify_identity(gen, other, p0X, p0Y, 2.0, 1.0, 10)
+        assert ticked == [12, 12, 12]
 
     def test_one_window_per_node_and_one_merge(self, monkeypatch):
         # with one generator both sides read one set of Poisson windows, one

@@ -33,6 +33,7 @@ from wflow.jump_process import (
     _jump_tick,
     _kernel_draw,
     _layer_stacks,
+    _path_laws,
     _state_vector,
     kernel_moment_bound,
     kernel_moment_constant,
@@ -283,6 +284,27 @@ def benchmark_generators():
     ]
 
 
+def random_sparse_generator(rng, n, density):
+    """A generator on the states ``0..n-1``: each row jumps to the next state
+    and to about a ``density`` share of the others, and about a fifth of the
+    rates are 0 (one rate is 3 so the clock ticks)."""
+    jumps = rng.random((n, n)) < density
+    jumps[np.arange(n), (np.arange(n) + 1) % n] = True  # every row jumps somewhere
+    np.fill_diagonal(jumps, False)
+    weights = np.where(jumps, rng.random((n, n)), 0.0)
+    kernel = weights / weights.sum(axis=1, keepdims=True)
+    lam = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.1, 5.0, n))
+    lam[rng.integers(n)] = 3.0
+    return JumpGeneratorSpec(np.arange(float(n)), lam, kernel)
+
+
+def same_windows(a, b):
+    """Two lists of clock windows ``(pmf, m_min, m_max, tail)``, bit for bit."""
+    return len(a) == len(b) and all(
+        np.array_equal(wa[0], wb[0]) and wa[1:] == wb[1:] for wa, wb in zip(a, b)
+    )
+
+
 def reference_tick(gen, u):
     """One uniformized jump step, the kept mass plus the weighted kernel step."""
     return gen._keep * u + gen.weighted_kernel_apply(u) / gen.lambda_bar
@@ -358,14 +380,7 @@ class TestClockPass:
     @given(st.integers(2, 30), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
     def test_tick_on_random_sparse_kernels(self, n, density, seed):
         rng = np.random.default_rng(seed)
-        jumps = rng.random((n, n)) < density
-        jumps[np.arange(n), (np.arange(n) + 1) % n] = True  # every row jumps somewhere
-        np.fill_diagonal(jumps, False)
-        weights = np.where(jumps, rng.random((n, n)), 0.0)
-        kernel = weights / weights.sum(axis=1, keepdims=True)
-        lam = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.1, 5.0, n))
-        lam[rng.integers(n)] = 3.0
-        gen = JumpGeneratorSpec(np.arange(float(n)), lam, kernel)
+        gen = random_sparse_generator(rng, n, density)
         u = rng.dirichlet(np.full(n, 0.5))
         ref = reference_tick(gen, u)
         out = np.empty(n)
@@ -374,6 +389,59 @@ class TestClockPass:
         assert abs(out.sum() - u.sum()) <= 4 * n * np.finfo(float).eps
         _jump_tick(gen)(u, u)  # in place, into its own input
         np.testing.assert_array_equal(u, out)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 30), st.floats(0.05, 1.0), st.integers(1, 3), st.integers(0, 2**32 - 1)
+    )
+    def test_starts_share_one_chain(self, n, density, n_starts, seed):
+        # a path of 1-3 starts ticks one stacked chain; each start's node laws
+        # and the shared windows are its one-start solve's, bit for bit
+        rng = np.random.default_rng(seed)
+        gen = random_sparse_generator(rng, n, density)
+        starts = []
+        for _ in range(n_starts):
+            atoms = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
+            starts.append(DiscreteMeasure(gen.states[atoms], rng.dirichlet(np.ones(atoms.size))))
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, rng.integers(1, 6)))])
+        laws, windows = _path_laws(gen, starts, times, 1e-12)
+        assert len(laws) == n_starts
+        for p0, law in zip(starts, laws):
+            (one,), one_windows = _path_laws(gen, [p0], times, 1e-12)
+            assert law.shape == (times.size, n) and np.array_equal(law, one)
+            assert same_windows(windows, one_windows)
+
+    def test_stacked_block_shorter_than_the_clock(self, monkeypatch):
+        # two 4097-state starts hold 63 ticks a block against one start's 127;
+        # on a clock out to 183 ticks the block edges move, and the node laws
+        # may move in their last bits only
+        gen, starts = benchmark_generators()[-1]
+        times = np.linspace(0.0, 12.0, 5)
+        chains = []
+        real = jump_process._clock_sums
+
+        def counted(tick, u, windows):
+            chains.append(u.shape)
+            return real(tick, u, windows)
+
+        monkeypatch.setattr(jump_process, "_clock_sums", counted)
+        laws, windows = _path_laws(gen, starts, times, 1e-12)
+        assert chains == [(2, 4097)] and windows[-1][2] > 127
+        for p0, law in zip(starts, laws):
+            (one,), one_windows = _path_laws(gen, [p0], times, 1e-12)
+            assert same_windows(windows, one_windows)
+            np.testing.assert_allclose(law, one, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("which, t_end, nodes", [(2, 2.5, 121), (3, 1.0, 17)])
+    def test_benchmark_pairs_are_their_one_start_solves(self, which, t_end, nodes):
+        # the benchmark's path pairs: 201 states out to 736 ticks, and 4097
+        # states out to 38, inside one stacked block; bit for bit
+        gen, starts = benchmark_generators()[which]
+        times = np.linspace(0.0, t_end, nodes)
+        laws, _ = _path_laws(gen, starts, times, 1e-12)
+        for p0, law in zip(starts, laws):
+            (one,), _ = _path_laws(gen, [p0], times, 1e-12)
+            assert np.array_equal(law, one)
 
     def test_long_path_memory_stays_within_the_per_node_pass(self):
         # 400 nodes out to clock mean 2e4: the per-node pass keeps each
@@ -603,6 +671,16 @@ class TestMarginalPath:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             marginal_path(three_state(), DiscreteMeasure([0.5], [1.0]), [1.0], tol=0.0)
+
+    def test_overflowing_clock_mean_is_numerical_error(self):
+        # lambda_bar t = 219 * 1e307 overflows: a typed error names the time
+        # before any window is sized, for the path and for the layers
+        gen = mm_infty(20, 1, 200).to_generator()
+        p0 = DiscreteMeasure([3.0], [1.0])
+        with pytest.raises(NumericalError, match=r"clock mean .* at t=1e\+307 is not finite"):
+            marginal_path(gen, p0, [0.5, 1e307])
+        with pytest.raises(NumericalError, match=r"at t=1e\+307 is not finite"):
+            layer_stack(gen, p0, 1e307, 5)
 
 
 class TestLayerStack:

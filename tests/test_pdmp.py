@@ -14,6 +14,7 @@ from oracles import (
     flow_rk4,
     jump_cells_symmetric,
     mu_generator_rowloop,
+    tail_ratio_per_probe,
     thinning_at_bound,
 )
 
@@ -28,6 +29,7 @@ from wflow.pdmp import (
     PropagationAudit,
     ShiftJump,
     UniformJump,
+    _propagation_checks,
     atomize,
     cell_law,
     embed_on_grid,
@@ -681,6 +683,47 @@ class TestPropagationConstants:
         assert report.moment_ok
         assert report.tails_ok
 
+    @pytest.mark.parametrize("mu, n_paths", [(math.inf, 4000), (16.0, 4000), (math.inf, 60)])
+    @pytest.mark.parametrize("qs", [[2.0], [0.5, 1.0, 3.0]])
+    def test_one_simulation_pair_for_every_q(self, mu, n_paths, qs, monkeypatch):
+        # field for field and bit for bit: the per-probe oracle with the
+        # per-q moment recipe, and one propagation_check call per q; 60 paths
+        # put the low quantiles' CDF probes under the 25-path floor
+        spec, start = tanh_spec(lam=0.5), DiscreteMeasure([0.0], [1.0])
+        runs = []
+        real = pdmp._thinning
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pdmp, "_thinning", counted)
+        audits = _propagation_checks(spec, 1.2, 2.0, 1.0, qs, mu, n_paths, 9)
+        assert len(runs) == 2 and len(audits) == len(qs)
+        monkeypatch.undo()
+
+        def simulate(p0, seed):
+            if math.isinf(mu):
+                return simulate_pdmp(spec, p0, 1.0, n_paths, seed)
+            return simulate_chain(spec, p0, 1.0, mu, n_paths, seed)
+
+        emp = simulate(start, 9)
+        smooth, tail0 = laplace_smooth(start, 0.5)
+        emp_s = simulate(atomize(smooth), 10)
+        cum = np.cumsum(emp_s.weights)
+        under_floor = cum[np.searchsorted(cum, 0.05 * cum[-1])] < 25.0 / n_paths
+        assert under_floor == (n_paths == 60)
+        for q, audit in zip(qs, audits):
+            moment_bound, c_t = propagation_constants(spec, 1.2, 2.0, 1.0, q, mu)
+            disp = np.abs(emp.support) ** q
+            mean = float(np.sum(disp * emp.weights))
+            second = float(np.sum(disp**2 * emp.weights))
+            sigma = math.sqrt(max(second - mean**2, 0.0) / n_paths)
+            worst = tail_ratio_per_probe(emp_s, c_t, 2.0, n_paths)
+            want = (moment_bound, c_t, mean, sigma, moment_bound + 4.0 * sigma, worst, tail0)
+            assert dataclasses.astuple(audit) == dataclasses.astuple(PropagationAudit(*want))
+            assert audit == propagation_check(spec, 1.2, 2.0, 1.0, q, mu, n_paths, 9)
+
     def test_audit_is_frozen_and_flags_follow_values(self):
         audit = PropagationAudit(1.0, 2.0, 1.5, 0.1, 1.4, 1.2, TailConstants(1.0, 1.0))
         assert not audit.moment_ok
@@ -772,8 +815,9 @@ class TestConvergenceStudy:
                 assert a == b, f.name
 
     def test_time_t_laws_come_from_the_identity_paths(self, monkeypatch):
-        # two clocks per speed (the identity's two sides) plus two for the
-        # reference chain; each Cauchy distance reads the identity's last node
+        # one clock per speed (the identity's two sides tick one chain) plus
+        # two for the reference chain; each Cauchy distance reads the
+        # identity's last node
         spec = tanh_spec(lam=0.5, kernel=ShiftJump(0.5))
         p0X = DiscreteMeasure([0.5, 1.0, 1.5], [0.4, 0.3, 0.3])
         p0Y = DiscreteMeasure([-1.0, -0.4], [0.5, 0.5])
@@ -788,7 +832,7 @@ class TestConvergenceStudy:
         study = mu_convergence_study(
             spec, spec, p0X, p0Y, 2.0, 1.0, [4.0, 8.0], grid_nodes=257, identity_steps=20
         )
-        assert ticked == [1, 1, 22, 22, 22, 22]
+        assert ticked == [1, 1, 22, 22]
         monkeypatch.undo()
         e0X = pdmp.embed_on_grid(p0X, study.grid)
         e0Y = pdmp.embed_on_grid(p0Y, study.grid)
